@@ -123,12 +123,13 @@ def bench_ablation_flow_engine(benchmark, datasets, mid_k, engine):
     graph = datasets[ABLATION_DATASET]
     k = mid_k[ABLATION_DATASET]
     flow_fn = max_flow_min_k if engine == "dinic" else max_flow_min_k_ek
-    net = build_flow_network(graph, k)
-    vertices = sorted(graph.vertices())
+    view = graph.to_csr().full_view()
+    net = build_flow_network(view, k)
+    vertices = view.active_list()
     pairs = [
         (vertices[i], vertices[-1 - i])
         for i in range(0, min(60, len(vertices) // 2), 3)
-        if not graph.has_edge(vertices[i], vertices[-1 - i])
+        if not view.has_edge(vertices[i], vertices[-1 - i])
     ]
 
     def run_queries():

@@ -1,11 +1,11 @@
-"""Micro-benchmark: dict-Graph backend vs CSR-view backend, serial vs parallel.
+"""Micro-benchmark: CSR enumeration stages and kernels, serial vs parallel.
 
-Times the operations the last two tentpole refactors target, on mid-size
-generator graphs:
+Times the enumeration pipeline on mid-size generator graphs:
 
-* **peel** - k-core peeling (``peel_in_place`` on a fresh dict copy vs
-  ``SubgraphView.peel`` on a fresh view over a shared CSR base);
-* **enumerate** - the full ``enumerate_kvccs`` pipeline per backend;
+* **peel** - k-core peeling (``SubgraphView.peel`` on a fresh view over
+  a shared CSR base);
+* **enumerate** - the full ``enumerate_kvccs`` pipeline, with the
+  per-stage breakdown of its fastest run and one row per kernel;
 * **serial vs parallel** - the CSR pipeline under the serial engine vs
   the ``--workers N`` process-pool engine, on the single-component
   web-graph stand-in (pessimal: little fan-out before the first cuts)
@@ -19,8 +19,9 @@ can execute it without extra plugins)::
     PYTHONPATH=src python benchmarks/bench_backend_compare.py --quick
     PYTHONPATH=src python benchmarks/bench_backend_compare.py --workers 4
 
-The acceptance bar for the CSR refactor is >= 1.5x over dict on the
-web graph; for the parallel engine it is >= 1.5x over serial CSR on the
+The kernel bar compares against the committed ``BENCH_baseline.json``
+snapshot (see ``main``); for the parallel engine it is >= 1.5x over
+serial CSR on the
 sharded workload *on machines exposing >= 2 CPUs* (the single-component
 web graph is documented as too serial to benefit - its first GLOBAL-CUT
 dominates the critical path - and on a single-CPU machine the parallel
@@ -39,12 +40,7 @@ import repro.kernels as kernels
 from repro.core.kvcc import enumerate_kvccs
 from repro.core.options import KVCCOptions
 from repro.core.stats import RunStats
-from repro.graph.core_decomposition import peel_in_place
-from repro.graph.generators import (
-    assemble_communities,
-    ring_of_cliques,
-    web_graph,
-)
+from repro.graph.generators import assemble_communities, web_graph
 from repro.graph.graph import Graph
 
 #: Stage keys reported by ``RunStats.stage_seconds`` (see
@@ -73,47 +69,31 @@ def _time(fn, repeats: int) -> float:
     return best
 
 
-def bench_peel(graph: Graph, k: int, repeats: int) -> tuple:
+def bench_peel(graph: Graph, k: int, repeats: int) -> float:
     csr = graph.to_csr()
-
-    def dict_peel():
-        peel_in_place(graph.copy(), k)
-
-    def csr_peel():
-        csr.full_view().peel(k)
-
-    return _time(dict_peel, repeats), _time(csr_peel, repeats)
+    return _time(lambda: csr.full_view().peel(k), repeats)
 
 
 def bench_enumerate(graph: Graph, k: int, repeats: int) -> tuple:
-    """Returns ``(t_dict, t_csr, stages)``.
+    """Returns ``(t_csr, stages)``.
 
     ``stages`` is the per-stage wall-clock breakdown (``peel`` /
-    ``certificate`` / ``flow``, in seconds) of the *fastest* CSR repeat,
+    ``certificate`` / ``flow``, in seconds) of the *fastest* repeat,
     so the attribution matches the reported total rather than a noisier
     slow run.
     """
-    dict_opts = KVCCOptions(backend="dict")
-    csr_opts = KVCCOptions(backend="csr")
-
-    t_dict = _time(lambda: enumerate_kvccs(graph, k, dict_opts), repeats)
-
     t_csr = float("inf")
     stages = {stage: 0.0 for stage in STAGES}
     for _ in range(repeats):
         stats = RunStats(k=k)
         start = time.perf_counter()
-        enumerate_kvccs(graph, k, csr_opts, stats)
+        enumerate_kvccs(graph, k, KVCCOptions(), stats)
         elapsed = time.perf_counter() - start
         if elapsed < t_csr:
             t_csr = elapsed
             for stage in STAGES:
                 stages[stage] = stats.stage_seconds.get(stage, 0.0)
-
-    n_dict = len(enumerate_kvccs(graph, k, dict_opts))
-    n_csr = len(enumerate_kvccs(graph, k, csr_opts))
-    assert n_dict == n_csr, f"backends disagree: {n_dict} != {n_csr}"
-    return t_dict, t_csr, stages
+    return t_csr, stages
 
 
 def bench_kernels(graph: Graph, k: int, repeats: int) -> dict:
@@ -124,7 +104,7 @@ def bench_kernels(graph: Graph, k: int, repeats: int) -> dict:
     because the baseline gate compares these numbers against a committed
     snapshot.  Returns ``{kernel_name: best_seconds}``.
     """
-    opts = KVCCOptions(backend="csr")
+    opts = KVCCOptions()
     names = list(kernels.available())
     best = {name: float("inf") for name in names}
     counts = {}
@@ -150,8 +130,8 @@ def load_baseline() -> dict:
 
 def bench_parallel(graph: Graph, k: int, workers: int, repeats: int) -> tuple:
     """Serial CSR enumerate vs the process-pool engine on the same graph."""
-    serial_opts = KVCCOptions(backend="csr")
-    par_opts = KVCCOptions(backend="csr", workers=workers)
+    serial_opts = KVCCOptions()
+    par_opts = KVCCOptions(workers=workers)
 
     # Capture the last timed run's result so the equivalence assertion
     # below does not cost two extra full enumerations.
@@ -268,24 +248,13 @@ def main() -> int:
     # on the web-graph stand-in this removes a large low-degree fringe
     # while keeping the dense cores - the representative k-core workload.
     peel_k = k
-    t_dict, t_csr = bench_peel(graph, peel_k, repeats)
-    print(
-        f"peel (k={peel_k}):      dict {t_dict * 1e3:8.1f} ms   "
-        f"csr {t_csr * 1e3:8.1f} ms   speedup {t_dict / t_csr:5.2f}x"
-    )
-    record("peel_dict_ms", t_dict * 1e3, "ms", graph.num_vertices)
-    record("peel_csr_ms", t_csr * 1e3, "ms", graph.num_vertices)
-    record("peel_speedup", t_dict / t_csr, "x", graph.num_vertices)
+    t_peel = bench_peel(graph, peel_k, repeats)
+    print(f"peel (k={peel_k}):      csr {t_peel * 1e3:8.1f} ms")
+    record("peel_csr_ms", t_peel * 1e3, "ms", graph.num_vertices)
 
-    t_dict, t_csr, stages = bench_enumerate(graph, k, repeats)
-    speedup = t_dict / t_csr
-    print(
-        f"enumerate (k={k}):    dict {t_dict * 1e3:8.1f} ms   "
-        f"csr {t_csr * 1e3:8.1f} ms   speedup {speedup:5.2f}x"
-    )
-    record("enumerate_dict_ms", t_dict * 1e3, "ms", graph.num_vertices)
+    t_csr, stages = bench_enumerate(graph, k, repeats)
+    print(f"enumerate (k={k}):    csr {t_csr * 1e3:8.1f} ms")
     record("enumerate_csr_ms", t_csr * 1e3, "ms", graph.num_vertices)
-    record("enumerate_speedup", speedup, "x", graph.num_vertices)
 
     # Per-stage attribution of the fastest CSR run (kernel wins show up
     # as movement in exactly one of these rows).
@@ -299,7 +268,7 @@ def main() -> int:
                graph.num_vertices)
 
     # Kernel rows: the same serial CSR enumerate, pinned per kernel.
-    # More repeats than the backend rows because the baseline gate
+    # More repeats than the rows above because the baseline gate
     # below compares these against a committed snapshot and the bar is
     # tight relative to machine noise.
     kernel_repeats = repeats if args.quick else max(repeats, 9)
@@ -312,7 +281,7 @@ def main() -> int:
         record(f"enumerate_csr_{name}_ms", seconds * 1e3, "ms",
                graph.num_vertices)
 
-    # Serial-vs-parallel column (same CSR backend, engine differs).
+    # Serial-vs-parallel column (same CSR pipeline, engine differs).
     t_ser, t_par = bench_parallel(graph, k, workers, repeats)
     par_speedup = t_ser / t_par
     print(
@@ -344,22 +313,9 @@ def main() -> int:
             "engine equivalence and measure dispatch overhead"
         )
 
-    if not args.quick:
-        # Secondary series: a partition-heavy shape (many small parts,
-        # worst case for mask-based views) to keep the comparison honest.
-        ring = ring_of_cliques(num_cliques=60, clique_size=12)
-        t_dict2, t_csr2, _ = bench_enumerate(ring, 6, repeats)
-        print(
-            f"enumerate ring60x12 (k=6): dict {t_dict2 * 1e3:8.1f} ms   "
-            f"csr {t_csr2 * 1e3:8.1f} ms   speedup {t_dict2 / t_csr2:5.2f}x"
-        )
-
     flush_json()
 
     failed = False
-    if not args.quick and speedup < 1.5:
-        print("WARNING: CSR speedup below the 1.5x acceptance bar")
-        failed = True
     if not args.quick and cpus >= 2 and shard_speedup < 1.5:
         # The parallel bar only applies where parallelism is possible;
         # on a single-CPU machine the rows above degrade to an overhead

@@ -7,7 +7,7 @@ k at which they still belong to a k-vertex-connected group.  The
 vcc-number is to vertex connectivity what the core number is to degree,
 and is never larger (Whitney / Theorem 3).
 
-The construction runs on the CSR backend: one shared immutable base,
+The construction interns the graph once: one shared immutable CSR base,
 each level's components re-entered as zero-copy mask views (pass
 ``KVCCOptions(workers=N)`` to fan a level's independent components out
 across processes).  The second half shows the serving pattern: persist
@@ -25,7 +25,6 @@ from collections import Counter
 from repro import (
     HierarchyIndex,
     HierarchyQueryService,
-    KVCCOptions,
     build_hierarchy,
     core_number,
     load_index,
@@ -39,9 +38,10 @@ def main() -> None:
     graph = collaboration_graph(400, 700, mean_paper_size=3.0, seed=11)
     print(f"collaboration graph: {graph}\n")
 
-    # One shared CSR base, zero-copy level views; add workers=N here to
-    # parallelize each level's independent parent components.
-    hierarchy = build_hierarchy(graph, options=KVCCOptions(backend="csr"))
+    # One shared CSR base, zero-copy level views; pass
+    # options=KVCCOptions(workers=N) to parallelize each level's
+    # independent parent components.
+    hierarchy = build_hierarchy(graph)
     print(f"hierarchy: {len(hierarchy)} components across "
           f"levels 1..{hierarchy.max_k}")
     series = {"#k-VCCs": []}

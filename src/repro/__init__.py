@@ -13,8 +13,8 @@ Quickstart
 >>> [sorted(c.vertices()) for c in enumerate_kvccs(g, 2)]
 [[0, 1, 2, 3]]
 
-See ``examples/`` for realistic scenarios and ``DESIGN.md`` for the
-paper-to-module map.
+See ``examples/`` for realistic scenarios and ``docs/ARCHITECTURE.md``
+for the module map and data flow.
 """
 
 from repro.graph import Graph

@@ -12,7 +12,6 @@ connected component of ``F_k`` is a set of pairwise k-locally-connected
 vertices, which powers the group-sweep pruning rules.
 """
 
-from repro.certificate.scan_first_search import scan_first_forest
 from repro.certificate.sparse_certificate import (
     SparseCertificate,
     sparse_certificate,
@@ -20,7 +19,6 @@ from repro.certificate.sparse_certificate import (
 from repro.certificate.side_groups import side_groups_from_forest
 
 __all__ = [
-    "scan_first_forest",
     "SparseCertificate",
     "sparse_certificate",
     "side_groups_from_forest",

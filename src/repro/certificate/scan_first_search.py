@@ -16,55 +16,12 @@ computed on the graph minus the previous forests' edges.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.graph.csr import SubgraphView
-from repro.graph.graph import Graph, Vertex
+from repro.graph.graph import Vertex
 
 ForestEdge = Tuple[Vertex, Vertex]
-
-
-def scan_first_forest(
-    graph: Graph,
-    forbidden: Iterable[frozenset] = (),
-) -> List[ForestEdge]:
-    """One scan-first search forest of ``graph`` minus ``forbidden`` edges.
-
-    Parameters
-    ----------
-    graph:
-        The (possibly disconnected) graph to search.
-    forbidden:
-        Edges (as ``frozenset({u, v})``) to treat as absent - the caller
-        passes the union of previously extracted forests, implementing
-        the ``G_{i-1} = (V, E - (E_1 ∪ ... ∪ E_{i-1}))`` sequence of
-        Theorem 5 without copying the graph.
-
-    Returns
-    -------
-    list of (parent, child) edges
-        One tree per connected component of the remaining graph; roots
-        follow the graph's vertex iteration order so the output is
-        deterministic.
-    """
-    forbidden_set: Set[frozenset] = set(forbidden)
-    forest: List[ForestEdge] = []
-    marked: Set[Vertex] = set()
-    for root in graph.vertices():
-        if root in marked:
-            continue
-        marked.add(root)
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()  # scan u: mark all unvisited neighbors
-            for v in graph.neighbors(u):
-                if v in marked or frozenset((u, v)) in forbidden_set:
-                    continue
-                marked.add(v)
-                forest.append((u, v))
-                queue.append(v)
-    return forest
 
 
 def compact_view_adjacency(view: SubgraphView):
@@ -101,11 +58,11 @@ def scan_first_forest_csr(
 ) -> List[ForestEdge]:
     """One scan-first forest over a compacted CSR view adjacency.
 
-    The dict-backend :func:`scan_first_forest` pays a ``frozenset``
-    allocation and hash per scanned edge to implement Theorem 5's
-    "minus previous forests" sequence; here ``used`` is a byte array
-    over the compacted slot space of :func:`compact_view_adjacency`
-    (each undirected edge owns two slots, one per endpoint row).  Newly
+    Roots follow the view's ascending id order, so the output is
+    deterministic.  Theorem 5's "minus previous forests" sequence is a
+    byte array, ``used``, over the compacted slot space of
+    :func:`compact_view_adjacency` (each undirected edge owns two
+    slots, one per endpoint row), so no graph is ever copied.  Newly
     extracted forest edges are marked into ``used`` in place - both
     directions, the reverse slot found by binary search in the sorted
     neighbor row - so the caller can run the next extraction directly.

@@ -17,16 +17,11 @@ Properties guaranteed by Cheriyan-Kao-Thurimella and exercised by tests:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Set, Union
+from typing import List, Set
 
 import repro.kernels as kernels
-from repro.certificate.scan_first_search import (
-    ForestEdge,
-    forest_components,
-    scan_first_forest,
-)
+from repro.certificate.scan_first_search import ForestEdge, forest_components
 from repro.graph.csr import IntAdjacency, SubgraphView
-from repro.graph.graph import Graph, Vertex
 
 
 @dataclass
@@ -36,10 +31,8 @@ class SparseCertificate:
     Attributes
     ----------
     graph:
-        The certificate subgraph ``(V, E_1 ∪ ... ∪ E_k)`` - a dict
-        :class:`Graph` when built from one, an
-        :class:`~repro.graph.csr.IntAdjacency` over the base id space
-        when built from a CSR :class:`SubgraphView`.
+        The certificate subgraph ``(V, E_1 ∪ ... ∪ E_k)`` as an
+        :class:`~repro.graph.csr.IntAdjacency` over the base id space.
     forests:
         The k scan-first forests, in extraction order (``forests[-1]`` is
         ``F_k``).
@@ -47,7 +40,7 @@ class SparseCertificate:
         The connectivity threshold the certificate was built for.
     """
 
-    graph: Union[Graph, IntAdjacency]
+    graph: IntAdjacency
     forests: List[List[ForestEdge]] = field(default_factory=list)
     k: int = 1
 
@@ -56,7 +49,7 @@ class SparseCertificate:
         """``F_k``, whose components are side-group candidates."""
         return self.forests[-1] if self.forests else []
 
-    def side_group_components(self) -> List[Set[Vertex]]:
+    def side_group_components(self) -> List[Set[int]]:
         """Connected components of ``F_k`` (Theorem 10 side-groups).
 
         Includes singleton components; the caller filters by size (the
@@ -65,42 +58,14 @@ class SparseCertificate:
         return forest_components(self.graph.vertices(), self.last_forest)
 
 
-def sparse_certificate(graph: Graph, k: int) -> SparseCertificate:
-    """Build the k-connectivity sparse certificate of ``graph``.
+def sparse_certificate(view: SubgraphView, k: int) -> SparseCertificate:
+    """Build the k-connectivity sparse certificate of a CSR view.
 
     Runs k scan-first searches, each excluding all previously extracted
-    forest edges, and unions the forests (Theorem 5).  Runs in
-    O(k (n + m)) time.
-
-    For graphs that are already sparse (``m <= k (n - 1)``) the
+    forest edges, and unions the forests (Theorem 5) in O(k (n + m))
+    time.  For graphs that are already sparse (``m <= k (n - 1)``) the
     construction still runs - the forests are needed for side-groups -
     but the certificate may equal the input graph.
-    """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if isinstance(graph, SubgraphView):
-        return _sparse_certificate_view(graph, k)
-    forests: List[List[ForestEdge]] = []
-    used: Set[frozenset] = set()
-    for _ in range(k):
-        forest = scan_first_forest(graph, forbidden=used)
-        forests.append(forest)
-        for u, v in forest:
-            used.add(frozenset((u, v)))
-        # Early exit: once a forest comes back empty, all later forests
-        # are empty too (no edges remain), and F_k would carry no
-        # side-group information anyway.
-        if not forest:
-            break
-    cert = Graph(vertices=graph.vertices())
-    for forest in forests:
-        for u, v in forest:
-            cert.add_edge(u, v)
-    return SparseCertificate(graph=cert, forests=forests, k=k)
-
-
-def _sparse_certificate_view(view: SubgraphView, k: int) -> SparseCertificate:
-    """CSR-path certificate: forests over the view, adjacency over ids.
 
     Forest extraction and the adjacency union are kernel calls
     (:mod:`repro.kernels`): the python kernel runs the compacted-slot
@@ -111,9 +76,10 @@ def _sparse_certificate_view(view: SubgraphView, k: int) -> SparseCertificate:
     :class:`IntAdjacency` in the base id space, ready for the integer
     flow-network builder and the sweep machinery.
     """
-    base = view.base
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
     kern = kernels.select()
     forests: List[List[ForestEdge]] = kern.scan_first_forests(view, k)
-    cert = IntAdjacency(base.n, view.active_list())
+    cert = IntAdjacency(view.base.n, view.active_list())
     kern.fill_forest_adjacency(cert, forests)
     return SparseCertificate(graph=cert, forests=forests, k=k)

@@ -9,9 +9,9 @@ Commands
 ``connectivity``
     Vertex connectivity of a graph (or of a vertex pair with ``-u/-v``).
 ``hierarchy``
-    The k-VCC hierarchy levels and per-vertex vcc-numbers; runs on the
-    CSR backend (optionally parallel with ``--workers``) and can
-    persist the forest with ``--save-index``.
+    The k-VCC hierarchy levels and per-vertex vcc-numbers (optionally
+    parallel with ``--workers``); can persist the forest with
+    ``--save-index``.
 ``build-cohesion``
     Build the multi-measure ``KVCCCOH`` cohesion index: the k-VCC,
     k-ECC, and k-core hierarchies of one dataset, persisted side by
@@ -39,8 +39,8 @@ Every graph-consuming command accepts the same dataset grammar
 Parsed graphs are cached content-addressed under ``~/.cache/repro``
 (override with ``--cache-dir`` or ``$REPRO_CACHE_DIR``) as binary
 ``KVCCG`` files, so every invocation after the first mmap-loads in
-O(header) instead of re-parsing text - and, on the default CSR
-backend, never builds a dict ``Graph`` at all.
+O(header) instead of re-parsing text - and never builds a dict
+``Graph`` at all.
 
 Examples
 --------
@@ -193,19 +193,18 @@ def cmd_kvcc(args: argparse.Namespace) -> int:
     """Enumerate the k-VCCs of a dataset."""
     import dataclasses
 
-    from repro.core.kvcc import enumerate_kvccs, enumerate_kvccs_csr
+    from repro.core.kvcc import enumerate_kvccs_csr
     from repro.graph.serialization import save_decomposition
 
     base = _load_base(args)
     stats = RunStats(k=args.k)
     options = dataclasses.replace(
-        VARIANTS[args.variant], backend=args.backend, workers=args.workers
+        VARIANTS[args.variant], workers=args.workers
     )
     from repro.data.external import resolve_mem_budget
 
     budget = resolve_mem_budget(args.mem_budget)
-    graph = None
-    if options.backend == "csr" and budget is not None:
+    if budget is not None:
         # Budgeted path: enumerate component-at-a-time so only one
         # component's CSR rows are ever resident.
         from repro.core.outofcore import enumerate_kvccs_outofcore
@@ -214,25 +213,18 @@ def cmd_kvcc(args: argparse.Namespace) -> int:
             base, args.k, options, stats,
             materialize=False, mem_budget=budget,
         )
-        components = [[base.label_of(i) for i in leaf] for leaf in leaves]
-    elif options.backend == "csr":
+    else:
         # The cached hot path: mmap CSR in, member-id lists out - no
         # dict Graph is constructed anywhere in this branch.
         leaves = enumerate_kvccs_csr(
             base, args.k, options, stats, materialize=False
         )
-        components = [[base.label_of(i) for i in leaf] for leaf in leaves]
-    else:
-        graph = base.to_graph()
-        components = [
-            sorted(sub.vertices(), key=str)
-            for sub in enumerate_kvccs(graph, args.k, options, stats)
-        ]
+    components = [[base.label_of(i) for i in leaf] for leaf in leaves]
     engine_note = (
         "" if options.engine == "serial"
         else f", {stats.parallel_tasks} tasks on {args.workers or 'auto'} workers"
     )
-    if options.backend == "csr" and budget is not None:
+    if budget is not None:
         engine_note += ", component-at-a-time"
     print(
         f"{len(components)} {args.k}-VCC(s) in {stats.elapsed_seconds:.3f}s "
@@ -240,10 +232,8 @@ def cmd_kvcc(args: argparse.Namespace) -> int:
         f"{stats.partitions} partitions{engine_note})"
     )
     if args.out:
-        if args.embed_graph and graph is None:
-            graph = base.to_graph()
-        save_decomposition(args.out, components, args.k,
-                           graph if args.embed_graph else None)
+        graph = base.to_graph() if args.embed_graph else None
+        save_decomposition(args.out, components, args.k, graph)
         print(f"wrote {args.out}")
     else:
         for i, members in enumerate(components):
@@ -300,19 +290,12 @@ def cmd_connectivity(args: argparse.Namespace) -> int:
 
 def cmd_hierarchy(args: argparse.Namespace) -> int:
     """Print the k-VCC hierarchy levels; optionally persist the index."""
-    from repro.core.hierarchy import build_hierarchy, build_hierarchy_csr
+    from repro.core.hierarchy import build_hierarchy_csr
     from repro.core.options import KVCCOptions
 
     base = _load_base(args)
-    options = KVCCOptions(backend=args.backend, workers=args.workers)
-    if args.backend == "csr":
-        hierarchy = build_hierarchy_csr(
-            base, max_k=args.max_k, options=options
-        )
-    else:
-        hierarchy = build_hierarchy(
-            base.to_graph(), max_k=args.max_k, options=options
-        )
+    options = KVCCOptions(workers=args.workers)
+    hierarchy = build_hierarchy_csr(base, max_k=args.max_k, options=options)
     print(f"max level: {hierarchy.max_k}")
     for k in range(1, hierarchy.max_k + 1):
         comps = hierarchy.components_at(k)
@@ -342,7 +325,7 @@ def cmd_build_cohesion(args: argparse.Namespace) -> int:
     from repro.index import build_cohesion_index
 
     base = _load_base(args)
-    options = KVCCOptions(backend="csr", workers=args.workers)
+    options = KVCCOptions(workers=args.workers)
     cohesion = build_cohesion_index(base, max_k=args.max_k, options=options)
     # Temp-file + atomic rename, same discipline as --save-index: a
     # serving process hot-reloading this path must never mmap a
@@ -839,17 +822,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="algorithm variant (default: VCCE*)",
     )
     p.add_argument(
-        "--backend", choices=("csr", "dict"), default="csr",
-        help="graph backend: zero-copy CSR views (default) or the "
-        "reference adjacency-set implementation",
-    )
-    p.add_argument(
         "--workers", type=_workers_arg, default=1, metavar="N",
         help="execution engine: 1 = serial (default), N > 1 = fan the "
         "worklist out to N worker processes, 0 = one per CPU; results "
-        "and ordering are identical to serial (for string-labeled "
-        "graphs on --backend dict under spawn platforms, also export "
-        "PYTHONHASHSEED)",
+        "and ordering are identical to serial",
     )
     p.add_argument("--out", help="write the decomposition to this JSON file")
     p.add_argument(
@@ -885,11 +861,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--vcc-numbers", action="store_true",
         help="also print the per-vertex vcc-number",
-    )
-    p.add_argument(
-        "--backend", choices=("csr", "dict"), default="csr",
-        help="graph backend: one shared CSR base with zero-copy level "
-        "views (default) or the reference copy-per-parent dict path",
     )
     p.add_argument(
         "--workers", type=_workers_arg, default=1, metavar="N",

@@ -8,6 +8,12 @@ free, and the tests lean on them heavily:
   search over :func:`is_k_connected`;
 * :func:`local_connectivity` - ``kappa(u, v)`` (Definition 6), infinite
   for adjacent vertices.
+
+Each helper takes a labeled :class:`~repro.graph.graph.Graph`, which is
+interned to CSR once per call, or an already-built CSR
+:class:`~repro.graph.csr.SubgraphView`, which is used as is.  Vertices
+in and out speak the input's vocabulary: labels for a ``Graph``, base
+ids for a view.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from repro.core.options import KVCCOptions
 from repro.flow.dinic import max_flow_min_k
 from repro.flow.flow_network import build_flow_network
 from repro.graph.connectivity import is_connected
+from repro.graph.csr import SubgraphView
 from repro.graph.graph import Graph, Vertex
 
 #: Options tuned for one-shot connectivity queries: sweeps only cost time
@@ -33,36 +40,35 @@ _QUERY_OPTIONS = KVCCOptions(
     maintain_side_vertices=False,
 )
 
+#: A query input: a labeled graph, or a CSR view speaking base ids.
+GraphLike = Union[Graph, SubgraphView]
+
 
 def _query_options(options: Optional[KVCCOptions]) -> KVCCOptions:
-    """The tuned single-query preset, adopting only the *execution*
-    fields (``backend``, ``workers``, ``seed``) of a caller-provided
-    options object.
+    """The tuned single-query preset, adopting only the caller's ``seed``.
 
-    Callers pass options here to standardize on one engine-configured
-    object across enumeration and query calls; silently re-enabling the
-    sweep machinery the preset deliberately turns off (it only costs
-    time when each answer is computed once) would be an unrequested
-    slowdown, so the strategy switches are *not* taken over.
-
-    Of the adopted fields only ``seed`` changes today's behavior: a
-    query is a single GLOBAL-CUT call, which runs on whatever graph
-    representation it is handed and never spawns an engine, so
-    ``backend`` and ``workers`` are carried for API symmetry and for
-    any future enumeration-backed query path, not for effect.
+    Callers pass options here to standardize on one configured object
+    across enumeration and query calls.  A query is a single GLOBAL-CUT
+    call that never spawns an engine, so ``workers`` has no effect, and
+    silently re-enabling the sweep machinery the preset deliberately
+    turns off (it only costs time when each answer is computed once)
+    would be an unrequested slowdown - only the source tie-break seed
+    is taken over.
     """
     if options is None:
         return _QUERY_OPTIONS
-    return dataclasses.replace(
-        _QUERY_OPTIONS,
-        backend=options.backend,
-        workers=options.workers,
-        seed=options.seed,
-    )
+    return dataclasses.replace(_QUERY_OPTIONS, seed=options.seed)
+
+
+def _as_view(graph: GraphLike) -> SubgraphView:
+    """The CSR view a query runs on (a ``Graph`` is interned here)."""
+    if isinstance(graph, SubgraphView):
+        return graph
+    return graph.to_csr().full_view()
 
 
 def is_k_connected(
-    graph: Graph, k: int, options: Optional[KVCCOptions] = None
+    graph: GraphLike, k: int, options: Optional[KVCCOptions] = None
 ) -> bool:
     """Definition 2: ``|V| > k`` and no removal of ``k - 1`` vertices
     disconnects the graph.
@@ -70,8 +76,8 @@ def is_k_connected(
     ``k = 0`` is satisfied by any non-empty graph.  ``options`` lets
     callers standardize on one configured object across enumeration and
     query calls - see :func:`_query_options` for exactly which fields a
-    query adopts (in practice only ``seed``); the strategy switches
-    always stay at the minimal single-query configuration.
+    query adopts (only ``seed``); the strategy switches always stay at
+    the minimal single-query configuration.
     """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
@@ -82,11 +88,11 @@ def is_k_connected(
         return False
     if not is_connected(graph):
         return False
-    return global_cut(graph, k, _query_options(options)) is None
+    return global_cut(_as_view(graph), k, _query_options(options)) is None
 
 
 def vertex_connectivity(
-    graph: Graph, options: Optional[KVCCOptions] = None
+    graph: GraphLike, options: Optional[KVCCOptions] = None
 ) -> int:
     """``kappa(G)`` (Definition 1): size of a minimum vertex cut.
 
@@ -99,11 +105,12 @@ def vertex_connectivity(
         raise ValueError("vertex connectivity of an empty graph is undefined")
     if n == 1 or not is_connected(graph):
         return 0
+    view = _as_view(graph)
     # kappa is in [1, n-1]; is_k_connected is monotone decreasing in k.
     lo, hi = 1, n - 1
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if is_k_connected(graph, mid, options):
+        if is_k_connected(view, mid, options):
             lo = mid
         else:
             hi = mid - 1
@@ -111,7 +118,7 @@ def vertex_connectivity(
 
 
 def minimum_vertex_cut(
-    graph: Graph, options: Optional[KVCCOptions] = None
+    graph: GraphLike, options: Optional[KVCCOptions] = None
 ) -> Set[Vertex]:
     """A minimum vertex cut of a connected, non-complete graph.
 
@@ -132,16 +139,19 @@ def minimum_vertex_cut(
         raise ValueError("minimum vertex cut needs at least two vertices")
     if not is_connected(graph):
         raise ValueError("minimum vertex cut of a disconnected graph")
-    kappa = vertex_connectivity(graph, options)
+    view = _as_view(graph)
+    kappa = vertex_connectivity(view, options)
     if kappa >= n - 1:
         raise ValueError("complete graph has no vertex cut")
-    cut = global_cut(graph, kappa + 1, _query_options(options))
+    cut = global_cut(view, kappa + 1, _query_options(options))
     assert cut is not None and len(cut) == kappa
-    return cut
+    if view is graph:
+        return cut
+    return {view.base.label_of(v) for v in cut}
 
 
 def local_connectivity(
-    graph: Graph,
+    graph: GraphLike,
     u: Vertex,
     v: Vertex,
     cap: Optional[int] = None,
@@ -157,5 +167,9 @@ def local_connectivity(
     if graph.has_edge(u, v):
         return math.inf
     limit = cap if cap is not None else max(1, graph.num_vertices - 1)
-    net = build_flow_network(graph, limit)
+    view = _as_view(graph)
+    if view is not graph:
+        interner = view.base.interner
+        u, v = interner[u], interner[v]
+    net = build_flow_network(view, limit)
     return max_flow_min_k(net, net.node_out(u), net.node_in(v), limit)

@@ -38,20 +38,6 @@ by path to reproduce the serial output order.  Counters are computed by
 the same single-step code (:func:`expand_work_item`) in both engines, so
 all deterministic :meth:`~repro.core.stats.RunStats.counters` agree as
 well; only wall-clock and peak-residency proxies may differ.
-
-Both engines accept both graph backends.  On ``"dict"`` the per-item
-payload is the induced :class:`~repro.graph.graph.Graph` itself (no
-shared base exists to ship).  One caveat: worker-side set iteration
-must hash like the master's for the recursion to pick identical cuts.
-That holds unconditionally for the CSR backend and integer-labeled
-dict graphs (integer hashes are value-determined) and under the fork
-start method (Linux default; forked workers share the master's hash
-seed).  The one divergent combination is string-labeled *dict-backend*
-graphs under a *spawn* context (macOS/Windows default): each spawned
-worker draws a fresh hash seed, so an equally valid but different cut
-may be chosen and leaf order / partition counters can differ from the
-serial run - export ``PYTHONHASHSEED`` before launching Python to make
-that combination deterministic too.
 """
 
 from __future__ import annotations
@@ -62,7 +48,7 @@ import os
 import sys
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from typing import Iterable, List, Optional, Set, Tuple, Union
+from typing import List, Optional, Set, Tuple, Union
 
 import repro.core.mask_pool as mask_pool
 from repro.core.global_cut import global_cut
@@ -73,34 +59,17 @@ from repro.core.stats import RunStats, Timer
 from repro.graph.connectivity import connected_components
 from repro.graph.core_decomposition import peel_in_place
 from repro.graph.csr import CSRGraph, SubgraphView
-from repro.graph.graph import Graph, Vertex
-
-#: A worklist subgraph: a zero-copy view (CSR backend) or an owned Graph.
-WorkGraph = Union[Graph, SubgraphView]
+from repro.graph.graph import Graph
 
 #: Worklist entry: (subgraph, inherited strong set, recheck set).  The
 #: two sets are ``None`` for roots, which get a full Theorem-8 scan.
-WorkItem = Tuple[WorkGraph, Optional[Set[Vertex]], Optional[Set[Vertex]]]
-
-
-def subgraph_of(parent: WorkGraph, members: Iterable[Vertex]) -> WorkGraph:
-    """Backend dispatch for taking a worklist child subgraph."""
-    if isinstance(parent, SubgraphView):
-        return parent.restrict(members)
-    return parent.induced_subgraph(members)
-
-
-def finalize_work_graph(sub: WorkGraph) -> Graph:
-    """Convert a proven k-VCC into the returned :class:`Graph`."""
-    if isinstance(sub, SubgraphView):
-        return sub.materialize()
-    return sub
+WorkItem = Tuple[SubgraphView, Optional[Set[int]], Optional[Set[int]]]
 
 
 def expand_work_item(
-    sub: WorkGraph,
-    inherited: Optional[Set[Vertex]],
-    recheck: Optional[Set[Vertex]],
+    sub: SubgraphView,
+    inherited: Optional[Set[int]],
+    recheck: Optional[Set[int]],
     k: int,
     options: KVCCOptions,
     stats: RunStats,
@@ -114,7 +83,7 @@ def expand_work_item(
     order.  Both engines run exactly this code per item, which is what
     keeps their counters and results identical.
     """
-    strong: Optional[Set[Vertex]] = None
+    strong: Optional[Set[int]] = None
     if options.side_vertices_enabled:
         if inherited is not None:
             strong = inherited | strong_side_vertices(sub, k, recheck)
@@ -138,7 +107,7 @@ def expand_work_item(
         for comp in connected_components(part):
             if len(comp) <= k:
                 continue
-            child = subgraph_of(part, comp)
+            child = part.restrict(comp)
             if maintain and strong is not None:
                 inh, re = split_inheritance(sub, child, strong)
                 children.append((child, inh, re))
@@ -148,8 +117,8 @@ def expand_work_item(
 
 
 def root_work_items(
-    work: WorkGraph, k: int, stats: RunStats
-) -> List[WorkGraph]:
+    work: SubgraphView, k: int, stats: RunStats
+) -> List[SubgraphView]:
     """Peel ``work`` to its k-core and split it into root subgraphs.
 
     Mutates ``work`` (the engines own it) and records the peeled vertex
@@ -161,27 +130,23 @@ def root_work_items(
     stats.add_stage("peel", time.perf_counter() - t0)
     stats.kcore_removed_vertices += len(removed)
     return [
-        subgraph_of(work, comp)
+        work.restrict(comp)
         for comp in connected_components(work)
         if len(comp) > k
     ]
 
 
-def _finalize_leaf(sub: WorkGraph, materialize: bool):
+def _finalize_leaf(sub: SubgraphView, materialize: bool):
     """Turn a proven k-VCC into the caller-facing leaf value.
 
-    ``materialize=True`` yields the usual owned :class:`Graph`;
-    ``materialize=False`` yields only the member list - sorted base ids
-    on the CSR backend, insertion-ordered labels on dict (dict labels
-    need not be mutually orderable) - which is what the hierarchy and
-    sweep drivers feed back into the next level without paying for
-    interior dict adjacency.
+    ``materialize=True`` yields the usual owned, labeled :class:`Graph`;
+    ``materialize=False`` yields only the sorted base-id member list,
+    which is what the hierarchy and sweep drivers feed back into the
+    next level without paying for interior dict adjacency.
     """
     if materialize:
-        return finalize_work_graph(sub)
-    if isinstance(sub, SubgraphView):
-        return list(sub.active_list())
-    return list(sub.vertices())
+        return sub.materialize()
+    return list(sub.active_list())
 
 
 class SerialEngine:
@@ -191,7 +156,7 @@ class SerialEngine:
 
     def run(
         self,
-        work: WorkGraph,
+        work: SubgraphView,
         k: int,
         options: KVCCOptions,
         stats: RunStats,
@@ -201,7 +166,7 @@ class SerialEngine:
 
     def run_many(
         self,
-        works: List[WorkGraph],
+        works: List[SubgraphView],
         k: int,
         options: KVCCOptions,
         stats: RunStats,
@@ -257,27 +222,25 @@ class SerialEngine:
 _Path = Tuple[int, ...]
 
 #: Wire format of one work item: (body, inherited, recheck) where body
-#: is the mask - ``bytes(mask)``, or the ``("shm", name, offset)``
-#: address of a :mod:`repro.core.mask_pool` slot holding it - on the
-#: CSR backend, or the ``Graph`` itself on dict.
-_Body = Union[bytes, Tuple[str, str, int], Graph]
+#: is the view's mask - ``bytes(mask)``, or the ``("shm", name,
+#: offset)`` address of a :mod:`repro.core.mask_pool` slot holding it.
+_Body = Union[bytes, Tuple[str, str, int]]
 _Payload = Tuple[_Body, Optional[frozenset], Optional[frozenset]]
 
-#: Per-worker immutable context: (CSR base or None, k, options).
-_WORKER_STATE: Optional[Tuple[Optional[CSRGraph], int, KVCCOptions]] = None
+#: Per-worker immutable context: (CSR base, k, options).
+_WORKER_STATE: Optional[Tuple[CSRGraph, int, KVCCOptions]] = None
 
 
 def _encode_work_item(
-    sub: WorkGraph,
-    inherited: Optional[Set[Vertex]],
-    recheck: Optional[Set[Vertex]],
+    sub: SubgraphView,
+    inherited: Optional[Set[int]],
+    recheck: Optional[Set[int]],
 ) -> Tuple[_Payload, int]:
     """Serialize a work item into its wire payload plus its vertex count
     (kept master-side for the peak-residency proxy)."""
-    body = bytes(sub.mask) if isinstance(sub, SubgraphView) else sub
     return (
         (
-            body,
+            bytes(sub.mask),
             None if inherited is None else frozenset(inherited),
             None if recheck is None else frozenset(recheck),
         ),
@@ -286,7 +249,7 @@ def _encode_work_item(
 
 
 def _init_worker(
-    base: Optional[CSRGraph],
+    base: CSRGraph,
     k: int,
     options: KVCCOptions,
     shm_unregister: bool = False,
@@ -310,15 +273,14 @@ def _run_work_item(payload: _Payload):
     """Execute one worklist step in a worker process.
 
     Returns ``("vcc", members, stats)`` for a leaf - ``members`` is the
-    sorted id list on CSR (the master rematerializes against its own
-    base) or the induced ``Graph`` on dict - and
-    ``("split", [(payload, size), ...], stats)`` otherwise.
+    sorted id list (the master rematerializes against its own base) -
+    and ``("split", [(payload, size), ...], stats)`` otherwise.
     """
     base, k, options = _WORKER_STATE
     body, inherited, recheck = payload
-    if isinstance(body, tuple) and body[0] == "shm":
+    if isinstance(body, tuple):
         body = mask_pool.read_mask(body[1], body[2], base.n)
-    sub = base.view_from_mask(body) if isinstance(body, bytes) else body
+    sub = base.view_from_mask(body)
     stats = RunStats(k=k)
     stats.parallel_tasks = 1
     children = expand_work_item(
@@ -330,12 +292,7 @@ def _run_work_item(payload: _Payload):
         stats,
     )
     if children is None:
-        members = (
-            list(sub.active_list())
-            if isinstance(sub, SubgraphView)
-            else sub
-        )
-        return ("vcc", members, stats)
+        return ("vcc", list(sub.active_list()), stats)
     return (
         "split",
         [_encode_work_item(c, inh, re) for c, inh, re in children],
@@ -383,7 +340,7 @@ class ProcessPoolEngine:
 
     def run(
         self,
-        work: WorkGraph,
+        work: SubgraphView,
         k: int,
         options: KVCCOptions,
         stats: RunStats,
@@ -393,7 +350,7 @@ class ProcessPoolEngine:
 
     def run_many(
         self,
-        works: List[WorkGraph],
+        works: List[SubgraphView],
         k: int,
         options: KVCCOptions,
         stats: RunStats,
@@ -404,9 +361,8 @@ class ProcessPoolEngine:
         This is how the hierarchy and sweep drivers parallelize a whole
         level at once: every parent component contributes its root work
         items up front, so the pool is paid for once per level instead
-        of once per parent.  All CSR entries of ``works`` must share one
-        base (they do, by construction, in the level-by-level drivers);
-        mixing CSR views and dict graphs in one call is rejected.
+        of once per parent.  All entries of ``works`` must share one
+        base (they do, by construction, in the level-by-level drivers).
         Results are grouped by input entry, each group in the serial
         engine's order.  ``materialize=False`` returns member lists
         instead of :class:`Graph` objects (see :func:`_finalize_leaf`).
@@ -414,22 +370,13 @@ class ProcessPoolEngine:
         with Timer(stats):
             grouped: List[list] = [[] for _ in works]
             base: Optional[CSRGraph] = None
-            has_dict = False
             pending: List[Tuple[_Path, _Payload, int]] = []
             for w_idx, work in enumerate(works):
-                if isinstance(work, SubgraphView):
-                    if base is None:
-                        base = work.base
-                    elif base is not work.base:
-                        raise ValueError(
-                            "run_many requires all CSR views to share "
-                            "one base"
-                        )
-                else:
-                    has_dict = True
-                if has_dict and base is not None:
+                if base is None:
+                    base = work.base
+                elif base is not work.base:
                     raise ValueError(
-                        "run_many cannot mix CSR views and dict graphs"
+                        "run_many requires all views to share one base"
                     )
                 for i, sub in enumerate(root_work_items(work, k, stats)):
                     payload, size = _encode_work_item(sub, None, None)
@@ -452,10 +399,10 @@ class ProcessPoolEngine:
             # (the worker reads the mask inside the task, so completion
             # proves the slot is no longer needed).
             slots: Optional[mask_pool.MaskPool] = None
-            if base is not None and mask_pool.available():
+            if mask_pool.available():
                 slots = mask_pool.MaskPool(base.n)
 
-            leaves: List[Tuple[_Path, Union[List[int], Graph]]] = []
+            leaves: List[Tuple[_Path, List[int]]] = []
             ctx = self._context()
             # Tracker policy: CPython hands every worker the master's
             # resource-tracker fd under fork AND spawn, so worker-side
@@ -475,9 +422,7 @@ class ProcessPoolEngine:
                         while pending:
                             path, payload, size = pending.pop()
                             slot = None
-                            if slots is not None and isinstance(
-                                payload[0], bytes
-                            ):
+                            if slots is not None:
                                 slot = slots.put(payload[0])
                                 payload = (
                                     ("shm",) + slot,
@@ -519,15 +464,9 @@ class ProcessPoolEngine:
             # input entry.
             leaves.sort(key=lambda leaf: leaf[0], reverse=True)
             for path, data in leaves:
-                if isinstance(data, Graph):
-                    leaf = data if materialize else list(data.vertices())
-                else:
-                    leaf = (
-                        base.materialize_members(data)
-                        if materialize
-                        else list(data)
-                    )
-                grouped[path[0]].append(leaf)
+                grouped[path[0]].append(
+                    base.materialize_members(data) if materialize else data
+                )
             return grouped
 
 

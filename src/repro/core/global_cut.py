@@ -42,27 +42,26 @@ from repro.core.sweep import SweepState
 from repro.flow.flow_network import build_flow_network
 from repro.flow.min_cut import local_vertex_cut
 from repro.graph.connectivity import bfs_distances, is_vertex_cut
-from repro.graph.graph import Graph, Vertex
+from repro.graph.csr import SubgraphView
 
 
 def global_cut(
-    graph: Graph,
+    graph: SubgraphView,
     k: int,
     options: Optional[KVCCOptions] = None,
     stats: Optional[RunStats] = None,
-    precomputed_strong: Optional[Set[Vertex]] = None,
-) -> Optional[Set[Vertex]]:
+    precomputed_strong: Optional[Set[int]] = None,
+) -> Optional[Set[int]]:
     """A vertex cut of ``graph`` with fewer than ``k`` vertices, or ``None``.
 
     ``None`` means the graph is k-vertex-connected (assuming the caller
     passes a connected graph with more than ``k`` vertices, as KVCC-ENUM
     does after peeling).
 
-    ``graph`` may be a dict-backend :class:`Graph` or a CSR
-    :class:`~repro.graph.csr.SubgraphView`; every helper this routine
-    leans on (certificate, flow network, sweeps, side-vertices, BFS
-    ordering) dispatches to the matching dense implementation, so the
-    CSR enumeration path never converts back to dict form.
+    ``graph`` is a CSR :class:`~repro.graph.csr.SubgraphView`, and the
+    cut comes back in its base ids; every step below (certificate, flow
+    network, sweeps, side-vertices, BFS ordering) runs on the view or
+    on the certificate's id-space adjacency.
 
     Parameters
     ----------
@@ -109,12 +108,12 @@ def global_cut(
 
 
 def _global_cut_once(
-    graph: Graph,
+    graph: SubgraphView,
     k: int,
     options: KVCCOptions,
     stats: RunStats,
-    precomputed_strong: Optional[Set[Vertex]],
-) -> Optional[Set[Vertex]]:
+    precomputed_strong: Optional[Set[int]],
+) -> Optional[Set[int]]:
     """One attempt at finding a < k cut (no validation)."""
     n = graph.num_vertices
     if n <= 2:
@@ -134,10 +133,10 @@ def _global_cut_once(
     net = build_flow_network(work, k)
 
     # --- Algorithm 3, line 1 (side-groups) and line 3 (side-vertices) --
-    groups: List[Set[Vertex]] = []
+    groups: List[Set[int]] = []
     if options.group_sweep and cert is not None:
         groups = side_groups_from_forest(cert, k)
-    strong: Set[Vertex] = set()
+    strong: Set[int] = set()
     if options.side_vertices_enabled:
         if precomputed_strong is not None:
             strong = {v for v in precomputed_strong if v in graph}
@@ -191,13 +190,13 @@ def _global_cut_once(
 
 
 def _loc_cut(
-    graph: Graph,
+    graph: SubgraphView,
     net,
-    u: Vertex,
-    v: Vertex,
+    u: int,
+    v: int,
     k: int,
     stats: RunStats,
-) -> Optional[Set[Vertex]]:
+) -> Optional[Set[int]]:
     """LOC-CUT wrapper: adjacency shortcut on the *original* graph.
 
     Lemma 5 holds for the graph's own edges, which are a superset of the
@@ -213,7 +212,7 @@ def _loc_cut(
     return cut
 
 
-def _phase1_order(work: Graph, source: Vertex, options: KVCCOptions):
+def _phase1_order(work, source: int, options: KVCCOptions):
     """Phase-1 vertex order: farthest-first (line 11) or natural."""
     if not options.farthest_first:
         return list(work.vertices())
@@ -225,8 +224,8 @@ def _phase1_order(work: Graph, source: Vertex, options: KVCCOptions):
 
 
 def _pick_strong_source(
-    graph: Graph, strong: Set[Vertex], seed: int
-) -> Vertex:
+    graph: SubgraphView, strong: Set[int], seed: int
+) -> int:
     """Algorithm 3 line 7: pick a strong side-vertex as the source.
 
     The paper picks randomly; we draw through a seeded RNG over the

@@ -14,18 +14,13 @@ correct because a (k+1)-VCC, being (k+1)-connected, can never straddle a
 < (k+1) cut of a k-VCC, and is much faster than running KVCC-ENUM on the
 whole graph per k.
 
-Two construction paths share the public API, selected by
-:attr:`~repro.core.options.KVCCOptions.backend`:
-
-* ``"csr"`` (the default) interns the graph **once** into an immutable
-  :class:`~repro.graph.csr.CSRGraph`; every level-k component becomes a
-  zero-copy mask view over that shared base for the level-(k+1) search
-  (:func:`build_hierarchy_csr`), and all parent components of a level
-  are fanned out through **one** engine invocation
-  (:meth:`~repro.core.engine.SerialEngine.run_many`), so
-  ``KVCCOptions(workers=N)`` parallelizes whole levels;
-* ``"dict"`` is the reference path kept for parity testing: one
-  ``induced_subgraph`` copy per parent component per level.
+The graph is interned **once** into an immutable
+:class:`~repro.graph.csr.CSRGraph`; every level-k component becomes a
+zero-copy mask view over that shared base for the level-(k+1) search
+(:func:`build_hierarchy_csr`), and all parent components of a level are
+fanned out through **one** engine invocation
+(:meth:`~repro.core.engine.SerialEngine.run_many`), so
+``KVCCOptions(workers=N)`` parallelizes whole levels.
 
 Derived queries:
 
@@ -45,7 +40,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.engine import create_engine
-from repro.core.kvcc import kvcc_vertex_sets
 from repro.core.options import KVCCOptions
 from repro.core.stats import RunStats
 from repro.graph.csr import CSRGraph
@@ -140,16 +134,14 @@ def build_hierarchy_csr(
         Stop after this level; ``None`` keeps going until a level has
         no components.
     options:
-        Engine/strategy switches; ``options.backend`` is ignored (the
-        backend is, by construction, CSR).
+        Engine/strategy switches.
     stats:
         Optional counter sink accumulated across every level.
 
     Returns
     -------
     KVCCHierarchy
-        The same forest (up to within-level component order) as the
-        dict reference path.
+        The nesting forest, levels stored in ascending order.
     """
     options = options or KVCCOptions()
     engine = create_engine(options)
@@ -199,40 +191,6 @@ def build_hierarchy_csr(
     return hierarchy
 
 
-def _build_hierarchy_dict(
-    graph: Graph,
-    max_k: Optional[int],
-    options: Optional[KVCCOptions],
-) -> KVCCHierarchy:
-    """The reference construction: one induced-subgraph copy per parent."""
-    hierarchy = KVCCHierarchy()
-    # Level 1 on the whole graph.
-    frontier: List[int] = []
-    for vs in kvcc_vertex_sets(graph, 1, options):
-        hierarchy.nodes.append(HierarchyNode(k=1, vertices=vs))
-        frontier.append(len(hierarchy.nodes) - 1)
-    if frontier:
-        hierarchy.max_k = 1
-
-    k = 1
-    while frontier and (max_k is None or k < max_k):
-        k += 1
-        next_frontier: List[int] = []
-        for parent_idx in frontier:
-            parent = hierarchy.nodes[parent_idx]
-            sub = graph.induced_subgraph(parent.vertices)
-            for vs in kvcc_vertex_sets(sub, k, options):
-                node = HierarchyNode(k=k, vertices=vs, parent=parent_idx)
-                hierarchy.nodes.append(node)
-                child_idx = len(hierarchy.nodes) - 1
-                parent.children.append(child_idx)
-                next_frontier.append(child_idx)
-        if next_frontier:
-            hierarchy.max_k = k
-        frontier = next_frontier
-    return hierarchy
-
-
 def build_hierarchy(
     graph: Graph,
     max_k: Optional[int] = None,
@@ -250,17 +208,13 @@ def build_hierarchy(
         has no components (which happens at the latest just above the
         graph's degeneracy).
     options:
-        :class:`~repro.core.options.KVCCOptions`; ``backend="csr"``
-        (the default) interns the graph once and recurses on zero-copy
-        mask views, ``backend="dict"`` is the reference
-        copy-per-parent path, and ``workers=N`` parallelizes each
-        level's independent parent components.
+        :class:`~repro.core.options.KVCCOptions`; ``workers=N``
+        parallelizes each level's independent parent components.
 
     Returns
     -------
     KVCCHierarchy
-        The nesting forest; both backends produce the same components,
-        levels and parent links (within-level order may differ).
+        The nesting forest, node vertex sets in ``graph``'s labels.
 
     Examples
     --------
@@ -271,14 +225,7 @@ def build_hierarchy(
     >>> [sorted(c) for c in h.components_at(3)]
     [[0, 1, 2, 3]]
     """
-    options = options or KVCCOptions()
-    if options.backend == "csr":
-        return build_hierarchy_csr(graph.to_csr(), max_k, options)
-    if options.backend == "dict":
-        return _build_hierarchy_dict(graph, max_k, options)
-    raise ValueError(
-        f"unknown backend {options.backend!r}; expected 'csr' or 'dict'"
-    )
+    return build_hierarchy_csr(graph.to_csr(), max_k, options)
 
 
 def vcc_number(

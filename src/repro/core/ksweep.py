@@ -7,18 +7,17 @@ and containment in two would violate Property 1's overlap bound), the
 level-k results confine the level-k' search: enumerate at the smallest
 k once, then recurse only inside the found components.
 
-On the ``"csr"`` backend (the default) the graph is interned **once**
-into an immutable :class:`~repro.graph.csr.CSRGraph`; each level's
-components are carried as sorted member-id lists and re-entered as
-zero-copy mask views, with every level's independent parents drained by
-one :meth:`~repro.core.engine.SerialEngine.run_many` engine call - so
+The graph is interned **once** into an immutable
+:class:`~repro.graph.csr.CSRGraph`; each level's components are carried
+as sorted member-id lists and re-entered as zero-copy mask views, with
+every level's independent parents drained by one
+:meth:`~repro.core.engine.SerialEngine.run_many` engine call - so
 ``KVCCOptions(workers=N)`` fans a whole level out across one process
-pool.  The ``"dict"`` backend keeps the original copy-per-parent
-reference path.
+pool.
 
 On the bundled stand-ins the nesting reuse cuts a 5-value sweep's work
 roughly in half versus independent runs; the test suite checks the
-output equals flat enumeration at every k and that both backends agree.
+output equals flat enumeration and the brute-force oracle at every k.
 """
 
 from __future__ import annotations
@@ -26,21 +25,56 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Set
 
 from repro.core.engine import create_engine
-from repro.core.kvcc import kvcc_vertex_sets
+from repro.core.hierarchy import _label_set
 from repro.core.options import KVCCOptions
 from repro.core.stats import RunStats
 from repro.graph.graph import Graph, Vertex
 
 
-def _sweep_csr(
+def enumerate_kvccs_sweep(
     graph: Graph,
-    levels: List[int],
-    options: KVCCOptions,
-    stats: Optional[RunStats],
+    ks: Iterable[int],
+    options: Optional[KVCCOptions] = None,
+    stats: Optional[RunStats] = None,
 ) -> Dict[int, List[Set[Vertex]]]:
-    """Engine-backed sweep over one shared CSR base, no dict copies."""
-    from repro.core.hierarchy import _label_set
+    """k-VCC vertex sets for every k in ``ks``, reusing nesting.
 
+    Parameters
+    ----------
+    graph:
+        Any undirected :class:`~repro.graph.graph.Graph`; not modified.
+    ks:
+        Any iterable of thresholds >= 1; duplicates are collapsed, order
+        does not matter.  An empty iterable returns ``{}``.
+    options:
+        :class:`~repro.core.options.KVCCOptions`; ``workers``
+        parallelizes each level.
+    stats:
+        Optional :class:`~repro.core.stats.RunStats` sink accumulated
+        across all levels.
+
+    Returns
+    -------
+    dict
+        ``k -> list of vertex sets`` in ``graph``'s labels, identical (as
+        families of sets) to running
+        :func:`~repro.core.kvcc.kvcc_vertex_sets` independently per k.
+
+    Examples
+    --------
+    >>> from repro.graph.generators import complete_graph
+    >>> sweep = enumerate_kvccs_sweep(complete_graph(4), [2, 3, 4])
+    >>> [sorted(c) for c in sweep[3]]
+    [[0, 1, 2, 3]]
+    >>> sweep[4]
+    []
+    """
+    levels = sorted(set(ks))
+    if not levels:
+        return {}
+    if levels[0] < 1:
+        raise ValueError(f"k must be at least 1, got {levels[0]}")
+    options = options or KVCCOptions()
     base = graph.to_csr()
     engine = create_engine(options)
     stats = stats if stats is not None else RunStats(k=levels[0])
@@ -63,75 +97,4 @@ def _sweep_csr(
         members = [m for group in groups for m in group]
         results[k] = [_label_set(base, m) for m in members]
         previous = members
-    return results
-
-
-def enumerate_kvccs_sweep(
-    graph: Graph,
-    ks: Iterable[int],
-    options: Optional[KVCCOptions] = None,
-    stats: Optional[RunStats] = None,
-) -> Dict[int, List[Set[Vertex]]]:
-    """k-VCC vertex sets for every k in ``ks``, reusing nesting.
-
-    Parameters
-    ----------
-    graph:
-        Any undirected :class:`~repro.graph.graph.Graph`; not modified.
-    ks:
-        Any iterable of thresholds >= 1; duplicates are collapsed, order
-        does not matter.  An empty iterable returns ``{}``.
-    options:
-        :class:`~repro.core.options.KVCCOptions`; ``backend`` selects
-        the one-shared-CSR-base path (default) or the reference
-        copy-per-parent path, ``workers`` parallelizes each level.
-    stats:
-        Optional :class:`~repro.core.stats.RunStats` sink accumulated
-        across all levels.
-
-    Returns
-    -------
-    dict
-        ``k -> list of vertex sets``, identical (as families of sets) to
-        running :func:`~repro.core.kvcc.kvcc_vertex_sets` independently
-        per k.
-
-    Examples
-    --------
-    >>> from repro.graph.generators import complete_graph
-    >>> sweep = enumerate_kvccs_sweep(complete_graph(4), [2, 3, 4])
-    >>> [sorted(c) for c in sweep[3]]
-    [[0, 1, 2, 3]]
-    >>> sweep[4]
-    []
-    """
-    levels = sorted(set(ks))
-    if not levels:
-        return {}
-    if levels[0] < 1:
-        raise ValueError(f"k must be at least 1, got {levels[0]}")
-    options = options or KVCCOptions()
-    if options.backend == "csr":
-        return _sweep_csr(graph, levels, options, stats)
-    if options.backend != "dict":
-        raise ValueError(
-            f"unknown backend {options.backend!r}; expected 'csr' or 'dict'"
-        )
-
-    results: Dict[int, List[Set[Vertex]]] = {}
-    previous: Optional[List[Set[Vertex]]] = None
-    for k in levels:
-        if previous is None:
-            components = kvcc_vertex_sets(graph, k, options, stats)
-        else:
-            components = []
-            for parent in previous:
-                if len(parent) <= k:
-                    continue  # cannot host a k-VCC of > k vertices
-                sub = graph.induced_subgraph(parent)
-                components.extend(
-                    kvcc_vertex_sets(sub, k, options, stats)
-                )
-        results[k] = components
-        previous = components
     return results

@@ -17,17 +17,12 @@ Across partitions the driver maintains the strong side-vertex sets
 whose 1- and 2-hop neighborhoods survived both the partition and the
 child's k-core peel intact, and rechecks only the rest.
 
-Two backends share the worklist logic (selected by
-:attr:`~repro.core.options.KVCCOptions.backend`):
-
-* ``"csr"`` (default) - the input graph is interned once into an
-  immutable :class:`~repro.graph.csr.CSRGraph`; every worklist item is a
-  zero-copy :class:`~repro.graph.csr.SubgraphView` (byte mask + degree
-  array over the shared base).  Partitioning restricts masks instead of
-  copying adjacency, and only the *final* k-VCCs are materialized back
-  into labeled :class:`Graph` objects.
-* ``"dict"`` - the original adjacency-set path, kept as the reference
-  implementation; every recursion step copies an induced subgraph.
+``Graph`` is the boundary type: the input graph is interned once into
+an immutable :class:`~repro.graph.csr.CSRGraph`, and every worklist
+item is a zero-copy :class:`~repro.graph.csr.SubgraphView` (byte mask +
+degree array over the shared base) speaking base ids.  Partitioning
+restricts masks instead of copying adjacency, and only the *final*
+k-VCCs are materialized back into labeled :class:`Graph` objects.
 
 The worklist itself is drained by an execution engine from
 :mod:`repro.core.engine`, selected by
@@ -65,8 +60,7 @@ def enumerate_kvccs(
         Connectivity threshold, ``k >= 1``.  For ``k = 1`` the result is
         the connected components with at least two vertices.
     options:
-        Strategy switches; the default is the fully optimized VCCE* on
-        the CSR backend.
+        Strategy switches; the default is the fully optimized VCCE*.
     stats:
         Optional counter sink (see :class:`~repro.core.stats.RunStats`);
         wall-clock time is accumulated into ``stats.elapsed_seconds``.
@@ -81,7 +75,7 @@ def enumerate_kvccs(
     Raises
     ------
     ValueError
-        If ``k < 1`` or ``options.backend`` is unknown.
+        If ``k < 1``.
 
     Examples
     --------
@@ -105,14 +99,7 @@ def enumerate_kvccs(
             stats.kvccs_found += len(result)
         return result
 
-    if options.backend == "csr":
-        work = graph.to_csr().full_view()
-    elif options.backend == "dict":
-        work = graph.copy()
-    else:
-        raise ValueError(
-            f"unknown backend {options.backend!r}; expected 'csr' or 'dict'"
-        )
+    work = graph.to_csr().full_view()
     return create_engine(options).run(work, k, options, stats)
 
 
@@ -146,11 +133,6 @@ def enumerate_kvccs_csr(
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     options = options or KVCCOptions()
-    if options.backend != "csr":
-        raise ValueError(
-            f"enumerate_kvccs_csr requires backend='csr', got "
-            f"{options.backend!r}"
-        )
     stats = stats if stats is not None else RunStats(k=k)
     engine = create_engine(options)
     return engine.run_many(

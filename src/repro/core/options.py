@@ -50,13 +50,6 @@ class KVCCOptions:
         biconnected components instead of the flow machinery.  Off by
         default to keep the paper's algorithm the reference path; the
         two are proven equivalent by the test suite.
-    backend:
-        Graph representation the enumeration runs on.  ``"csr"`` (the
-        default) interns vertices once into an immutable CSR adjacency
-        and recurses on zero-copy subgraph views; ``"dict"`` is the
-        original adjacency-set path that copies an induced subgraph per
-        recursion step.  Both return identical k-VCC families (enforced
-        by the backend-parity property tests).
     workers:
         Execution-engine selector (see :mod:`repro.core.engine`): ``1``
         (the default) drains the worklist serially on the calling
@@ -69,8 +62,8 @@ class KVCCOptions:
     --------
     >>> KVCCOptions().describe()
     'NS+GS'
-    >>> KVCCOptions(backend="dict", workers=4).describe()
-    'NS+GS+dict+pool4'
+    >>> KVCCOptions(workers=4).describe()
+    'NS+GS+pool4'
     >>> KVCCOptions(workers=4).engine
     'process'
     >>> KVCCOptions.from_dict(KVCCOptions(seed=7).to_dict()).seed
@@ -85,7 +78,6 @@ class KVCCOptions:
     maintain_side_vertices: bool = True
     seed: int = 0
     tarjan_k2: bool = False
-    backend: str = "csr"
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -115,8 +107,6 @@ class KVCCOptions:
             parts.append("basic")
         if not self.use_certificate:
             parts.append("nocert")
-        if self.backend != "csr":
-            parts.append(self.backend)
         if self.workers == 0:
             parts.append("pool-auto")
         elif self.workers != 1:

@@ -154,11 +154,6 @@ def enumerate_kvccs_outofcore(
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     options = options or KVCCOptions()
-    if options.backend != "csr":
-        raise ValueError(
-            f"enumerate_kvccs_outofcore requires backend='csr', got "
-            f"{options.backend!r}"
-        )
     from repro.data.external import parse_mem_budget
 
     parse_mem_budget(mem_budget)  # validate eagerly; reserved for batching

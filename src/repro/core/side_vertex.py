@@ -21,125 +21,35 @@ under-approximation for vertices of the cut itself - it can only lose
 pruning opportunities, never soundness, because a vertex is only ever
 *treated* as strong after passing Theorem 8 on some ancestor whose
 relevant neighborhoods are provably identical.
+
+Both steps run on CSR :class:`~repro.graph.csr.SubgraphView` worklist
+items and speak base ids.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Set
 
-import repro.kernels as kernels
 from repro.graph.csr import SubgraphView
-from repro.graph.graph import Graph, Vertex
-
-
-def k_common_partners(graph: Graph, v: Vertex, k: int) -> Set[Vertex]:
-    """2-hop neighbors of ``v`` sharing at least ``k`` common neighbors.
-
-    Straight from Lemma 13's premise: counting walks ``v - x - w`` gives
-    ``|N(v) ∩ N(w)|`` for every 2-hop neighbor ``w`` in
-    ``O(sum_{x in N(v)} d(x))`` time.  The CSR branch dispatches to the
-    selected kernel, which walks the base's index arrays directly (the
-    numpy kernel replaces the per-walk dict counting with one row gather
-    plus ``unique(return_counts=True)``).
-    """
-    if isinstance(graph, SubgraphView):
-        return kernels.select().two_hop_partners(
-            graph.base, graph.mask, v, k
-        )
-    counts: Dict[Vertex, int] = {}
-    for x in graph.neighbors(v):
-        for w in graph.neighbors(x):
-            if w != v:
-                counts[w] = counts.get(w, 0) + 1
-    return {w for w, c in counts.items() if c >= k}
-
-
-def is_strong_side_vertex(graph: Graph, u: Vertex, k: int) -> bool:
-    """Theorem 8 check for a single vertex.
-
-    Every pair of neighbors must be adjacent or share >= k common
-    neighbors.  Short-circuits on the first failing pair.
-    """
-    if isinstance(graph, SubgraphView):
-        return _is_strong_side_vertex_view(graph, u, k)
-    nbrs = list(graph.neighbors(u))
-    if len(nbrs) < 2:
-        return True  # no pairs to violate the condition
-    # Cache each neighbor's k-common partner set lazily: for a failing
-    # vertex we usually bail out before computing many of them.
-    partners: Dict[Vertex, Set[Vertex]] = {}
-    for i, v in enumerate(nbrs):
-        v_nbrs = graph.neighbors(v)
-        v_partners: Optional[Set[Vertex]] = partners.get(v)
-        for w in nbrs[i + 1 :]:
-            if w in v_nbrs:
-                continue
-            if v_partners is None:
-                v_partners = k_common_partners(graph, v, k)
-                partners[v] = v_partners
-            if w not in v_partners:
-                return False
-    return True
-
-
-def _is_strong_side_vertex_view(view: SubgraphView, u: int, k: int) -> bool:
-    """Theorem 8 over a CSR view.
-
-    The dict backend checks pair adjacency against live neighbor sets;
-    a view has no sets to borrow, so this path builds each anchor's
-    active neighbor set once (O(d)) and its k-common-partner set lazily
-    on the first non-adjacent pair.  (The subgraph-wide scan in
-    :func:`_strong_side_vertices_view` additionally shares those sets
-    across anchors; here a single vertex is being certified.)
-    """
-    rows, mask = view.base.rows, view.mask
-    active = mask.__getitem__
-    nbrs = list(filter(active, rows[u]))
-    if len(nbrs) < 2:
-        return True  # no pairs to violate the condition
-    for i, v in enumerate(nbrs):
-        v_nbrs = set(filter(active, rows[v]))
-        v_partners: Optional[Set[int]] = None
-        for w in nbrs[i + 1 :]:
-            if w in v_nbrs:
-                continue
-            if v_partners is None:
-                v_partners = k_common_partners(view, v, k)
-            if w not in v_partners:
-                return False
-    return True
 
 
 def strong_side_vertices(
-    graph: Graph,
-    k: int,
-    candidates: Optional[Iterable[Vertex]] = None,
-) -> Set[Vertex]:
-    """All strong side-vertices of ``graph`` (restricted to ``candidates``).
-
-    ``candidates=None`` scans every vertex; the KVCC-ENUM recursion passes
-    the inherited candidate set computed by :func:`split_inheritance`.
-    """
-    if isinstance(graph, SubgraphView):
-        return _strong_side_vertices_view(graph, k, candidates)
-    pool = graph.vertices() if candidates is None else (
-        v for v in candidates if v in graph
-    )
-    return {u for u in pool if is_strong_side_vertex(graph, u, k)}
-
-
-def _strong_side_vertices_view(
     view: SubgraphView,
     k: int,
     candidates: Optional[Iterable[int]] = None,
 ) -> Set[int]:
-    """Theorem-8 scan over a CSR view with subgraph-wide caches.
+    """All strong side-vertices of ``view`` (restricted to ``candidates``).
 
-    A vertex's active neighbor set and its k-common-partner set depend
-    only on the subgraph, not on which vertex ``u`` is being certified,
-    so one scan shares both caches across all checks instead of
-    rebuilding them per vertex (the Lemma 14 cost is per *scan* here,
-    not per scan times average degree).
+    ``candidates=None`` scans every active vertex; the KVCC-ENUM
+    recursion passes the inherited candidate set computed by
+    :func:`split_inheritance`.  Ids that are not active in ``view`` are
+    skipped.
+
+    A vertex's active neighbor set and its pair verdicts depend only on
+    the subgraph, not on which vertex ``u`` is being certified, so one
+    scan shares both caches across all checks instead of rebuilding
+    them per vertex (the Lemma 14 cost is per *scan* here, not per scan
+    times average degree).
     """
     rows, mask = view.base.rows, view.mask
     active = mask.__getitem__
@@ -201,11 +111,11 @@ def _strong_side_vertices_view(
 
 
 def split_inheritance(
-    parent: Graph,
-    child: Graph,
-    parent_strong: Set[Vertex],
+    parent: SubgraphView,
+    child: SubgraphView,
+    parent_strong: Set[int],
 ) -> tuple:
-    """Partition the parent's strong set for a child subgraph.
+    """Partition the parent's strong set for a child view on one base.
 
     Returns ``(inherited, recheck)``:
 
@@ -218,31 +128,6 @@ def split_inheritance(
     Vertices that were not strong in the parent are in neither set
     (Lemma 15's candidate restriction).
     """
-    if isinstance(parent, SubgraphView) and isinstance(child, SubgraphView):
-        return _split_inheritance_view(parent, child, parent_strong)
-    inherited: Set[Vertex] = set()
-    recheck: Set[Vertex] = set()
-    for v in parent_strong:
-        if v not in child:
-            continue
-        if child.degree(v) != parent.degree(v):
-            recheck.add(v)
-            continue
-        # child is an induced subgraph of parent: equal degree implies an
-        # identical neighbor set, so only neighbor degrees remain to check.
-        if all(child.degree(w) == parent.degree(w) for w in child.neighbors(v)):
-            inherited.add(v)
-        else:
-            recheck.add(v)
-    return inherited, recheck
-
-
-def _split_inheritance_view(
-    parent: SubgraphView,
-    child: SubgraphView,
-    parent_strong: Set[int],
-) -> tuple:
-    """Array-based :func:`split_inheritance` for two views on one base."""
     inherited: Set[int] = set()
     recheck: Set[int] = set()
     rows = parent.base.rows

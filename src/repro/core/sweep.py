@@ -37,9 +37,9 @@ class SweepState:
     ----------
     adjacency:
         The graph whose neighborhoods drive deposits - the sparse
-        certificate in the optimized algorithm.  Any backend with a
-        ``neighbors(v)`` iterable works: the dict :class:`Graph`, a CSR
-        :class:`~repro.graph.csr.SubgraphView`, or the CSR path's
+        certificate in the optimized algorithm.  Anything with a
+        ``neighbors(v)`` iterable works: GLOBAL-CUT passes a CSR
+        :class:`~repro.graph.csr.SubgraphView` or the
         :class:`~repro.graph.csr.IntAdjacency` certificate.  Certificate
         edges are a subset of the graph's, so every deposit is still
         sound (Lemma 17 only needs *some* k swept neighbors).

@@ -2,19 +2,25 @@
 
 ``enumerate_kvccs`` is validated by the test suite, but a downstream
 user running on their own data may want a certificate that a particular
-output is right.  :func:`verify_kvccs` re-checks, *without reusing the
-enumeration code paths*:
+output is right.  :func:`verify_kvccs` re-checks the claimed family
+against the definitions, one component at a time:
 
 1. each component is an induced subgraph with more than ``k`` vertices;
-2. each component is k-vertex-connected (fresh flow tests on the
-   component itself - no certificate, no sweeps);
+2. each component is k-vertex-connected (a fresh
+   :func:`~repro.core.connectivity_api.is_k_connected` call on the
+   induced subgraph - which runs the enumeration's own GLOBAL-CUT, with
+   the sparse certificate on and the sweeps off);
 3. no component is contained in another (Lemma 3);
 4. pairwise overlaps are below ``k`` (Property 1);
-5. maximality/completeness spot check: no component can be grown by any
-   single outside vertex, and every vertex of the graph's k-core that
-   the decomposition omitted really is in no k-VCC (checked only when
-   ``thorough=True``, which re-runs a brute-force enumeration and is
-   exponential in k - small graphs only).
+5. maximality: no component can be grown by any single outside vertex
+   (again through ``is_k_connected``).
+
+Checks 2 and 5 share the flow and certificate code with the enumeration
+they verify.  The independent check is ``thorough=True``: it compares
+the family against the brute-force oracle
+(:func:`~repro.baselines.naive.naive_kvccs`, an exhaustive cut search
+with no flow, certificate or sweeps), which also proves completeness.
+It is exponential in k - small graphs only.
 
 Returns a :class:`VerificationReport`; ``report.ok`` aggregates.
 """
@@ -65,7 +71,8 @@ def verify_kvccs(
     components:
         Vertex collections (Graphs are accepted via their vertex sets).
     thorough:
-        Also verify *completeness* against the brute-force oracle.
+        Also compare against the brute-force oracle, which checks
+        completeness independently of the enumeration's code.
         Exponential in ``k``; intended for graphs of at most a few dozen
         vertices.
     """

@@ -24,7 +24,6 @@ from repro.flow.flow_network import FlowNetwork, build_flow_network
 from repro.flow.dinic import max_flow_min_k
 from repro.flow.min_cut import (
     local_vertex_cut,
-    local_vertex_connectivity,
     minimum_vertex_cut_from_residual,
 )
 
@@ -33,6 +32,5 @@ __all__ = [
     "build_flow_network",
     "max_flow_min_k",
     "local_vertex_cut",
-    "local_vertex_connectivity",
     "minimum_vertex_cut_from_residual",
 ]

@@ -47,11 +47,10 @@ every :meth:`FlowNetwork.reset` so the mirror can detect resets.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List, Union
 
 import repro.kernels as kernels
 from repro.graph.csr import IntAdjacency, SubgraphView
-from repro.graph.graph import Graph, Vertex
 
 
 class FlowNetwork:
@@ -66,10 +65,9 @@ class FlowNetwork:
         original capacity / source node), always plain lists - the
         scalar DFS walks dominate access and lists index fastest.
     to_index / to_vertex:
-        Bijection between original vertices and dense indices.  For
-        graphs built from the CSR backend ``to_index`` is a dense list
-        keyed by base vertex id instead of a dict (both support the
-        ``to_index[v]`` lookups the node helpers perform).
+        Bijection between base vertex ids and dense indices:
+        ``to_index`` is a dense list keyed by base id (``-1`` for ids
+        outside the network), ``to_vertex`` the ids in index order.
     """
 
     __slots__ = (
@@ -91,8 +89,8 @@ class FlowNetwork:
         self.cap: List[int] = []          # arc id -> residual capacity
         self.initial_cap: List[int] = []  # arc id -> original capacity
         self.tails: List[int] = []        # arc id -> source node
-        self.to_index: Dict[Vertex, int] = {}
-        self.to_vertex: List[Vertex] = []
+        self.to_index: List[int] = []
+        self.to_vertex: List[int] = []
         self._touched: List[int] = []
         #: Reset epoch: bumped by reset() so kernels that mirror ``cap``
         #: into their own buffers know when to restart from initial.
@@ -136,19 +134,19 @@ class FlowNetwork:
     # ------------------------------------------------------------------
     # Node naming helpers
     # ------------------------------------------------------------------
-    def node_in(self, v: Vertex) -> int:
+    def node_in(self, v: int) -> int:
         """The ``v_in`` node (head of the internal arc) for vertex ``v``."""
         return 2 * self.to_index[v]
 
-    def node_out(self, v: Vertex) -> int:
+    def node_out(self, v: int) -> int:
         """The ``v_out`` node (tail of the internal arc) for vertex ``v``."""
         return 2 * self.to_index[v] + 1
 
-    def vertex_of_node(self, node: int) -> Vertex:
+    def vertex_of_node(self, node: int) -> int:
         """The original vertex whose split produced ``node``."""
         return self.to_vertex[node // 2]
 
-    def internal_arc(self, v: Vertex) -> int:
+    def internal_arc(self, v: int) -> int:
         """Arc id of ``v_in -> v_out``.
 
         Internal arcs are added first, one per vertex in index order, so
@@ -162,7 +160,9 @@ class FlowNetwork:
         )
 
 
-def build_flow_network(graph: Graph, k: int) -> FlowNetwork:
+def build_flow_network(
+    graph: Union[SubgraphView, IntAdjacency], k: int
+) -> FlowNetwork:
     """Build the directed flow graph of ``graph`` for threshold ``k``.
 
     Internal arcs get capacity 1; adjacency arcs get capacity ``k``
@@ -172,8 +172,9 @@ def build_flow_network(graph: Graph, k: int) -> FlowNetwork:
 
     The result has ``2n`` nodes and ``n + 2m`` forward arcs, exactly the
     sizes quoted in Example 4 of the paper (for its all-capacity-1
-    variant).  CSR views and certificate adjacencies go through the
-    selected kernel's bulk arc builder; dict graphs use ``add_arc``.
+    variant).  ``graph`` is a CSR view or a sparse certificate's
+    :class:`~repro.graph.csr.IntAdjacency`; either way the selected
+    kernel's bulk arc builder fills the arena.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
@@ -182,30 +183,18 @@ def build_flow_network(graph: Graph, k: int) -> FlowNetwork:
         net = _dense_skeleton(verts, graph.base.n)
         kernels.select().flow_arcs_from_view(net, graph, k)
         return net
-    if isinstance(graph, IntAdjacency):
-        verts = list(graph.verts)
-        net = _dense_skeleton(verts, len(graph.adj))
-        kernels.select().flow_arcs_from_lists(net, graph.adj, verts, k)
-        return net
-    n = graph.num_vertices
-    net = FlowNetwork(2 * n)
-    net.to_vertex = list(graph.vertices())
-    net.to_index = {v: i for i, v in enumerate(net.to_vertex)}
-    # Internal arcs first so that internal_arc() can compute ids directly.
-    for v in net.to_vertex:
-        net.add_arc(net.node_in(v), net.node_out(v), 1)
-    for u, v in graph.edges():
-        net.add_arc(net.node_out(u), net.node_in(v), k)
-        net.add_arc(net.node_out(v), net.node_in(u), k)
+    verts = list(graph.verts)
+    net = _dense_skeleton(verts, len(graph.adj))
+    kernels.select().flow_arcs_from_lists(net, graph.adj, verts, k)
     return net
 
 
 def _dense_skeleton(verts: List[int], n_base: int) -> FlowNetwork:
     """An arc-less network over ``verts`` with a dense list ``to_index``.
 
-    Skipping the vertex->index dict is the CSR payoff: compact node ids
-    come from indexing a dense list by base id, with no hashing.  The
-    kernel arc builders fill the arena (internal arcs included).
+    Compact node ids come from indexing a dense list by base id, with
+    no hashing.  The kernel arc builders fill the arena (internal arcs
+    included).
     """
     net = FlowNetwork(2 * len(verts))
     net.to_vertex = verts

@@ -14,17 +14,17 @@ cut vertices are exactly the ``w`` whose ``w_in`` is reachable but
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import Optional, Set
 
 import repro.kernels as kernels
 from repro.flow.dinic import max_flow_min_k
-from repro.flow.flow_network import FlowNetwork, build_flow_network
-from repro.graph.graph import Graph, Vertex
+from repro.flow.flow_network import FlowNetwork
+from repro.graph.csr import SubgraphView
 
 
 def minimum_vertex_cut_from_residual(
     net: FlowNetwork, source: int
-) -> Set[Vertex]:
+) -> Set[int]:
     """The vertex cut encoded by the current residual state.
 
     Must be called after a max-flow run that terminated with value < k
@@ -32,7 +32,7 @@ def minimum_vertex_cut_from_residual(
     returned set is meaningless.
     """
     reachable = kernels.select().residual_reachable(net, source)
-    cut: Set[Vertex] = set()
+    cut: Set[int] = set()
     # Internal arc of vertex index i is arc id 2i: i_in -> i_out.
     for idx, vertex in enumerate(net.to_vertex):
         if reachable[2 * idx] and not reachable[2 * idx + 1]:
@@ -41,12 +41,12 @@ def minimum_vertex_cut_from_residual(
 
 
 def local_vertex_cut(
-    graph: Graph,
+    graph: SubgraphView,
     net: FlowNetwork,
-    u: Vertex,
-    v: Vertex,
+    u: int,
+    v: int,
     k: int,
-) -> Optional[Set[Vertex]]:
+) -> Optional[Set[int]]:
     """LOC-CUT (Algorithm 2, lines 12-17): a u-v vertex cut of size < k.
 
     Returns ``None`` when ``u ≡k v`` - that is, when ``v`` is ``u`` itself
@@ -69,41 +69,3 @@ def local_vertex_cut(
     finally:
         net.reset()
     return cut
-
-
-def local_vertex_connectivity(graph: Graph, u: Vertex, v: Vertex, k: int) -> int:
-    """``min(kappa(u, v), k)`` computed from scratch (Definition 6).
-
-    Convenience wrapper used by tests and by the naive baseline; the
-    production path builds one network per GLOBAL-CUT call and reuses it.
-    Adjacent vertices have unbounded local connectivity in the vertex
-    sense (no u-v vertex cut exists), represented here as ``k``.
-    """
-    if u == v:
-        raise ValueError("local connectivity of a vertex with itself")
-    if graph.has_edge(u, v):
-        return k
-    net = build_flow_network(graph, k)
-    return max_flow_min_k(net, net.node_out(u), net.node_in(v), k)
-
-
-def all_pairs_min_connectivity(graph: Graph, k: int) -> int:
-    """``min over non-adjacent pairs of kappa(u, v)``, capped at ``k``.
-
-    Exhaustive helper used only by tests on tiny graphs (this is the
-    definitionally correct but quadratic way to get kappa(G) for
-    incomplete graphs).
-    """
-    vertices: List[Vertex] = list(graph.vertices())
-    best = k
-    net = build_flow_network(graph, k)
-    for i, u in enumerate(vertices):
-        for v in vertices[i + 1 :]:
-            if graph.has_edge(u, v):
-                continue
-            flow = max_flow_min_k(net, net.node_out(u), net.node_in(v), k)
-            net.reset()
-            best = min(best, flow)
-            if best == 0:
-                return 0
-    return best

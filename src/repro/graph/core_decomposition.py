@@ -117,11 +117,12 @@ def k_core_vertices(graph: Graph, k: int) -> Set[Vertex]:
 def peel_in_place(graph: Graph, k: int) -> Set[Vertex]:
     """Remove vertices of degree < k *in place*; return the removed set.
 
-    ``KVCC-ENUM`` uses this on the working copies (dict backend) or
-    worklist views (CSR backend) it owns, avoiding a second full-graph
-    allocation per recursion level.  Accepts either a :class:`Graph` or
-    a :class:`~repro.graph.csr.SubgraphView`; for views the peeling is
-    pure integer/byte-mask arithmetic on the shared CSR base.
+    ``KVCC-ENUM`` uses this on the worklist views it owns, and the
+    brute-force oracle on its working ``Graph`` copies, avoiding a
+    second full-graph allocation per recursion level.  Accepts either a
+    :class:`Graph` or a :class:`~repro.graph.csr.SubgraphView`; for
+    views the peeling is pure integer/byte-mask arithmetic on the shared
+    CSR base.
     """
     from repro.graph.csr import SubgraphView
 

@@ -1,8 +1,8 @@
 """Hot-loop kernels: one seam, two interchangeable implementations.
 
 The KVCC-ENUM inner loops - k-core peeling, Dinic BFS/DFS over the flow
-arc arena, active-degree recounts, and the Theorem-8 two-hop partner
-counts - all operate on flat integer arrays (the CSR base's
+arc arena, active-degree recounts, and scan-first forest extraction -
+all operate on flat integer arrays (the CSR base's
 ``indptr``/``indices``, a view's byte ``mask`` and int32 ``deg``, a
 :class:`~repro.flow.flow_network.FlowNetwork`'s ``head``/``cap``/``tails``
 arc arrays).  This package routes every one of those loops through a
@@ -13,7 +13,7 @@ selected *kernel module* so the same arrays can be driven either by
   semantics), or
 * :mod:`repro.kernels.numpy_impl` - an optional fast path that runs the
   batchable loops (peel frontiers, degree recounts, arc-arena
-  construction, partner counts) as numpy array programs over zero-copy
+  construction) as numpy array programs over zero-copy
   views of the very same buffers.
 
 Selection
@@ -26,7 +26,7 @@ Selection
 
 Both kernels produce *identical observable results* - identical max-flow
 values, residual states, min-cut sets, peel survivor masks and degrees,
-and partner sets - which the property-based parity suite
+and scan-first forests - which the property-based parity suite
 (``tests/test_kernel_parity.py``) asserts directly.  Only wall-clock
 differs.
 

@@ -1,8 +1,8 @@
 """Numpy fast-path kernels (optional; selected when numpy imports).
 
 Result-identical to :mod:`repro.kernels.python_impl` - same max-flow
-values, residual states, min-cut sets, peel survivor masks and degrees,
-partner sets - but the batchable loops run as array programs:
+values, residual states, min-cut sets, peel survivor masks and
+degrees - but the batchable loops run as array programs:
 
 * flow-network construction emits all arc quads with vectorized
   selects/gathers instead of a per-edge Python loop;
@@ -11,8 +11,7 @@ partner sets - but the batchable loops run as array programs:
   position-space mirrors of the head and capacity arrays;
 * k-core peeling processes whole frontiers per round with
   ``unique(return_counts=True)`` degree decrements;
-* active-degree recounts and the Theorem-8 two-hop partner counts are
-  gather + ``reduceat`` / ``unique`` one-liners.
+* active-degree recounts are gather + ``reduceat`` one-liners.
 
 The blocking-flow DFS stays a scalar Python walk in both kernels (its
 path-at-a-time control flow does not batch), but here it runs over the
@@ -52,7 +51,6 @@ NAME = "numpy"
 #: loop it replaces; the corresponding kernels fall back to the python
 #: reference (identical results either way - outputs are sets/sorted
 #: rows, so the crossover is a pure speed knob).
-_SCALAR_DEGREE = 15
 _SCALAR_COMPONENTS = 256
 _SCALAR_SEGMENTS = 2048
 _SCALAR_FRONTIER = 16
@@ -717,35 +715,3 @@ def sort_segments(indptr, flat) -> array:
     out = array("l")
     out.frombytes(fl[order].astype(np.int_, copy=False).tobytes())
     return out
-
-
-def two_hop_partners(base, mask, v: int, k: int) -> Set[int]:
-    """Active 2-hop neighbors of ``v`` with >= k common active neighbors.
-
-    One gather of the active neighbors' rows plus a ``bincount``
-    replaces the per-walk dict counting (no sort, unlike ``unique``);
-    ``v``'s own count is zeroed instead of filtered out of the gather.
-    Low-degree vertices run the dict loop instead - their whole
-    2-hop walk is smaller than the gather setup.
-    """
-    if len(base.rows[v]) < _SCALAR_DEGREE:
-        return _py.two_hop_partners(base, mask, v, k)
-    indptr, indices = _base_np(base)
-    mask_np = np.frombuffer(mask, dtype=np.uint8)
-    row = indices[indptr[v]:indptr[v + 1]]
-    mids = row[mask_np[row] != 0]
-    if mids.size == 0:
-        return set()
-    pos = _ranges(indptr[mids], indptr[mids + 1] - indptr[mids])
-    if pos.size == 0:
-        return set()
-    walks = indices[pos]
-    # Inactive walk targets land in inactive bins, so the counts at
-    # *active* bins need no pre-filtering; screening the (few) count
-    # survivors is cheaper than masking the whole walk gather.
-    counts = np.bincount(walks)
-    if v < counts.size:
-        counts[v] = 0
-    cand = np.flatnonzero(counts >= k)
-    cand = cand[mask_np[cand] != 0]
-    return set(cand.tolist())

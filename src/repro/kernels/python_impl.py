@@ -24,7 +24,7 @@ two kernels' cut choices byte-identical.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Set
+from typing import List, Set
 
 NAME = "python"
 
@@ -350,21 +350,3 @@ def sort_segments(indptr, flat) -> array:
         if b - a > 1:
             indices[a:b] = array("l", sorted(flat[a:b]))
     return indices
-
-
-def two_hop_partners(base, mask, v: int, k: int) -> Set[int]:
-    """Active 2-hop neighbors of ``v`` with >= k common active neighbors.
-
-    Counting walks ``v - x - w`` gives ``|N(v) ∩ N(w)|`` for every 2-hop
-    neighbor ``w`` (Lemma 13's premise).
-    """
-    counts: Dict[int, int] = {}
-    rows = base.rows
-    get = counts.get
-    for x in rows[v]:
-        if not mask[x]:
-            continue
-        for w in rows[x]:
-            if w != v and mask[w]:
-                counts[w] = get(w, 0) + 1
-    return {w for w, c in counts.items() if c >= k}

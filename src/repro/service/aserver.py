@@ -34,7 +34,7 @@ import asyncio
 import logging
 import threading
 from http import HTTPStatus
-from typing import Awaitable, Callable, Dict, List, Optional, Tuple
+from typing import Awaitable, Callable, Dict, List, Optional, Set, Tuple
 from urllib.parse import parse_qs, urlencode, urlsplit
 
 from repro.service.handlers import (
@@ -63,6 +63,10 @@ MAX_HEAD = 1 << 20
 #: Cap on POST body size (64 MiB, matching the threading server).
 MAX_BODY = 1 << 26
 
+#: How long :meth:`AsyncHTTPServer.serve` lets in-flight requests finish
+#: after a shutdown before cancelling them.
+DRAIN_SECONDS = 5.0
+
 _INTERNAL_ERROR = (
     b'{"error":"internal server error","code":"internal_error"}'
 )
@@ -75,17 +79,43 @@ def _reason(status: int) -> str:
         return "Unknown"
 
 
-def _content_length(head: bytes) -> Optional[int]:
-    """The request's Content-Length (0 when absent, None when junk)."""
-    for line in head.split(b"\r\n")[1:]:
+def _framing(head: bytes) -> Tuple[int, bool, Optional[Tuple[int, str]]]:
+    """``(body_length, keep_alive, error)`` for one request head.
+
+    Only ``Content-Length`` bodies are read.  ``error`` is ``(status,
+    message)`` when the body cannot be framed: any ``Transfer-Encoding``
+    (411), conflicting ``Content-Length`` values, or a junk or oversized
+    length (400).  The body's bytes are then still in the stream, where
+    they would parse as the next request, so an error always ends the
+    connection.  HTTP/1.0 requests stay open only with ``Connection:
+    keep-alive``; HTTP/1.1 ones until ``Connection: close``.
+    """
+    lines = head.split(b"\r\n")
+    headers: Dict[bytes, List[bytes]] = {}
+    for line in lines[1:]:
         name, _, value = line.partition(b":")
-        if name.strip().lower() == b"content-length":
-            try:
-                length = int(value.strip())
-            except ValueError:
-                return None
-            return length if length >= 0 else None
-    return 0
+        headers.setdefault(name.strip().lower(), []).append(
+            value.strip().lower()
+        )
+    connection = b",".join(headers.get(b"connection", []))
+    if lines[0].rstrip().endswith(b"HTTP/1.0"):
+        keep_alive = b"keep-alive" in connection
+    else:
+        keep_alive = b"close" not in connection
+    if b"transfer-encoding" in headers:
+        return 0, False, (
+            411, "Transfer-Encoding is not supported; send Content-Length"
+        )
+    lengths = set(headers.get(b"content-length", [b"0"]))
+    if len(lengths) > 1:
+        return 0, False, (400, "conflicting Content-Length headers")
+    try:
+        length = int(lengths.pop())
+    except ValueError:
+        length = -1
+    if not 0 <= length <= MAX_BODY:
+        return 0, False, (400, "missing or oversized request body")
+    return length, keep_alive, None
 
 
 def _response_bytes(status: int, body: bytes, close: bool) -> bytes:
@@ -112,7 +142,9 @@ class AsyncHTTPServer:
     readable from :attr:`address` once serving), keeps HTTP/1.1
     connections alive across requests, and never aborts a connection
     on handler failure - the catch-all answers 500 JSON, mirroring the
-    threading server's guard.
+    threading server's guard.  Shutdown drains: idle connections close
+    at once, in-flight requests get :data:`DRAIN_SECONDS` to finish,
+    and whatever is left is cancelled before :meth:`serve` returns.
     """
 
     def __init__(
@@ -129,9 +161,14 @@ class AsyncHTTPServer:
         self.address: Optional[Tuple[str, int]] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._stopped: Optional[asyncio.Event] = None
+        #: Every live connection task, and the writers of those waiting
+        #: for their next request head (safe to close on shutdown).
+        self._connections: Set[asyncio.Task] = set()
+        self._idle: Dict[asyncio.Task, asyncio.StreamWriter] = {}
+        self._closing = False
 
     async def serve(self, ready: Optional[threading.Event] = None) -> None:
-        """Bind and serve until :meth:`shutdown` (runs forever)."""
+        """Bind and serve until :meth:`shutdown`, then drain."""
         self._stopped = asyncio.Event()
         self._server = await asyncio.start_server(
             self._serve_client, self._host, self._port, limit=MAX_HEAD
@@ -142,8 +179,12 @@ class AsyncHTTPServer:
             ready.set()
         if not self._quiet:
             LOG.info("async server listening on %s:%d", *self.address)
-        async with self._server:
+        try:
             await self._stopped.wait()
+        finally:
+            self._server.close()
+            await self._drain()
+            await self._server.wait_closed()
 
     def shutdown(self) -> None:
         """Stop accepting and unblock :meth:`serve` (thread-safe not
@@ -154,10 +195,35 @@ class AsyncHTTPServer:
         if self._stopped is not None:
             self._stopped.set()
 
+    async def _drain(self) -> None:
+        """Close idle connections, give in-flight requests
+        :data:`DRAIN_SECONDS`, then cancel and await the rest."""
+        self._closing = True
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + DRAIN_SECONDS
+        # One turn of the loop lets just-accepted connections register
+        # (they see ``_closing`` and leave at once).
+        await asyncio.sleep(0)
+        while self._connections:
+            for writer in self._idle.values():
+                writer.close()
+            tasks = set(self._connections)
+            remaining = deadline - loop.time()
+            if remaining > 0:
+                await asyncio.wait(tasks, timeout=remaining)
+                continue
+            for task in tasks:
+                task.cancel()
+            await asyncio.gather(*tasks, return_exceptions=True)
+
     async def _serve_client(self, reader, writer) -> None:
-        """One connection: read requests until EOF or Connection: close."""
+        """One connection: read requests until EOF, ``Connection:
+        close``, a framing error, or server shutdown."""
+        task = asyncio.current_task()
+        self._connections.add(task)
         try:
-            while True:
+            while not self._closing:
+                self._idle[task] = writer
                 try:
                     head = await reader.readuntil(b"\r\n\r\n")
                 except (
@@ -166,21 +232,12 @@ class AsyncHTTPServer:
                     ConnectionError,
                 ):
                     return  # client went away or sent garbage beyond limit
-                close = b"connection: close" in head.lower()
-                length = _content_length(head)
-                if length is None or length > MAX_BODY:
-                    # The declared body is unreadable (junk length) or
-                    # deliberately unread (oversized), so its bytes are
-                    # still in the stream; keeping the connection alive
-                    # would parse them as the next request head.  Close
-                    # instead of desyncing.
-                    close = True
-                    status, body = 400, render_json(
-                        {
-                            "error": "missing or oversized request body",
-                            "code": "bad_body",
-                        }
-                    )
+                finally:
+                    self._idle.pop(task, None)
+                length, keep_alive, error = _framing(head)
+                if error is not None:
+                    status, message = error
+                    body = render_json({"error": message, "code": "bad_body"})
                 else:
                     try:
                         payload = (
@@ -194,6 +251,7 @@ class AsyncHTTPServer:
                     ):
                         return  # client died mid-body
                     status, body = await self._answer(head, payload)
+                close = not keep_alive or self._closing
                 writer.write(_response_bytes(status, body, close))
                 await writer.drain()
                 if close:
@@ -201,6 +259,7 @@ class AsyncHTTPServer:
         except (ConnectionError, TimeoutError):
             return  # mid-response disconnect: nothing left to tell them
         finally:
+            self._connections.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -445,13 +504,14 @@ class ServerThread:
         """Boot the loop thread; returns the bound ``(host, port)``."""
         ready = threading.Event()
 
+        async def main() -> None:
+            self._loop = asyncio.get_running_loop()
+            await self._server.serve(ready)
+
         def run() -> None:
-            loop = asyncio.new_event_loop()
-            self._loop = loop
-            try:
-                loop.run_until_complete(self._server.serve(ready))
-            finally:
-                loop.close()
+            # asyncio.run also shuts down the default executor that
+            # mutation batches run on before closing the loop.
+            asyncio.run(main())
 
         self._thread = threading.Thread(
             target=run, name="repro-aserver", daemon=True

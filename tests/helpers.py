@@ -15,8 +15,10 @@ here.
 from __future__ import annotations
 
 import random
+from array import array
 from typing import List, Set
 
+from repro.graph.csr import CSRGraph, SubgraphView
 from repro.graph.generators import gnp_random_graph
 from repro.graph.graph import Graph
 
@@ -31,6 +33,24 @@ def random_connected_graph(n: int, p: float, seed: int) -> Graph:
         if not g.has_edge(a, b):
             g.add_edge(a, b)
     return g
+
+
+def as_view(graph: Graph) -> SubgraphView:
+    """A CSR view of an int-labeled ``graph`` whose ids equal its labels.
+
+    Everything from GLOBAL-CUT down takes views and speaks base ids.
+    Building the base without an interner, one id per label up to the
+    largest, lets a test hand those steps a view and check their answers
+    against the ``Graph`` itself (or networkx) with no id translation.
+    """
+    n = max(graph.vertices(), default=-1) + 1
+    indptr = array("l", [0]) * (n + 1)
+    indices = array("l")
+    for v in range(n):
+        if v in graph:
+            indices.extend(sorted(graph.neighbors(v)))
+        indptr[v + 1] = len(indices)
+    return CSRGraph(n, indptr, indices).view_from_members(graph.vertices())
 
 
 def vertex_set_family(graphs) -> Set[frozenset]:

@@ -1,12 +1,11 @@
-"""Backend parity: the CSR-view path must equal the dict path exactly.
+"""CSR enumeration parity against the brute-force oracle.
 
-The tentpole refactor reroutes the whole KVCC-ENUM stack (peel,
-certificate, flow, sweeps, partition) through CSR subgraph views.  The
-k-VCC decomposition of a graph is canonical - it does not depend on
-which cuts the algorithm happens to find first - so for every input and
-every k the two backends must return the *identical* family of vertex
-sets, and on small inputs both must agree with the brute-force oracle
-in ``repro.baselines.naive``.
+Every Algorithm-1 step runs on CSR subgraph views.  The k-VCC
+decomposition of a graph is canonical - it does not depend on which
+cuts the algorithm happens to find first - so for every input and every
+k the enumeration must return *exactly* the family of vertex sets that
+``repro.baselines.naive`` finds by exhaustive cut search (no flow, no
+certificate, no sweeps).
 
 Hypothesis drives random connected graphs across k in {2, 3, 4};
 deterministic cases cover the structured generators, string labels
@@ -16,14 +15,11 @@ invariants.
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines.naive import naive_kvccs
 from repro.core.kvcc import enumerate_kvccs, kvcc_vertex_sets
-from repro.core.options import KVCCOptions
 from repro.core.variants import VARIANTS
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import (
@@ -36,15 +32,12 @@ from repro.graph.views import relabel
 
 from helpers import random_connected_graph, vertex_set_family
 
-CSR = KVCCOptions(backend="csr")
-DICT = KVCCOptions(backend="dict")
 
-
-def families(graph, k):
-    """(csr family, dict family) for one input."""
+def families(graph, k, options=None):
+    """(enumerated family, brute-force oracle family) for one input."""
     return (
-        vertex_set_family(enumerate_kvccs(graph, k, CSR)),
-        vertex_set_family(enumerate_kvccs(graph, k, DICT)),
+        vertex_set_family(enumerate_kvccs(graph, k, options)),
+        vertex_set_family(naive_kvccs(graph, k)),
     )
 
 
@@ -56,11 +49,10 @@ class TestPropertyParity:
         seed=st.integers(min_value=0, max_value=10_000),
         k=st.integers(min_value=2, max_value=4),
     )
-    def test_csr_equals_dict_and_naive(self, n, p, seed, k):
+    def test_csr_equals_naive(self, n, p, seed, k):
         g = random_connected_graph(n, p, seed)
-        csr_fam, dict_fam = families(g, k)
-        assert csr_fam == dict_fam
-        assert csr_fam == vertex_set_family(naive_kvccs(g, k))
+        got, oracle = families(g, k)
+        assert got == oracle
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -73,8 +65,8 @@ class TestPropertyParity:
         """Relabeled vertices exercise the interner boundary."""
         g = random_connected_graph(n, p, seed)
         named = relabel(g, {v: f"v{v}" for v in g.vertices()})
-        csr_fam, dict_fam = families(named, k)
-        assert csr_fam == dict_fam
+        got, oracle = families(named, k)
+        assert got == oracle
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -84,53 +76,45 @@ class TestPropertyParity:
         k=st.integers(min_value=2, max_value=4),
     )
     def test_parity_across_variants(self, n, p, seed, k):
-        """All four paper variants agree on both backends."""
+        """All four paper variants agree with the oracle."""
         g = random_connected_graph(n, p, seed)
-        reference = None
+        oracle = vertex_set_family(naive_kvccs(g, k))
         for options in VARIANTS.values():
-            for backend in ("csr", "dict"):
-                fam = vertex_set_family(
-                    enumerate_kvccs(
-                        g, k, dataclasses.replace(options, backend=backend)
-                    )
-                )
-                if reference is None:
-                    reference = fam
-                assert fam == reference
+            assert vertex_set_family(enumerate_kvccs(g, k, options)) == oracle
 
 
 class TestStructuredParity:
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_ring_of_cliques(self, k):
         g = ring_of_cliques(num_cliques=5, clique_size=6)
-        csr_fam, dict_fam = families(g, k)
-        assert csr_fam == dict_fam
+        got, oracle = families(g, k)
+        assert got == oracle
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_overlapping_cliques(self, k):
         g = overlapping_cliques_graph(clique_size=6, num_cliques=3, overlap=2)
-        csr_fam, dict_fam = families(g, k)
-        assert csr_fam == dict_fam
+        got, oracle = families(g, k)
+        assert got == oracle
 
     def test_planted_blocks(self):
         g, blocks = planted_kvcc_graph(
             k=4, num_blocks=4, block_size=7, overlap=2, seed=7
         )
-        csr_fam, dict_fam = families(g, 4)
-        assert csr_fam == dict_fam == vertex_set_family(blocks)
+        got, oracle = families(g, 4)
+        assert got == oracle == vertex_set_family(blocks)
 
     def test_disconnected_input(self):
         g = Graph([(0, 1), (1, 2), (2, 0), (5, 6), (6, 7), (7, 5)])
-        csr_fam, dict_fam = families(g, 2)
-        assert csr_fam == dict_fam == {
+        got, oracle = families(g, 2)
+        assert got == oracle == {
             frozenset({0, 1, 2}),
             frozenset({5, 6, 7}),
         }
 
     def test_returned_graphs_are_independent(self):
-        """CSR-path results are materialized copies, not live views."""
+        """Results are materialized copies, not live views."""
         g = ring_of_cliques(num_cliques=4, clique_size=5)
-        parts = enumerate_kvccs(g, 4, CSR)
+        parts = enumerate_kvccs(g, 4)
         assert len(parts) == 4
         vertex = next(iter(parts[0].vertices()))
         parts[0].remove_vertex(vertex)

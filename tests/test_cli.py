@@ -92,12 +92,6 @@ class TestHierarchyCommand:
         ) == 0
         assert "vcc-number(0)" in capsys.readouterr().out
 
-    def test_dict_backend_same_levels(self, graph_file, capsys):
-        assert main(
-            ["hierarchy", graph_file, "--max-k", "4", "--backend", "dict"]
-        ) == 0
-        assert "k=4: 4 component(s)" in capsys.readouterr().out
-
     def test_save_index(self, graph_file, tmp_path, capsys):
         index_file = tmp_path / "g.kvccidx"
         assert main(

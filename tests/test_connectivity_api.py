@@ -165,13 +165,13 @@ class TestQueryOptionsWiring:
     """The options passthrough added with the execution-engine PR."""
 
     def test_query_options_adopts_only_execution_fields(self):
+        """Only the seed carries over: a query never spawns an engine."""
         from repro.core.connectivity_api import _query_options
         from repro.core.options import KVCCOptions
 
-        merged = _query_options(KVCCOptions(backend="dict", workers=4, seed=9))
-        assert merged.backend == "dict"
-        assert merged.workers == 4
+        merged = _query_options(KVCCOptions(workers=4, seed=9))
         assert merged.seed == 9
+        assert merged.workers == 1
         # The single-query preset's strategy switches must survive.
         assert not merged.neighbor_sweep
         assert not merged.group_sweep
@@ -181,7 +181,7 @@ class TestQueryOptionsWiring:
     def test_answers_independent_of_options(self):
         from repro.core.options import KVCCOptions
 
-        configured = KVCCOptions(backend="dict", workers=2)
+        configured = KVCCOptions(workers=2, seed=5)
         for seed in range(3):
             g = random_connected_graph(9, 0.4, seed=seed + 7)
             assert vertex_connectivity(g, configured) == vertex_connectivity(g)

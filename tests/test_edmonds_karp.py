@@ -11,12 +11,12 @@ from repro.flow.min_cut import minimum_vertex_cut_from_residual
 from repro.graph.connectivity import shortest_path_length
 from repro.graph.generators import complete_graph, cycle_graph
 
-from helpers import random_connected_graph
+from helpers import as_view, random_connected_graph
 
 
 class TestParity:
     def test_source_equals_sink_raises(self):
-        net = build_flow_network(cycle_graph(4), 2)
+        net = build_flow_network(as_view(cycle_graph(4)), 2)
         with pytest.raises(ValueError):
             max_flow_min_k_ek(net, 3, 3, 2)
 
@@ -24,7 +24,7 @@ class TestParity:
         for seed in range(20):
             g = random_connected_graph(10, 0.4, seed=seed)
             for k in (1, 2, 3, 5):
-                net = build_flow_network(g, k)
+                net = build_flow_network(as_view(g), k)
                 vs = sorted(g.vertices())
                 for u, v in [(vs[0], vs[-1]), (vs[1], vs[-2])]:
                     if u == v or g.has_edge(u, v):
@@ -41,7 +41,7 @@ class TestParity:
         for seed in range(15):
             g = random_connected_graph(10, 0.35, seed=seed + 40)
             k = 3
-            net = build_flow_network(g, k)
+            net = build_flow_network(as_view(g), k)
             vs = sorted(g.vertices())
             u, v = vs[0], vs[-1]
             if g.has_edge(u, v):
@@ -58,7 +58,7 @@ class TestParity:
     def test_early_termination(self):
         g = complete_graph(9)
         g.remove_edge(0, 5)
-        net = build_flow_network(g, 2)
+        net = build_flow_network(as_view(g), 2)
         got = max_flow_min_k_ek(net, net.node_out(0), net.node_in(5), 2)
         assert got == 2  # true connectivity is 7; capped at k
 
@@ -71,7 +71,7 @@ def test_ek_matches_networkx(seed, k):
     u, v = vs[0], vs[-1]
     if g.has_edge(u, v):
         return
-    net = build_flow_network(g, k)
+    net = build_flow_network(as_view(g), k)
     got = max_flow_min_k_ek(net, net.node_out(u), net.node_in(v), k)
     expected = min(
         k,

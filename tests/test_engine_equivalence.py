@@ -1,7 +1,7 @@
 """Serial/parallel execution-engine equivalence (repro.core.engine).
 
-The contract under test: for any graph, k, backend and worker count,
-``enumerate_kvccs`` returns
+The contract under test: for any graph, k, input representation and
+worker count, the enumeration returns
 
 * the identical family of k-VCC vertex sets,
 * in the identical order (the parallel engine re-sorts leaves by their
@@ -10,9 +10,11 @@ The contract under test: for any graph, k, backend and worker count,
   (:meth:`RunStats.counters`), and per-task stats that merge cleanly.
 
 Graphs come from the shared seeded generators (``tests/helpers.py`` and
-``repro.graph.generators``); every case is exercised on both the CSR
-and dict backends.  Process pools are real (no mocks), so these tests
-also cover the pickle paths of :mod:`repro.graph.csr`.
+``repro.graph.generators``); every case enters both through
+``enumerate_kvccs`` on a dict-of-sets ``Graph`` and through
+``enumerate_kvccs_csr`` on a prebuilt CSR base.  Process pools are real
+(no mocks), so these tests also cover the pickle paths of
+:mod:`repro.graph.csr`.
 """
 
 from __future__ import annotations
@@ -28,7 +30,11 @@ from repro.core.engine import (
     create_engine,
     expand_work_item,
 )
-from repro.core.kvcc import enumerate_kvccs, kvcc_vertex_sets
+from repro.core.kvcc import (
+    enumerate_kvccs,
+    enumerate_kvccs_csr,
+    kvcc_vertex_sets,
+)
 from repro.core.options import KVCCOptions
 from repro.core.stats import RunStats
 from repro.graph.generators import (
@@ -38,7 +44,10 @@ from repro.graph.generators import (
     web_graph,
 )
 
-BACKENDS = ("csr", "dict")
+#: How the input reaches the engine: a CSR base handed to
+#: ``enumerate_kvccs_csr``, or a dict-of-sets ``Graph`` interned at the
+#: ``enumerate_kvccs`` boundary.
+INPUTS = ("csr", "dict")
 
 #: Small, structurally diverse seeded graphs: overlap-heavy,
 #: partition-heavy, hub-heavy, and plain random-connected shapes.
@@ -61,26 +70,29 @@ def _ordered_families(components):
     return [tuple(sorted(c.vertices(), key=str)) for c in components]
 
 
-def _run(graph, k, backend, workers):
+def _run(graph, k, entry, workers):
     stats = RunStats(k=k)
-    options = KVCCOptions(backend=backend, workers=workers)
-    components = enumerate_kvccs(graph, k, options, stats)
+    options = KVCCOptions(workers=workers)
+    if entry == "csr":
+        components = enumerate_kvccs_csr(graph.to_csr(), k, options, stats)
+    else:
+        components = enumerate_kvccs(graph, k, options, stats)
     return components, stats
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("entry", INPUTS)
 @pytest.mark.parametrize("name", sorted(GRAPH_CASES))
-def test_serial_parallel_identical(name, backend):
+def test_serial_parallel_identical(name, entry):
     """Same family, same order, same counters for every k in 2..6."""
     graph = GRAPH_CASES[name]()
     for k in range(2, 7):
-        serial, s_stats = _run(graph, k, backend, workers=1)
-        parallel, p_stats = _run(graph, k, backend, workers=2)
+        serial, s_stats = _run(graph, k, entry, workers=1)
+        parallel, p_stats = _run(graph, k, entry, workers=2)
         assert _ordered_families(serial) == _ordered_families(parallel), (
-            f"{name} backend={backend} k={k}: order or family differs"
+            f"{name} entry={entry} k={k}: order or family differs"
         )
         assert s_stats.counters() == p_stats.counters(), (
-            f"{name} backend={backend} k={k}: counters differ"
+            f"{name} entry={entry} k={k}: counters differ"
         )
         # The parallel engine really ran every step through the pool.
         assert p_stats.parallel_tasks >= p_stats.kvccs_found
@@ -89,7 +101,7 @@ def test_serial_parallel_identical(name, backend):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_property_random_graphs(seed):
-    """Property check over the seeded random-graph family (CSR backend).
+    """Property check over the seeded random-graph family (CSR base input).
 
     For each seed: the parallel family equals the serial family as a
     set *and* element-for-element in order, k-VCCs are induced k-cores
@@ -257,19 +269,6 @@ class TestRunMany:
         assert ProcessPoolEngine(workers=2).run_many(
             [], 3, options, RunStats()
         ) == []
-
-    def test_pool_rejects_mixed_backends(self):
-        graph = ring_of_cliques(num_cliques=2, clique_size=5)
-        base = graph.to_csr()
-        options = KVCCOptions()
-        for works in (
-            [graph.copy(), base.full_view()],
-            [base.full_view(), graph.copy()],
-        ):
-            with pytest.raises(ValueError, match="mix"):
-                ProcessPoolEngine(workers=2).run_many(
-                    works, 3, options, RunStats()
-                )
 
     def test_pool_rejects_foreign_bases(self):
         graph = ring_of_cliques(num_cliques=2, clique_size=5)

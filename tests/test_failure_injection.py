@@ -24,6 +24,7 @@ from repro.core.global_cut import global_cut
 from repro.core.kvcc import enumerate_kvccs, kvcc_vertex_sets
 from repro.core.options import KVCCOptions
 from repro.core.partition import overlap_partition
+from repro.graph.csr import IntAdjacency
 from repro.graph.generators import (
     complete_graph,
     cycle_graph,
@@ -31,7 +32,7 @@ from repro.graph.generators import (
 )
 from repro.graph.graph import Graph
 
-from helpers import vertex_set_family
+from helpers import as_view, vertex_set_family
 
 
 class TestPartitionGuards:
@@ -57,13 +58,12 @@ class TestCertificateFault(object):
         """
         real = global_cut_module.sparse_certificate
 
-        def fake(graph, k):
-            center = next(iter(graph.vertices()))
-            star = Graph(vertices=graph.vertices())
-            for v in graph.vertices():
-                if v != center:
-                    star.add_edge(center, v)
-            cert = real(graph, 1)  # correct forests for side-groups
+        def fake(view, k):
+            center, *others = view.active_list()
+            star = IntAdjacency(view.base.n, view.active_list())
+            for v in others:
+                star.add_edge(center, v)
+            cert = real(view, 1)  # correct forests for side-groups
             return SparseCertificate(graph=star, forests=cert.forests, k=k)
 
         monkeypatch.setattr(global_cut_module, "sparse_certificate", fake)
@@ -90,8 +90,7 @@ class TestCertificateFault(object):
             neighbor_sweep=False, group_sweep=False,
             maintain_side_vertices=False,
         )
-        g = complete_graph(6)
-        assert global_cut(g, 4, options) is None
+        assert global_cut(as_view(complete_graph(6)), 4, options) is None
 
 
 class TestInputAliasing:

@@ -5,40 +5,36 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.connectivity_api import local_connectivity
 from repro.flow.dinic import max_flow_min_k
 from repro.flow.flow_network import FlowNetwork, build_flow_network
-from repro.flow.min_cut import (
-    all_pairs_min_connectivity,
-    local_vertex_connectivity,
-    local_vertex_cut,
-)
+from repro.flow.min_cut import local_vertex_cut
 from repro.graph.connectivity import shortest_path_length
 from repro.graph.generators import complete_graph, cycle_graph
 from repro.graph.graph import Graph
 
-from helpers import random_connected_graph
+from helpers import as_view, random_connected_graph
 
 
 class TestConstruction:
     def test_sizes_match_paper(self):
         """2n nodes and n + 2m forward arcs (Example 4's counting)."""
         g = Graph([(0, 1), (1, 2), (2, 3), (3, 0)])  # n=4, m=4
-        net = build_flow_network(g, 2)
+        net = build_flow_network(as_view(g), 2)
         assert net.num_nodes == 8
         assert len(net.head) // 2 == 4 + 2 * 4  # arc pairs
 
     def test_internal_arcs_have_capacity_one(self):
         g = Graph([(0, 1)])
-        net = build_flow_network(g, 5)
+        net = build_flow_network(as_view(g), 5)
         for v in g.vertices():
             arc = net.internal_arc(v)
             assert net.cap[arc] == 1
             assert net.head[arc] == net.node_out(v)
 
     def test_adjacency_arcs_have_capacity_k(self):
-        g = Graph([(0, 1)])
         k = 7
-        net = build_flow_network(g, k)
+        net = build_flow_network(as_view(Graph([(0, 1)])), k)
         adjacency_caps = [
             net.initial_cap[a]
             for a in range(0, len(net.head), 2)
@@ -48,18 +44,18 @@ class TestConstruction:
 
     def test_invalid_k(self):
         with pytest.raises(ValueError):
-            build_flow_network(Graph([(0, 1)]), 0)
+            build_flow_network(as_view(Graph([(0, 1)])), 0)
 
     def test_node_mapping_roundtrip(self):
-        g = Graph([("a", "b"), ("b", "c")])
-        net = build_flow_network(g, 2)
+        # Sparse ids: the network's dense indices must not be the ids.
+        g = Graph([(3, 5), (5, 9)])
+        net = build_flow_network(as_view(g), 2)
         for v in g.vertices():
             assert net.vertex_of_node(net.node_in(v)) == v
             assert net.vertex_of_node(net.node_out(v)) == v
 
     def test_reset_restores_capacities(self):
-        g = complete_graph(4)
-        net = build_flow_network(g, 3)
+        net = build_flow_network(as_view(complete_graph(4)), 3)
         before = list(net.cap)
         max_flow_min_k(net, net.node_out(0), net.node_in(2), 3)
         net.reset()
@@ -77,40 +73,37 @@ class TestConstruction:
 
 class TestMaxFlow:
     def test_source_equals_sink_raises(self):
-        g = Graph([(0, 1)])
-        net = build_flow_network(g, 2)
+        net = build_flow_network(as_view(Graph([(0, 1)])), 2)
         with pytest.raises(ValueError):
             max_flow_min_k(net, 0, 0, 2)
 
     def test_disconnected_pair_is_zero(self):
-        g = Graph([(0, 1), (2, 3)])
-        net = build_flow_network(g, 3)
+        net = build_flow_network(as_view(Graph([(0, 1), (2, 3)])), 3)
         assert max_flow_min_k(net, net.node_out(0), net.node_in(2), 3) == 0
 
     def test_path_has_unit_connectivity(self, path4):
-        net = build_flow_network(path4, 3)
+        net = build_flow_network(as_view(path4), 3)
         assert max_flow_min_k(net, net.node_out(0), net.node_in(3), 3) == 1
 
     def test_early_termination_caps_value(self):
-        g = complete_graph(8)  # kappa(u,v) would be 6 via internal nodes
-        net = build_flow_network(g, 2)
-        # Non-adjacent impossible in a clique; use k as the cap anyway
-        # through a cycle where connectivity is exactly 2.
-        c = cycle_graph(8)
-        net = build_flow_network(c, 1)
+        # A cycle has connectivity exactly 2 between opposite vertices;
+        # a cap of 1 must stop the flow there.
+        net = build_flow_network(as_view(cycle_graph(8)), 1)
         assert max_flow_min_k(net, net.node_out(0), net.node_in(4), 1) == 1
 
     def test_value_equals_local_connectivity(self):
         for seed in range(15):
             g = random_connected_graph(10, 0.4, seed)
             nxg = g.to_networkx()
+            net = build_flow_network(as_view(g), 9)
             for u, v in [(0, 5), (1, 8), (2, 9)]:
                 if g.has_edge(u, v):
                     continue
                 expected = nx.algorithms.connectivity.local_node_connectivity(
                     nxg, u, v
                 )
-                got = local_vertex_connectivity(g, u, v, k=9)
+                got = max_flow_min_k(net, net.node_out(u), net.node_in(v), 9)
+                net.reset()
                 assert got == min(9, expected)
 
 
@@ -118,10 +111,11 @@ class TestCutExtraction:
     def test_cut_separates(self):
         for seed in range(20):
             g = random_connected_graph(11, 0.35, seed)
-            net = build_flow_network(g, 3)
+            view = as_view(g)
+            net = build_flow_network(view, 3)
             vertices = sorted(g.vertices())
             for u, v in [(vertices[0], vertices[-1])]:
-                cut = local_vertex_cut(g, net, u, v, 3)
+                cut = local_vertex_cut(view, net, u, v, 3)
                 if cut is None:
                     continue
                 assert len(cut) < 3
@@ -134,11 +128,12 @@ class TestCutExtraction:
         for seed in range(15):
             g = random_connected_graph(10, 0.4, seed + 100)
             nxg = g.to_networkx()
-            net = build_flow_network(g, 4)
+            view = as_view(g)
+            net = build_flow_network(view, 4)
             u, v = 0, 9
             if g.has_edge(u, v):
                 continue
-            cut = local_vertex_cut(g, net, u, v, 4)
+            cut = local_vertex_cut(view, net, u, v, 4)
             expected = nx.algorithms.connectivity.local_node_connectivity(
                 nxg, u, v
             )
@@ -148,41 +143,31 @@ class TestCutExtraction:
                 assert cut is None
 
     def test_adjacent_pair_short_circuits(self):
-        g = Graph([(0, 1), (1, 2)])
-        net = build_flow_network(g, 5)
-        assert local_vertex_cut(g, net, 0, 1, 5) is None
+        view = as_view(Graph([(0, 1), (1, 2)]))
+        net = build_flow_network(view, 5)
+        assert local_vertex_cut(view, net, 0, 1, 5) is None
 
     def test_same_vertex_short_circuits(self):
-        g = Graph([(0, 1)])
-        net = build_flow_network(g, 5)
-        assert local_vertex_cut(g, net, 0, 0, 5) is None
+        view = as_view(Graph([(0, 1)]))
+        net = build_flow_network(view, 5)
+        assert local_vertex_cut(view, net, 0, 0, 5) is None
 
     def test_network_reusable_after_cut(self):
-        g = cycle_graph(6)
-        net = build_flow_network(g, 3)
-        first = local_vertex_cut(g, net, 0, 3, 3)
-        second = local_vertex_cut(g, net, 0, 3, 3)
+        view = as_view(cycle_graph(6))
+        net = build_flow_network(view, 3)
+        first = local_vertex_cut(view, net, 0, 3, 3)
+        second = local_vertex_cut(view, net, 0, 3, 3)
         assert first == second  # residual state fully reset between calls
 
     def test_local_connectivity_same_vertex_raises(self):
-        g = Graph([(0, 1)])
         with pytest.raises(ValueError):
-            local_vertex_connectivity(g, 0, 0, 2)
+            local_connectivity(Graph([(0, 1)]), 0, 0)
 
     def test_adjacent_pair_reports_k(self):
-        g = Graph([(0, 1)])
-        assert local_vertex_connectivity(g, 0, 1, 4) == 4
-
-
-class TestAllPairs:
-    def test_cycle_connectivity_two(self):
-        assert all_pairs_min_connectivity(cycle_graph(6), 5) == 2
-
-    def test_complete_graph_hits_cap(self):
-        assert all_pairs_min_connectivity(complete_graph(5), 3) == 3
-
-    def test_path_is_one(self, path4):
-        assert all_pairs_min_connectivity(path4, 3) == 1
+        """An adjacency arc carries capacity k, so an adjacent pair's
+        flow saturates at the cap instead of exposing a cut."""
+        net = build_flow_network(as_view(Graph([(0, 1)])), 4)
+        assert max_flow_min_k(net, net.node_out(0), net.node_in(1), 4) == 4
 
 
 @settings(max_examples=30, deadline=None)
@@ -190,7 +175,7 @@ class TestAllPairs:
 def test_flow_value_matches_networkx(seed, k):
     g = random_connected_graph(9, 0.35, seed)
     nxg = g.to_networkx()
-    net = build_flow_network(g, k)
+    net = build_flow_network(as_view(g), k)
     vertices = sorted(g.vertices())
     u, v = vertices[0], vertices[-1]
     if g.has_edge(u, v):

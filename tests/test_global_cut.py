@@ -16,7 +16,7 @@ from repro.graph.generators import (
 )
 from repro.graph.graph import Graph
 
-from helpers import random_connected_graph
+from helpers import as_view, random_connected_graph
 
 ALL_OPTIONS = list(VARIANTS.values()) + [
     KVCCOptions(use_certificate=False, neighbor_sweep=False,
@@ -28,42 +28,40 @@ ALL_OPTIONS = list(VARIANTS.values()) + [
 
 class TestBasicBehavior:
     def test_complete_graph_no_cut(self):
-        g = complete_graph(6)
+        view = as_view(complete_graph(6))
         for options in ALL_OPTIONS:
-            assert global_cut(g, 4, options) is None
+            assert global_cut(view, 4, options) is None
 
     def test_cycle_has_two_cut(self):
         g = cycle_graph(8)
-        cut = global_cut(g, 3)
+        cut = global_cut(as_view(g), 3)
         assert cut is not None
         assert len(cut) == 2
         assert is_vertex_cut(g, cut)
 
     def test_cycle_is_two_connected(self):
-        g = cycle_graph(8)
-        assert global_cut(g, 2) is None
+        assert global_cut(as_view(cycle_graph(8)), 2) is None
 
     def test_two_cliques_shared_overlap(self, two_cliques_shared_edge):
-        cut = global_cut(two_cliques_shared_edge, 3)
+        cut = global_cut(as_view(two_cliques_shared_edge), 3)
         assert cut is not None
         assert len(cut) == 2
         assert is_vertex_cut(two_cliques_shared_edge, cut)
 
     def test_tiny_graph_no_cut(self):
-        assert global_cut(Graph([(0, 1)]), 2) is None
-        assert global_cut(Graph(vertices=[0]), 1) is None
+        assert global_cut(as_view(Graph([(0, 1)])), 2) is None
+        assert global_cut(as_view(Graph(vertices=[0])), 1) is None
 
     def test_disconnected_graph_yields_cut(self):
         """A disconnected input comes back with a (possibly empty) cut."""
         g = Graph([(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
-        cut = global_cut(g, 2)
+        cut = global_cut(as_view(g), 2)
         assert cut is not None
         assert is_vertex_cut(g, cut)
 
     def test_stats_counters(self):
-        g = cycle_graph(10)
         stats = RunStats(k=2)
-        global_cut(g, 2, VARIANTS["VCCE"], stats)
+        global_cut(as_view(cycle_graph(10)), 2, VARIANTS["VCCE"], stats)
         assert stats.global_cut_calls == 1
         assert stats.flow_tests > 0
 
@@ -75,11 +73,12 @@ class TestAgainstNetworkx:
         options = ALL_OPTIONS[options_idx]
         for seed in range(12):
             g = random_connected_graph(10, 0.45, seed=seed)
+            view = as_view(g)
             kappa = nx.node_connectivity(g.to_networkx())
             for k in (1, 2, 3, 4):
                 if g.num_vertices <= k:
                     continue
-                cut = global_cut(g, k, options)
+                cut = global_cut(view, k, options)
                 if kappa >= k:
                     assert cut is None, (seed, k, kappa, cut)
                 else:
@@ -93,26 +92,27 @@ class TestPrecomputedStrong:
         from repro.core.side_vertex import strong_side_vertices
 
         g = overlapping_cliques_graph(6, 2, 2)
+        view = as_view(g)
         k = 3
-        strong = strong_side_vertices(g, k)
-        cut_a = global_cut(g, k, precomputed_strong=strong)
-        cut_b = global_cut(g, k)
+        strong = strong_side_vertices(view, k)
+        cut_a = global_cut(view, k, precomputed_strong=strong)
+        cut_b = global_cut(view, k)
         # Both find *a* valid < k cut (possibly different ones).
         for cut in (cut_a, cut_b):
             assert cut is not None and len(cut) < k
             assert is_vertex_cut(g, cut)
 
     def test_stale_strong_vertices_filtered(self):
-        g = complete_graph(5)
+        view = as_view(complete_graph(5))
         # 99 does not exist; it must be ignored, not crash.
-        assert global_cut(g, 3, precomputed_strong={0, 99}) is None
+        assert global_cut(view, 3, precomputed_strong={0, 99}) is None
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 5_000), st.integers(2, 4))
 def test_returned_cut_is_always_valid(seed, k):
     g = random_connected_graph(9, 0.4, seed=seed)
-    cut = global_cut(g, k)
+    cut = global_cut(as_view(g), k)
     if cut is not None:
         assert len(cut) < k
         assert is_vertex_cut(g, cut)

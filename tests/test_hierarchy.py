@@ -1,7 +1,6 @@
 """Tests for the k-VCC hierarchy and vcc-number."""
 
-import pytest
-
+from repro.baselines.naive import naive_kvccs
 from repro.core.hierarchy import build_hierarchy, build_hierarchy_csr, vcc_number
 from repro.core.kvcc import kvcc_vertex_sets
 from repro.core.options import KVCCOptions
@@ -109,24 +108,41 @@ class TestBuildHierarchy:
 
 
 class TestHierarchyBackendParity:
-    """The CSR+engine construction equals the dict reference path."""
+    """The level-by-level CSR construction against independent answers:
+    the brute-force oracle, flat enumeration, and its other entry
+    points."""
 
     def test_random_graphs(self):
+        """Every level equals the brute-force oracle at that k, and so
+        does every vertex's vcc-number."""
         for seed in range(8):
             g = gnp_random_graph(13, 0.4, seed=seed * 3)
-            h_csr = build_hierarchy(g)
-            h_dict = build_hierarchy(g, options=KVCCOptions(backend="dict"))
-            assert h_csr.max_k == h_dict.max_k, seed
-            assert hierarchy_shape(h_csr) == hierarchy_shape(h_dict), seed
-            assert h_csr.vcc_number_map() == h_dict.vcc_number_map(), seed
+            h = build_hierarchy(g)
+            numbers = {}
+            for k in range(1, h.max_k + 2):
+                oracle = naive_kvccs(g, k)
+                assert vertex_set_family(
+                    h.components_at(k)
+                ) == vertex_set_family(oracle), (seed, k)
+                for component in oracle:
+                    for v in component:
+                        numbers[v] = k
+            assert h.vcc_number_map() == numbers, seed
 
     def test_overlapping_components(self):
+        """Overlapping levels match flat enumeration, and every child
+        nests inside its parent."""
         g = overlapping_cliques_graph(
             clique_size=6, num_cliques=3, overlap=3
         )
-        h_csr = build_hierarchy(g)
-        h_dict = build_hierarchy(g, options=KVCCOptions(backend="dict"))
-        assert hierarchy_shape(h_csr) == hierarchy_shape(h_dict)
+        h = build_hierarchy(g)
+        for k in range(1, h.max_k + 2):
+            assert vertex_set_family(
+                h.components_at(k)
+            ) == vertex_set_family(kvcc_vertex_sets(g, k)), k
+        for node in h.nodes:
+            if node.parent is not None:
+                assert node.vertices <= h.nodes[node.parent].vertices
 
     def test_parallel_engine_identical_nodes(self):
         """workers=2 produces byte-identical node order, not just the
@@ -151,12 +167,6 @@ class TestHierarchyBackendParity:
         assert hierarchy_shape(direct) == hierarchy_shape(wrapped)
         assert stats.kvccs_found == len(direct)
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            build_hierarchy(
-                complete_graph(4), options=KVCCOptions(backend="numpy")
-            )
-
 
 class TestHierarchyEdgeCases:
     def test_k1_disconnected_graph(self):
@@ -166,26 +176,23 @@ class TestHierarchyEdgeCases:
             [(0, 1), (2, 3), (3, 4), (4, 2), (5, 6), (6, 7)],
             vertices=[99],
         )
-        for options in (None, KVCCOptions(backend="dict")):
-            h = build_hierarchy(g, options=options)
-            roots = h.roots()
-            assert len(roots) == 3
-            assert vertex_set_family(
-                h.nodes[i].vertices for i in roots
-            ) == vertex_set_family([{0, 1}, {2, 3, 4}, {5, 6, 7}])
-            numbers = vcc_number(g, options=options)
-            assert numbers[99] == 0
-            assert numbers[2] == 2
+        h = build_hierarchy(g)
+        roots = h.roots()
+        assert len(roots) == 3
+        assert vertex_set_family(
+            h.nodes[i].vertices for i in roots
+        ) == vertex_set_family([{0, 1}, {2, 3, 4}, {5, 6, 7}])
+        numbers = vcc_number(g)
+        assert numbers[99] == 0
+        assert numbers[2] == 2
 
     def test_max_k_beyond_exhaustion(self):
         """Requesting levels above the graph's max is not an error; the
         forest simply stops where the components run out."""
-        g = cycle_graph(6)  # max level 2
-        for options in (None, KVCCOptions(backend="dict")):
-            h = build_hierarchy(g, max_k=10, options=options)
-            assert h.max_k == 2
-            assert h.components_at(3) == []
-            assert h.components_at(10) == []
+        h = build_hierarchy(cycle_graph(6), max_k=10)  # max level 2
+        assert h.max_k == 2
+        assert h.components_at(3) == []
+        assert h.components_at(10) == []
 
     def test_single_vertex_and_single_edge(self):
         assert len(build_hierarchy(Graph(vertices=[7]))) == 0

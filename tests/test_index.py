@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.core.hierarchy import build_hierarchy, vcc_number
 from repro.core.kvcc import kvcc_vertex_sets
-from repro.core.options import KVCCOptions
 from repro.graph.csr import VertexInterner
 from repro.graph.generators import (
     complete_graph,
@@ -84,20 +83,14 @@ class TestBuildIndex:
         assert index.max_k == 2
         assert index.nodes_at(3) == []
 
-    def test_from_hierarchy_dict_backend(self):
-        """The dict-built forest flattens to the same index."""
+    def test_levels_match_flat_enumeration(self):
+        """Every level of the index equals KVCC-ENUM run flat at that k."""
         g = ring_of_cliques(3, 4)
-        interner = VertexInterner(g.vertices())
-        h_dict = build_hierarchy(g, options=KVCCOptions(backend="dict"))
-        idx_dict = HierarchyIndex.from_hierarchy(h_dict, interner)
-        idx_csr = build_index(g)
-        assert idx_dict.vcc_numbers == idx_csr.vcc_numbers
-        for k in range(1, idx_csr.max_k + 1):
+        index = build_index(g)
+        for k in range(1, index.max_k + 2):
             assert vertex_set_family(
-                set(idx_dict.member_labels(n)) for n in idx_dict.nodes_at(k)
-            ) == vertex_set_family(
-                set(idx_csr.member_labels(n)) for n in idx_csr.nodes_at(k)
-            )
+                set(index.member_labels(n)) for n in index.nodes_at(k)
+            ) == vertex_set_family(kvcc_vertex_sets(g, k)), k
 
     def test_to_hierarchy_round_trip(self):
         g = ring_of_cliques(3, 5)

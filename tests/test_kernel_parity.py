@@ -6,8 +6,8 @@ suite drives random graphs through every kernel entry point under each
 implementation and asserts exact agreement: max-flow values and the
 full residual capacity state, min vertex cut sets, peel survivor masks
 and active degrees, scan-first forests edge-for-edge, component
-families, segment sorts, certificate adjacency fills, two-hop partner
-sets, and the end-to-end enumeration with its deterministic counters.
+families, segment sorts, certificate adjacency fills, and the
+end-to-end enumeration with its deterministic counters.
 
 The numpy half of every comparison is skipped when numpy is not
 installed (CI runs the tier-1 suite both ways); the shared-memory
@@ -30,7 +30,6 @@ from repro.flow.dinic import max_flow_min_k
 from repro.flow.flow_network import build_flow_network
 from repro.flow.min_cut import local_vertex_cut
 from repro.graph.csr import CSRGraph, IntAdjacency
-from repro.graph.generators import web_graph
 
 from helpers import random_connected_graph, vertex_set_family
 
@@ -159,39 +158,6 @@ class TestViewKernelParity:
         assert py == np_
 
     @settings(max_examples=25, deadline=None)
-    @given(**GRAPH_ARGS)
-    def test_two_hop_partners(self, n, p, seed, k):
-        g = random_connected_graph(n, p, seed)
-
-        def run(_name):
-            base = CSRGraph.from_graph(g)
-            view = base.full_view()
-            kern = kernels.select()
-            return [
-                kern.two_hop_partners(base, view.mask, v, k)
-                for v in range(base.n)
-            ]
-
-        py, np_ = per_kernel(run)
-        assert py == np_
-
-    def test_two_hop_partners_above_scalar_crossover(self):
-        """A dense graph drives the numpy gather path, not the fallback."""
-        g = web_graph(120, out_degree=24, seed=3)
-
-        def run(_name):
-            base = CSRGraph.from_graph(g)
-            view = base.full_view()
-            kern = kernels.select()
-            return [
-                kern.two_hop_partners(base, view.mask, v, 4)
-                for v in range(base.n)
-            ]
-
-        py, np_ = per_kernel(run)
-        assert py == np_
-
-    @settings(max_examples=25, deadline=None)
     @given(
         rows=st.lists(
             st.lists(
@@ -245,7 +211,7 @@ class TestEndToEndParity:
         def run(_name):
             stats = RunStats(k=k)
             fam = vertex_set_family(
-                enumerate_kvccs(g, k, KVCCOptions(backend="csr"), stats)
+                enumerate_kvccs(g, k, KVCCOptions(), stats)
             )
             return fam, stats.counters()
 

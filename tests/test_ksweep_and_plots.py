@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.baselines.naive import naive_kvccs
 from repro.core.ksweep import enumerate_kvccs_sweep
 from repro.core.kvcc import kvcc_vertex_sets
 from repro.core.options import KVCCOptions
@@ -61,18 +62,15 @@ class TestKSweep:
         assert sweep[4] == []
         assert sweep[5] == []
 
-    def test_backend_parity(self):
-        """The shared-CSR-base sweep equals the dict reference path."""
+    def test_matches_naive_oracle(self):
+        """Every level of the sweep equals the brute-force oracle."""
         for seed in range(6):
             g = gnp_random_graph(14, 0.4, seed=seed * 9 + 4)
-            csr = enumerate_kvccs_sweep(g, [1, 2, 3, 4])
-            ref = enumerate_kvccs_sweep(
-                g, [1, 2, 3, 4], options=KVCCOptions(backend="dict")
-            )
-            assert set(csr) == set(ref)
-            for k in csr:
-                assert vertex_set_family(csr[k]) == vertex_set_family(
-                    ref[k]
+            sweep = enumerate_kvccs_sweep(g, [1, 2, 3, 4])
+            assert set(sweep) == {1, 2, 3, 4}
+            for k in sweep:
+                assert vertex_set_family(sweep[k]) == vertex_set_family(
+                    naive_kvccs(g, k)
                 ), (seed, k)
 
     def test_parallel_engine_identical(self):
@@ -85,21 +83,19 @@ class TestKSweep:
             assert serial[k] == pooled[k], k
 
     def test_empty_ks_all_backends(self):
+        """No level means no work, under either execution engine."""
         g = complete_graph(4)
-        for options in (None, KVCCOptions(backend="dict")):
+        for options in (None, KVCCOptions(workers=2)):
             assert enumerate_kvccs_sweep(g, [], options=options) == {}
             assert enumerate_kvccs_sweep(g, iter(()), options=options) == {}
 
     def test_disconnected_k1(self):
         g = Graph([(0, 1), (2, 3), (3, 4), (4, 2)], vertices=[9])
-        for options in (None, KVCCOptions(backend="dict")):
-            sweep = enumerate_kvccs_sweep(g, [1, 2], options=options)
-            assert vertex_set_family(sweep[1]) == vertex_set_family(
-                [{0, 1}, {2, 3, 4}]
-            )
-            assert vertex_set_family(sweep[2]) == vertex_set_family(
-                [{2, 3, 4}]
-            )
+        sweep = enumerate_kvccs_sweep(g, [1, 2])
+        assert vertex_set_family(sweep[1]) == vertex_set_family(
+            [{0, 1}, {2, 3, 4}]
+        )
+        assert vertex_set_family(sweep[2]) == vertex_set_family([{2, 3, 4}])
 
     def test_stats_accumulate_across_levels(self):
         g = ring_of_cliques(3, 5)
@@ -107,12 +103,6 @@ class TestKSweep:
         sweep = enumerate_kvccs_sweep(g, [2, 3], stats=stats)
         assert stats.kvccs_found == len(sweep[2]) + len(sweep[3])
         assert stats.elapsed_seconds > 0
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            enumerate_kvccs_sweep(
-                complete_graph(4), [2], options=KVCCOptions(backend="numpy")
-            )
 
 
 class TestAsciiChart:

@@ -283,15 +283,9 @@ class TestDriverParity:
         assert len(leaves[0]) > 3  # big component's answers come first
 
     def test_validates_inputs(self):
-        from repro.core.options import KVCCOptions
-
         base, _ = CSRGraph.from_edges([(0, 1), (1, 2), (2, 0)])
         with pytest.raises(ValueError, match="at least 1"):
             enumerate_kvccs_outofcore(base, 0)
-        with pytest.raises(ValueError, match="backend"):
-            enumerate_kvccs_outofcore(
-                base, 2, KVCCOptions(backend="dict")
-            )
         with pytest.raises(ValueError, match="budget"):
             enumerate_kvccs_outofcore(base, 2, mem_budget="nonsense")
 

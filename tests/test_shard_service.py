@@ -1,8 +1,11 @@
 """Tests for the sharded serving tier: sharder, router, async front end."""
 
+import gc
 import http.client
 import json
 import os
+import socket
+import sys
 
 import pytest
 
@@ -405,6 +408,37 @@ def http_get(host, port, target):
         connection.close()
 
 
+def read_to_eof(sock):
+    """Everything the server sends until it closes the connection (a
+    server that never closes fails the test with a socket timeout)."""
+    blob = b""
+    while True:
+        chunk = sock.recv(65536)
+        if not chunk:
+            return blob
+        blob += chunk
+
+
+def raw_exchange(host, port, payload):
+    """Send raw request bytes, read to EOF, and split the reply stream
+    into ``(status, headers, body)`` responses by Content-Length."""
+    with socket.create_connection((host, port), timeout=5) as sock:
+        sock.sendall(payload)
+        blob = read_to_eof(sock)
+    responses = []
+    while blob:
+        head, _, rest = blob.partition(b"\r\n\r\n")
+        lines = head.split(b"\r\n")
+        headers = {}
+        for line in lines[1:]:
+            name, _, value = line.partition(b":")
+            headers[name.strip().lower()] = value.strip().lower()
+        length = int(headers.get(b"content-length", b"0"))
+        responses.append((int(lines[0].split()[1]), headers, rest[:length]))
+        blob = rest[length:]
+    return responses
+
+
 class TestAsyncServer:
     @pytest.fixture
     def registry(self, tmp_path):
@@ -528,6 +562,89 @@ class TestAsyncServer:
                     head = blob.split(b"\r\n\r\n", 1)[0]
                     assert b" 400 " in head.split(b"\r\n")[0]
                     assert b"connection: close" in head.lower()
+
+    def test_chunked_post_answers_411_and_closes(self, registry):
+        """A chunked body is not read, so its bytes must not be parsed
+        as further requests: one 411, then the connection ends."""
+        server = AsyncHTTPServer(registry_dispatch(registry))
+        with ServerThread(server) as (host, port):
+            responses = raw_exchange(
+                host,
+                port,
+                b"POST /v1/ring/edges HTTP/1.1\r\nHost: x\r\n"
+                b"Transfer-Encoding: chunked\r\n\r\n"
+                b"5\r\nhello\r\n0\r\n\r\n"
+                b"GET /v1/ring/vcc-number?v=0 HTTP/1.1\r\nHost: x\r\n\r\n",
+            )
+        assert len(responses) == 1
+        status, headers, body = responses[0]
+        assert status == 411
+        assert headers[b"connection"] == b"close"
+        assert json.loads(body)["code"] == "bad_body"
+
+    def test_conflicting_content_lengths_answer_400_and_close(
+        self, registry
+    ):
+        server = AsyncHTTPServer(registry_dispatch(registry))
+        with ServerThread(server) as (host, port):
+            responses = raw_exchange(
+                host,
+                port,
+                b"POST /v1/ring/edges HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: 2\r\nContent-Length: 40\r\n\r\n"
+                b"{}GET /v1/ring/vcc-number?v=0 HTTP/1.1\r\n\r\n",
+            )
+        assert len(responses) == 1
+        status, headers, body = responses[0]
+        assert status == 400
+        assert headers[b"connection"] == b"close"
+        assert json.loads(body)["code"] == "bad_body"
+
+    def test_http10_closes_unless_keep_alive(self, registry):
+        """HTTP/1.0 defaults to one request per connection; an explicit
+        keep-alive keeps it open for exactly the next request."""
+        server = AsyncHTTPServer(registry_dispatch(registry))
+        with ServerThread(server) as (host, port):
+            one = raw_exchange(
+                host, port, b"GET /v1/ring/vcc-number?v=0 HTTP/1.0\r\n\r\n"
+            )
+            two = raw_exchange(
+                host,
+                port,
+                b"GET /v1/ring/vcc-number?v=0 HTTP/1.0\r\n"
+                b"Connection: keep-alive\r\n\r\n"
+                b"GET /v1/ring/vcc-number?v=1 HTTP/1.0\r\n\r\n",
+            )
+        assert [status for status, _, _ in one] == [200]
+        assert one[0][1][b"connection"] == b"close"
+        assert [status for status, _, _ in two] == [200, 200]
+        assert b"connection" not in two[0][1]
+
+    def test_stop_with_idle_keep_alive_connection(self, registry, caplog):
+        """Stopping drains: the idle client sees EOF, and no task is
+        destroyed pending or touches the closed loop afterwards."""
+        unraisable = []
+        previous_hook = sys.unraisablehook
+        sys.unraisablehook = unraisable.append
+        try:
+            thread = ServerThread(AsyncHTTPServer(registry_dispatch(registry)))
+            host, port = thread.start()
+            with socket.create_connection((host, port), timeout=5) as sock:
+                sock.sendall(
+                    b"GET /v1/ring/vcc-number?v=0 HTTP/1.1\r\nHost: x\r\n\r\n"
+                )
+                head = b""
+                while b"\r\n\r\n" not in head:
+                    head += sock.recv(65536)
+                assert head.startswith(b"HTTP/1.1 200 ")
+                thread.stop()
+                assert not thread._thread.is_alive()
+                read_to_eof(sock)  # times out unless the server closed
+            gc.collect()
+        finally:
+            sys.unraisablehook = previous_hook
+        assert not unraisable
+        assert not [r for r in caplog.records if r.name == "asyncio"]
 
 
 @pytest.mark.slow

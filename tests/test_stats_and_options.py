@@ -135,8 +135,8 @@ class TestKVCCOptions:
         assert KVCCOptions(workers=4).describe() == "NS+GS+pool4"
         assert KVCCOptions(workers=0).describe() == "NS+GS+pool-auto"
         assert (
-            KVCCOptions(backend="dict", workers=2).describe()
-            == "NS+GS+dict+pool2"
+            KVCCOptions(use_certificate=False, workers=2).describe()
+            == "NS+GS+nocert+pool2"
         )
 
     def test_engine_property(self):
@@ -163,21 +163,23 @@ class TestKVCCOptions:
             maintain_side_vertices=False,
             seed=7,
             tarjan_k2=True,
-            backend="dict",
             workers=8,
         )
         data = opts.to_dict()
-        assert data["workers"] == 8 and data["backend"] == "dict"
+        assert len(data) == 9 and data["workers"] == 8
         assert KVCCOptions.from_dict(data) == opts
 
     def test_from_dict_partial_keeps_defaults(self):
         opts = KVCCOptions.from_dict({"workers": 3})
         assert opts.workers == 3
-        assert opts.backend == "csr" and opts.neighbor_sweep
+        assert opts.use_certificate and opts.neighbor_sweep
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown"):
             KVCCOptions.from_dict({"wrokers": 2})
+        # The graph representation is no longer a choice.
+        with pytest.raises(ValueError, match="backend"):
+            KVCCOptions.from_dict({"backend": "csr"})
 
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError, match="workers"):
@@ -189,7 +191,7 @@ class TestKVCCOptions:
         for opts in (
             KVCCOptions(),
             KVCCOptions(workers=4),
-            KVCCOptions(backend="dict", use_certificate=False, workers=0),
+            KVCCOptions(use_certificate=False, workers=0),
         ):
             clone = KVCCOptions.from_dict(opts.to_dict())
             assert clone.describe() == opts.describe()
