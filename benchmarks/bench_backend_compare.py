@@ -21,12 +21,12 @@ can execute it without extra plugins)::
 
 The kernel bar compares against the committed ``BENCH_baseline.json``
 snapshot (see ``main``); for the parallel engine it is >= 1.5x over
-serial CSR on the
-sharded workload *on machines exposing >= 2 CPUs* (the single-component
-web graph is documented as too serial to benefit - its first GLOBAL-CUT
-dominates the critical path - and on a single-CPU machine the parallel
-rows degrade to an equivalence check plus an overhead measurement and
-are not gated).  Measured numbers are recorded in CHANGES.md.
+serial on the sharded workload *on machines exposing >= 2 CPUs* (the
+single-component web graph is documented as too serial to benefit - its
+first GLOBAL-CUT dominates the critical path - and on a single-CPU
+machine the parallel rows degrade to an equivalence check plus an
+overhead measurement and are not gated).  Measured numbers are recorded
+in CHANGES.md.
 """
 
 from __future__ import annotations

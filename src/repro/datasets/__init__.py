@@ -2,9 +2,10 @@
 
 The paper evaluates on seven SNAP graphs (Table 1).  Those downloads are
 unavailable offline, so :mod:`repro.datasets.registry` provides seeded
-synthetic analogs with matching structural *flavor* (see DESIGN.md for
-the substitution rationale); :mod:`repro.datasets.samplers` implements
-the vertex/edge sampling protocol of the scalability study (Figure 13);
+synthetic analogs with matching structural *flavor* (its module
+docstring gives the substitution rationale);
+:mod:`repro.datasets.samplers` implements the vertex/edge sampling
+protocol of the scalability study (Figure 13);
 :mod:`repro.datasets.mutations` generates deterministic edge-churn
 streams for the dynamic-graph (incremental maintenance) workloads.
 """

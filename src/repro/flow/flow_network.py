@@ -96,27 +96,11 @@ class FlowNetwork:
         #: into their own buffers know when to restart from initial.
         self._version: int = 0
         #: Kernel-owned derived state (adjacency indexes, scratch
-        #: buffers), keyed by kernel name; invalidated by add_arc.
+        #: buffers), keyed by kernel name; built on first use, after
+        #: :func:`build_flow_network` has filled the arena.
         self._kern_state: dict = {}
 
     # ------------------------------------------------------------------
-    def add_arc(self, u: int, v: int, capacity: int) -> int:
-        """Add arc ``u -> v`` with its zero-capacity reverse; return arc id."""
-        if self._kern_state:
-            # Derived layouts index every arc; adding one invalidates
-            # them (and releases any buffer views before the append).
-            self._kern_state.clear()
-        arc_id = len(self.head)
-        self.head.append(v)
-        self.cap.append(capacity)
-        self.initial_cap.append(capacity)
-        self.tails.append(u)
-        self.head.append(u)
-        self.cap.append(0)
-        self.initial_cap.append(0)
-        self.tails.append(v)
-        return arc_id
-
     def push(self, arc_id: int, amount: int) -> None:
         """Send ``amount`` units along ``arc_id`` (updates the reverse arc)."""
         self.cap[arc_id] -= amount

@@ -13,7 +13,8 @@ These are the plumbing for almost everything else:
 All traversals are iterative (no recursion) so graph size is bounded by
 memory, not the CPython recursion limit.
 
-Every function accepts either the dict-backend :class:`Graph` or a CSR
+Every function accepts either a labeled :class:`Graph` (the brute-force
+oracle and the baselines run on those) or a CSR
 :class:`~repro.graph.csr.SubgraphView`; the view paths run tight loops
 straight over the base's ``indptr`` / ``indices`` arrays and the byte
 mask, avoiding per-vertex set allocations entirely.
@@ -180,7 +181,7 @@ def _components_view(
 
 def _bfs_distances_view(view: SubgraphView, source: int) -> Dict[int, int]:
     """Hop distances over a view; returns the same dict shape as the
-    generic path so farthest-first ordering works on either backend."""
+    generic path, which farthest-first ordering consumes."""
     rows, mask = view.base.rows, view.mask
     dist: Dict[int, int] = {source: 0}
     queue = [source]

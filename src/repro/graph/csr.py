@@ -284,7 +284,7 @@ class CSRGraph:
     # ------------------------------------------------------------------
     @classmethod
     def from_graph(cls, graph: Graph) -> "CSRGraph":
-        """Convert a dict-backend :class:`Graph`, interning its labels.
+        """Convert a labeled :class:`Graph`, interning its labels.
 
         Rows are translated to ids in one flat pass; the per-row
         ascending sort runs through the kernel seam (the numpy kernel
@@ -609,7 +609,8 @@ class SubgraphView:
 
     def min_degree_vertex(self) -> int:
         """An active vertex of minimum degree (ties: smallest id, which
-        matches the dict backend's insertion-order tie-break)."""
+        is the first-interned label, just as :meth:`Graph.min_degree_vertex`
+        picks the first vertex in iteration order)."""
         deg = self.deg
         best = -1
         best_deg = -1
@@ -690,7 +691,7 @@ class SubgraphView:
         """An independent labeled :class:`Graph` of the active subgraph.
 
         This is the only point where the CSR pipeline allocates
-        dict-backend adjacency; KVCC-ENUM calls it once per *returned*
+        dict-of-sets adjacency; KVCC-ENUM calls it once per *returned*
         k-VCC, never per worklist item.
         """
         return self.base.materialize_members(self.active_list())

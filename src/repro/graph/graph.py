@@ -266,7 +266,7 @@ class Graph:
 
     @classmethod
     def from_csr(cls, csr) -> "Graph":
-        """Rebuild a mutable dict-backend graph from a CSR graph or view."""
+        """Rebuild a mutable labeled graph from a CSR graph or view."""
         from repro.graph.csr import CSRGraph, SubgraphView
 
         if isinstance(csr, SubgraphView):

@@ -331,9 +331,9 @@ class HierarchyIndex:
         Parameters
         ----------
         hierarchy:
-            Output of :func:`~repro.core.hierarchy.build_hierarchy`
-            (either backend).  Nodes must be stored level by level,
-            which both construction paths guarantee.
+            Output of :func:`~repro.core.hierarchy.build_hierarchy` or
+            :func:`~repro.core.hierarchy.build_hierarchy_csr`.  Nodes
+            must be stored level by level, which both guarantee.
         interner:
             Label-to-id mapping to index under; pass the CSR base's
             interner so the index covers *all* graph vertices

@@ -64,9 +64,9 @@ def flow_arcs_from_lists(net, rows, verts, k: int) -> None:
 def _fill_arcs(net, rows, verts, k: int, masked: bool) -> None:
     """Append internal arcs then adjacency arc quads (flat arrays only).
 
-    Layout is identical to repeated ``add_arc`` calls: internal arc of
-    vertex index ``i`` at ids ``2i``/``2i+1``, then one quad per
-    undirected edge in (vertex order, row order).  ``masked=True`` skips
+    Layout: internal arc of vertex index ``i`` at ids ``2i``/``2i+1``,
+    then one quad per undirected edge in (vertex order, row order), each
+    arc followed by its zero-capacity reverse.  ``masked=True`` skips
     row entries whose ``to_index`` is -1 (inactive in the view).
     """
     lookup = net.to_index

@@ -94,18 +94,15 @@ def _framing(head: bytes) -> Tuple[int, bool, Optional[Tuple[int, str]]]:
     headers: Dict[bytes, List[bytes]] = {}
     for line in lines[1:]:
         name, _, value = line.partition(b":")
-        headers.setdefault(name.strip().lower(), []).append(
-            value.strip().lower()
-        )
+        headers.setdefault(name.strip().lower(), []).append(value.strip().lower())
     connection = b",".join(headers.get(b"connection", []))
     if lines[0].rstrip().endswith(b"HTTP/1.0"):
         keep_alive = b"keep-alive" in connection
     else:
         keep_alive = b"close" not in connection
     if b"transfer-encoding" in headers:
-        return 0, False, (
-            411, "Transfer-Encoding is not supported; send Content-Length"
-        )
+        error = (411, "Transfer-Encoding is not supported; send Content-Length")
+        return 0, False, error
     lengths = set(headers.get(b"content-length", [b"0"]))
     if len(lengths) > 1:
         return 0, False, (400, "conflicting Content-Length headers")

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.connectivity_api import local_connectivity
 from repro.flow.dinic import max_flow_min_k
-from repro.flow.flow_network import FlowNetwork, build_flow_network
+from repro.flow.flow_network import build_flow_network
 from repro.flow.min_cut import local_vertex_cut
 from repro.graph.connectivity import shortest_path_length
 from repro.graph.generators import complete_graph, cycle_graph
@@ -64,8 +64,8 @@ class TestConstruction:
         assert list(net.cap) == before
 
     def test_push_tracks_reverse(self):
-        net = FlowNetwork(2)
-        arc = net.add_arc(0, 1, 3)
+        net = build_flow_network(as_view(Graph([(0, 1)])), 3)
+        arc = net.initial_cap.index(3)  # an adjacency arc (capacity k)
         net.push(arc, 2)
         assert net.cap[arc] == 1
         assert net.cap[arc ^ 1] == 2
