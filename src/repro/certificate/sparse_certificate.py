@@ -32,7 +32,8 @@ class SparseCertificate:
     ----------
     graph:
         The certificate subgraph ``(V, E_1 ∪ ... ∪ E_k)`` as an
-        :class:`~repro.graph.csr.IntAdjacency` over the base id space.
+        :class:`~repro.graph.csr.IntAdjacency` with rows for the view's
+        members, keyed by base id.
     forests:
         The k scan-first forests, in extraction order (``forests[-1]`` is
         ``F_k``).
@@ -63,7 +64,11 @@ def sparse_certificate(view: SubgraphView, k: int) -> SparseCertificate:
 
     Runs k scan-first searches, each excluding all previously extracted
     forest edges, and unions the forests (Theorem 5) in O(k (n + m))
-    time.  For graphs that are already sparse (``m <= k (n - 1)``) the
+    time, where ``n`` and ``m`` count the view's *active* vertices and
+    edges: no step creates a Python object per base vertex (only
+    C-level base-length fills such as a ``bytearray`` mask), so a small
+    view of a large base costs what the same view would cost alone.
+    For graphs that are already sparse (``m <= k (n - 1)``) the
     construction still runs - the forests are needed for side-groups -
     but the certificate may equal the input graph.
 
@@ -73,8 +78,9 @@ def sparse_certificate(view: SubgraphView, k: int) -> SparseCertificate:
     kernel a level-synchronous vectorized equivalent; both return
     identical forests, edge for edge, and identical adjacency rows,
     in identical order.  The certificate comes back as an
-    :class:`IntAdjacency` in the base id space, ready for the integer
-    flow-network builder and the sweep machinery.
+    :class:`IntAdjacency` with rows for the view's members only, in
+    base ids, ready for the integer flow-network builder and the sweep
+    machinery.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")

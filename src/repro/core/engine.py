@@ -85,10 +85,12 @@ def expand_work_item(
     """
     strong: Optional[Set[int]] = None
     if options.side_vertices_enabled:
+        t0 = time.perf_counter()
         if inherited is not None:
             strong = inherited | strong_side_vertices(sub, k, recheck)
         else:
             strong = strong_side_vertices(sub, k)
+        stats.add_stage("side_vertex", time.perf_counter() - t0)
 
     cut = global_cut(sub, k, options, stats, precomputed_strong=strong)
     if cut is None:
@@ -100,10 +102,14 @@ def expand_work_item(
         options.side_vertices_enabled and options.maintain_side_vertices
     )
     children: List[WorkItem] = []
-    for part in overlap_partition(sub, cut):
+    t0 = time.perf_counter()
+    parts = overlap_partition(sub, cut)
+    stats.add_stage("partition", time.perf_counter() - t0)
+    for part in parts:
         t0 = time.perf_counter()
         peel_in_place(part, k)
-        stats.add_stage("peel", time.perf_counter() - t0)
+        t1 = time.perf_counter()
+        stats.add_stage("peel", t1 - t0)
         for comp in connected_components(part):
             if len(comp) <= k:
                 continue
@@ -113,6 +119,7 @@ def expand_work_item(
                 children.append((child, inh, re))
             else:
                 children.append((child, None, None))
+        stats.add_stage("partition", time.perf_counter() - t1)
     return children
 
 
@@ -127,13 +134,16 @@ def root_work_items(
     """
     t0 = time.perf_counter()
     removed = peel_in_place(work, k)
-    stats.add_stage("peel", time.perf_counter() - t0)
+    t1 = time.perf_counter()
+    stats.add_stage("peel", t1 - t0)
     stats.kcore_removed_vertices += len(removed)
-    return [
+    roots = [
         work.restrict(comp)
         for comp in connected_components(work)
         if len(comp) > k
     ]
+    stats.add_stage("partition", time.perf_counter() - t1)
+    return roots
 
 
 def _finalize_leaf(sub: SubgraphView, materialize: bool):
@@ -180,7 +190,13 @@ class SerialEngine:
         ``materialize=False`` returns each k-VCC as its member list
         instead of a materialized :class:`Graph` (see
         :func:`_finalize_leaf`).
+
+        The run's wall time not covered by a stage row is added to the
+        ``other`` row, so this run's stage rows sum to its
+        ``elapsed_seconds``.
         """
+        elapsed0 = stats.elapsed_seconds
+        staged0 = sum(stats.stage_seconds.values())
         with Timer(stats):
             out: List[list] = []
             for work in works:
@@ -209,6 +225,8 @@ class SerialEngine:
                         stats.peak_resident_vertices, resident
                     )
                 out.append(result)
+        staged = sum(stats.stage_seconds.values()) - staged0
+        stats.add_stage("other", stats.elapsed_seconds - elapsed0 - staged)
         return out
 
 

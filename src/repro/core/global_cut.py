@@ -130,18 +130,24 @@ def _global_cut_once(
     else:
         cert = None
         work = graph
+    t0 = time.perf_counter()
     net = build_flow_network(work, k)
+    stats.add_stage("flow_build", time.perf_counter() - t0)
 
     # --- Algorithm 3, line 1 (side-groups) and line 3 (side-vertices) --
     groups: List[Set[int]] = []
     if options.group_sweep and cert is not None:
+        t0 = time.perf_counter()
         groups = side_groups_from_forest(cert, k)
+        stats.add_stage("side_groups", time.perf_counter() - t0)
     strong: Set[int] = set()
     if options.side_vertices_enabled:
         if precomputed_strong is not None:
             strong = {v for v in precomputed_strong if v in graph}
         else:
+            t0 = time.perf_counter()
             strong = strong_side_vertices(graph, k)
+            stats.add_stage("side_vertex", time.perf_counter() - t0)
 
     # --- Algorithm 3, lines 4-7: source selection -----------------------
     if strong and options.source_strong_side_vertex:

@@ -31,6 +31,23 @@ PRUNE_GS = "gs"  # group sweep (rules 1 and 2)
 PRUNE_SOURCE = "source"  # the source vertex itself
 TESTED = "tested"  # reached LOC-CUT
 
+#: The :attr:`RunStats.stage_seconds` rows, in pipeline order:
+#: k-core peeling; the strong side-vertex scan (Theorem 8); the sparse
+#: certificate; side-group extraction from ``F_k``; the flow-network
+#: build; LOC-CUT max-flow tests; overlap partition plus the component
+#: split, ``restrict`` and side-vertex inheritance of its parts; and
+#: ``other``, the serial engine's remainder.
+STAGES = (
+    "peel",
+    "side_vertex",
+    "certificate",
+    "side_groups",
+    "flow_build",
+    "flow",
+    "partition",
+    "other",
+)
+
 
 @dataclass
 class RunStats:
@@ -73,10 +90,14 @@ class RunStats:
     #: :attr:`elapsed_seconds` - never part of the equivalence counters.
     peak_rss_bytes: int = 0
     elapsed_seconds: float = 0.0
-    #: Wall-clock seconds per pipeline stage (``peel`` / ``certificate``
-    #: / ``flow``), accumulated at the call sites of the corresponding
-    #: kernels.  Execution artifacts like :attr:`elapsed_seconds` - they
-    #: feed the benchmark reports, never the equivalence comparisons.
+    #: Wall-clock seconds per pipeline stage, accumulated at the call
+    #: sites of the corresponding steps (see :data:`STAGES`).  Under the
+    #: serial engine every run adds the wall time no other row covers
+    #: to ``other``, so the rows sum to :attr:`elapsed_seconds`.  Under
+    #: the process-pool engine the rows are *summed worker time*, which
+    #: can exceed the wall time, and there is no ``other`` row.
+    #: Execution artifacts like :attr:`elapsed_seconds` - they feed the
+    #: benchmark reports, never the equivalence comparisons.
     stage_seconds: Dict[str, float] = field(default_factory=dict)
 
     #: Counters that are deterministic properties of (graph, k, options)

@@ -168,7 +168,7 @@ def build_flow_network(
         kernels.select().flow_arcs_from_view(net, graph, k)
         return net
     verts = list(graph.verts)
-    net = _dense_skeleton(verts, len(graph.adj))
+    net = _dense_skeleton(verts, graph.n)
     kernels.select().flow_arcs_from_lists(net, graph.adj, verts, k)
     return net
 
@@ -177,8 +177,9 @@ def _dense_skeleton(verts: List[int], n_base: int) -> FlowNetwork:
     """An arc-less network over ``verts`` with a dense list ``to_index``.
 
     Compact node ids come from indexing a dense list by base id, with
-    no hashing.  The kernel arc builders fill the arena (internal arcs
-    included).
+    no hashing.  The list is a C-level ``[-1] * n_base`` fill; only the
+    members' entries are written.  The kernel arc builders fill the
+    arena (internal arcs included).
     """
     net = FlowNetwork(2 * len(verts))
     net.to_vertex = verts

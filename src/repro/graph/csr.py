@@ -18,9 +18,17 @@ the compact alternative every interior layer runs on:
   restriction (no adjacency is copied), k-core peeling mutates the mask
   and degrees in place, and :meth:`SubgraphView.materialize` converts the
   final survivors - and only those - back into labeled ``Graph`` objects;
-* :class:`IntAdjacency` is a small mutable adjacency-list graph over the
-  base's id space, used for derived sparse structures (the sparse
-  certificate) that the CSR base cannot represent immutably.
+* :class:`IntAdjacency` is a small mutable adjacency-list graph on a
+  subset of the base's id space, used for derived sparse structures
+  (the sparse certificate) that the CSR base cannot represent
+  immutably.  It holds rows for its members only.
+
+Cost rule: a view or certificate creates Python objects in proportion
+to its *active* vertices and edges, never to the base.  Only C-level
+fills (``bytearray(n)``, ``[0] * n``, ``np.full(n, -1)``) scale with
+``base.n``: they cost microseconds and create no per-element objects.
+The recursion pushes many small views over one large base, so a
+per-base-vertex object in any step would dominate it.
 
 ``Graph`` remains the mutable construction/API type;
 ``Graph.to_csr()`` / ``Graph.from_csr()`` convert at the boundary.
@@ -717,18 +725,23 @@ def _rebuild_view(base: CSRGraph, mask: bytes) -> SubgraphView:
 
 
 class IntAdjacency:
-    """Mutable adjacency-list graph over a CSR base's integer id space.
+    """Mutable adjacency-list graph over a subset of a CSR base's ids.
 
     Backs derived sparse structures - the sparse certificate in the CSR
-    pipeline - whose edge sets differ from the base's.  Rows are plain
-    ``list``s indexed by base id; only the listed ``verts`` are part of
-    the graph (other rows stay empty).
+    pipeline - whose edge sets differ from the base's.  Rows exist for
+    the member ids ``verts`` only (``adj`` is a dict keyed by member id,
+    in member order), so building one costs O(members) however large
+    the base is; ``n`` records the base size for callers that index
+    base-length arrays (the flow-network builder).  Non-members answer
+    like isolated vertices: degree 0, no neighbors, no edges, not
+    contained.
     """
 
-    __slots__ = ("adj", "verts", "_m")
+    __slots__ = ("n", "adj", "verts", "_m")
 
     def __init__(self, n: int, verts: List[int]) -> None:
-        self.adj: List[List[int]] = [[] for _ in range(n)]
+        self.n = n
+        self.adj: Dict[int, List[int]] = {v: [] for v in verts}
         self.verts = verts
         self._m = 0
 
@@ -741,32 +754,41 @@ class IntAdjacency:
         return self._m
 
     def add_edge(self, u: int, v: int) -> None:
-        """Append the undirected edge (no duplicate check; callers add
-        forest edges, which are unique by construction)."""
+        """Append the undirected edge between two members (no duplicate
+        check; callers add forest edges, which are unique by
+        construction)."""
         self.adj[u].append(v)
         self.adj[v].append(u)
         self._m += 1
+
+    def add_edges(self, edges: Sequence[Tuple[int, int]]) -> None:
+        """:meth:`add_edge` for each edge of ``edges``, in order."""
+        adj = self.adj
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        self._m += len(edges)
 
     def vertices(self) -> Iterator[int]:
         """The member ids, in construction order."""
         return iter(self.verts)
 
     def degree(self, v: int) -> int:
-        """Degree of ``v`` (row length)."""
-        return len(self.adj[v])
+        """Degree of ``v`` (row length; 0 for non-members)."""
+        return len(self.adj.get(v, ()))
 
     def neighbors(self, v: int) -> List[int]:
-        """The live row list; callers must not mutate it."""
-        return self.adj[v]
+        """The live row list (callers must not mutate it); a fresh
+        empty list for non-members."""
+        row = self.adj.get(v)
+        return [] if row is None else row
 
     def has_edge(self, u: int, v: int) -> bool:
         """Edge query by linear row scan (rows are forest-sparse)."""
-        return v in self.adj[u]
+        return v in self.adj.get(u, ())
 
     def __contains__(self, v: object) -> bool:
-        return isinstance(v, int) and 0 <= v < len(self.adj) and (
-            bool(self.adj[v]) or v in self.verts
-        )
+        return isinstance(v, int) and v in self.adj
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"IntAdjacency(n={len(self.verts)}, m={self._m})"

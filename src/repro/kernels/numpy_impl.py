@@ -11,7 +11,12 @@ degrees - but the batchable loops run as array programs:
   position-space mirrors of the head and capacity arrays;
 * k-core peeling processes whole frontiers per round with
   ``unique(return_counts=True)`` degree decrements;
-* active-degree recounts are gather + ``reduceat`` one-liners.
+* active-degree recounts are a row gather plus a ``bincount``.
+
+Every kernel here gathers from and scatters to the view's active ids
+only: base-length buffers are C-level fills (``np.full``,
+``bytearray``, ``[0] * n``), never per-element Python objects, so a
+step over a small view of a large base costs O(view).
 
 The blocking-flow DFS stays a scalar Python walk in both kernels (its
 path-at-a-time control flow does not batch), but here it runs over the
@@ -39,6 +44,7 @@ so flow values, pushes, and residual states still agree exactly.
 from __future__ import annotations
 
 from array import array
+from itertools import chain
 from typing import List, Set
 
 import numpy as np
@@ -186,9 +192,8 @@ def flow_arcs_from_view(net, view, k: int) -> None:
     indptr, indices = _base_np(base)
     mask_np = np.frombuffer(view.mask, dtype=np.uint8)
     verts = np.asarray(view.active_list(), dtype=np.int64)
-    lookup = np.full(base.n, -1, dtype=np.int64)
+    lookup = _index_lookup(base.n, verts)
     if verts.size:
-        lookup[verts] = np.arange(verts.size, dtype=np.int64)
         starts = indptr[verts]
         counts = indptr[verts + 1] - starts
         pos = _ranges(starts, counts)
@@ -202,19 +207,35 @@ def flow_arcs_from_view(net, view, k: int) -> None:
 
 
 def flow_arcs_from_lists(net, rows, verts, k: int) -> None:
-    """Fill ``net``'s arc arena from integer adjacency lists (certificate)."""
+    """Fill ``net``'s arc arena from integer adjacency lists (certificate).
+
+    ``rows`` maps each of ``verts`` to its row; only those rows are read.
+    """
     vn = len(verts)
-    lens = np.fromiter(
-        (len(rows[v]) for v in verts), dtype=np.int64, count=vn
-    )
-    total = int(lens.sum())
+    member_rows = list(map(rows.__getitem__, verts))
+    lens = np.fromiter(map(len, member_rows), dtype=np.int64, count=vn)
     flat = np.fromiter(
-        (w for v in verts for w in rows[v]), dtype=np.int64, count=total
+        chain.from_iterable(member_rows), dtype=np.int64,
+        count=int(lens.sum()),
     )
-    src = np.repeat(np.asarray(verts, dtype=np.int64), lens)
+    verts_np = np.asarray(verts, dtype=np.int64)
+    src = np.repeat(verts_np, lens)
     keep = flat > src
-    lookup = np.asarray(net.to_index, dtype=np.int64)
+    # ``to_index`` is the skeleton's base-length list; its length is the
+    # base size the compact lookup needs.
+    lookup = _index_lookup(len(net.to_index), verts_np)
     _emit_arcs(net, lookup, src[keep], flat[keep], vn, k)
+
+
+def _index_lookup(n: int, verts):
+    """Base id -> position in ``verts`` (-1 elsewhere), as an int64 array.
+
+    A C-level fill of the base length plus a scatter over ``verts``:
+    no per-base-vertex Python object is created.
+    """
+    lookup = np.full(n, -1, dtype=np.int64)
+    lookup[verts] = np.arange(verts.size, dtype=np.int64)
+    return lookup
 
 
 def _emit_arcs(net, lookup, sv, tv, n: int, k: int) -> None:
@@ -438,11 +459,20 @@ def peel(view, k: int) -> Set[int]:
     base = view.base
     indptr, indices = _base_np(base)
     mask_np = np.frombuffer(view.mask, dtype=np.uint8)
-    deg_np = np.asarray(view.deg, dtype=np.int64)
-    cand = np.asarray(view.active_list(), dtype=np.int64)
-    frontier = cand[deg_np[cand] < k] if cand.size else cand
+    deg = view.deg
+    cand_list = view.active_list()
+    cand = np.asarray(cand_list, dtype=np.int64)
+    cand_deg = np.fromiter(
+        map(deg.__getitem__, cand_list), dtype=np.int64,
+        count=len(cand_list),
+    )
+    frontier = cand[cand_deg < k]
     if frontier.size == 0:
         return set()
+    # Base-indexed scratch: a C-level fill, then only active ids are
+    # gathered in and scattered back out.
+    deg_np = np.zeros(base.n, dtype=np.int64)
+    deg_np[cand] = cand_deg
     removed_parts = []
     while frontier.size:
         mask_np[frontier] = 0
@@ -461,10 +491,10 @@ def peel(view, k: int) -> Set[int]:
         deg_np[vals] = new_deg
         frontier = vals[new_deg < k]
     removed = np.concatenate(removed_parts)
-    view.deg = deg_np.tolist()
+    for v, d in zip(cand_list, deg_np[cand].tolist()):
+        deg[v] = d
     view._n_active -= int(removed.size)
-    if view._verts is not None:
-        view._verts = np.flatnonzero(mask_np).tolist()
+    view._verts = cand[mask_np[cand] != 0].tolist()
     return set(removed.tolist())
 
 
@@ -476,36 +506,35 @@ def active_ids(mask) -> List[int]:
 def active_degrees(base, mask, members) -> List[int]:
     """Active-degree array (full base length) for the ``members`` ids.
 
-    Row gather + masked ``reduceat`` per-segment sums.  The mask bytes
-    are widened to int32 before summing (uint8 sums would wrap at
-    degree 256).
+    Row gather + ``bincount`` of the active slots' owners; the base-length
+    list is a C-level fill, and only the members' counts are scattered
+    into it.
     """
     indptr, indices = _base_np(base)
     mask_np = np.frombuffer(mask, dtype=np.uint8)
-    deg = np.zeros(base.n, dtype=np.int64)
+    deg = [0] * base.n
     mem = np.asarray(members, dtype=np.int64)
     if mem.size:
         starts = indptr[mem]
         counts = indptr[mem + 1] - starts
-        nz = counts > 0
-        mem_nz = mem[nz]
-        if mem_nz.size:
-            counts_nz = counts[nz]
-            pos = _ranges(starts[nz], counts_nz)
-            act = (mask_np[indices[pos]] != 0).astype(np.int32)
-            offsets = np.zeros(counts_nz.size, dtype=np.int64)
-            np.cumsum(counts_nz[:-1], out=offsets[1:])
-            deg[mem_nz] = np.add.reduceat(act, offsets)
-    return deg.tolist()
+        owner = np.repeat(np.arange(mem.size, dtype=np.int64), counts)
+        act = mask_np[indices[_ranges(starts, counts)]] != 0
+        sums = np.bincount(owner[act], minlength=mem.size)
+        for v, d in zip(mem.tolist(), sums.tolist()):
+            deg[v] = d
+    return deg
 
 
 def scan_first_forests(view, k: int):
     """``k`` successive scan-first forests of a CSR view, vectorized.
 
-    Compacts the view's active adjacency into flat arrays once, maps
-    every directed slot to an undirected edge id (so consuming a forest
-    edge is one scatter instead of a reverse-slot binary search), and
-    extracts each forest with a level-synchronous BFS.
+    Compacts the view's active adjacency into flat arrays once, in
+    *local* ids (positions in the ascending active list, so every
+    buffer is view-sized and local order is base-id order), maps every
+    directed slot to an undirected edge id (so consuming a forest edge
+    is one scatter instead of a reverse-slot binary search), and
+    extracts each forest with a level-synchronous BFS.  Forest edges
+    come back in base ids.
 
     Edge-for-edge parity with the python kernel's FIFO scan: a queue is
     level-ordered, so processing one whole level at a time visits the
@@ -516,65 +545,46 @@ def scan_first_forests(view, k: int):
     restores the order in which the FIFO scan would have appended them,
     both as forest edges and as the next level's queue segment.
     """
-    base = view.base
-    n = base.n
-    indptr, indices = _base_np(base)
+    indptr, indices = _base_np(view.base)
     mask_np = np.frombuffer(view.mask, dtype=np.uint8)
     verts_list = view.active_list()
+    vn = len(verts_list)
+    if vn == 0:
+        return [[]]
     verts = np.asarray(verts_list, dtype=np.int64)
-    forests: list = []
-    if verts.size == 0:
-        forests.append([])
-        return forests
     starts = indptr[verts]
     counts = indptr[verts + 1] - starts
-    nz = counts > 0
-    vs = verts[nz]
-    cs = counts[nz]
-    alen = np.zeros(n, dtype=np.int64)
-    aptr = np.zeros(n, dtype=np.int64)
-    if vs.size:
-        pos = _ranges(starts[nz], cs)
-        tgt = indices[pos].astype(np.int64, copy=False)
-        keep = mask_np[tgt] != 0
-        offsets = np.zeros(cs.size, dtype=np.int64)
-        np.cumsum(cs[:-1], out=offsets[1:])
-        acnt = np.add.reduceat(keep.astype(np.int32), offsets).astype(
-            np.int64
-        )
-        aflat = tgt[keep]
-        alen[vs] = acnt
-        row_starts = np.zeros(acnt.size, dtype=np.int64)
-        np.cumsum(acnt[:-1], out=row_starts[1:])
-        aptr[vs] = row_starts
-        slot_owner = np.repeat(vs, acnt)
-        lo = np.minimum(slot_owner, aflat)
-        hi = np.maximum(slot_owner, aflat)
-        uniq_keys, slot_eid = np.unique(lo * n + hi, return_inverse=True)
-        used_b = bytearray(uniq_keys.size)
-    else:
-        aflat = np.empty(0, dtype=np.int64)
-        slot_owner = np.empty(0, dtype=np.int64)
-        slot_eid = np.empty(0, dtype=np.int64)
-        used_b = bytearray()
+    tgt = indices[_ranges(starts, counts)].astype(np.int64, copy=False)
+    keep = mask_np[tgt] != 0
+    slot_owner = np.repeat(np.arange(vn, dtype=np.int64), counts)[keep]
+    # Rows are sorted by base id, and local ids preserve that order.
+    aflat = np.searchsorted(verts, tgt[keep])
+    alen = np.bincount(slot_owner, minlength=vn)
+    aptr = np.zeros(vn, dtype=np.int64)
+    np.cumsum(alen[:-1], out=aptr[1:])
+    lo = np.minimum(slot_owner, aflat)
+    hi = np.maximum(slot_owner, aflat)
+    uniq_keys, slot_eid = np.unique(lo * vn + hi, return_inverse=True)
     # ``used`` is shared storage (bytearray + zero-copy view): the
     # scalar small-frontier path indexes the bytes, the vectorized path
     # scatters through the view, and both see each other's writes.
+    used_b = bytearray(uniq_keys.size)
     used = np.frombuffer(used_b, dtype=np.uint8)
     layout = (
-        n, aptr, alen, aflat, slot_owner, slot_eid, used,
+        verts, verts_list, aptr, alen, aflat, slot_owner, slot_eid, used,
         aptr.tolist(), alen.tolist(), aflat.tolist(),
         slot_eid.tolist(), used_b,
     )
+    forests: list = []
     for _ in range(k):
-        forest = _scan_first_pass(verts_list, layout)
+        forest = _scan_first_pass(layout)
         forests.append(forest)
         if not forest:
             break
     return forests
 
 
-def _scan_first_pass(verts_list, layout):
+def _scan_first_pass(layout):
     """One scan-first forest over the compacted layout (one BFS/root).
 
     Frontiers of a handful of vertices (every root's first level, and
@@ -587,13 +597,14 @@ def _scan_first_pass(verts_list, layout):
     slot gather; only the surviving (frontier-sized) selection gets
     argsorted to restore queue order.
     """
-    (n, aptr, alen, aflat, slot_owner, slot_eid, used,
+    (verts, verts_list, aptr, alen, aflat, slot_owner, slot_eid, used,
      aptr_l, alen_l, aflat_l, eid_l, used_b) = layout
-    mb = bytearray(n)  # shared storage: scalar tests + vector scatters
+    vn = len(verts_list)
+    mb = bytearray(vn)  # shared storage: scalar tests + vector scatters
     marked = np.frombuffer(mb, dtype=np.uint8)
-    firstpos = np.empty(n, dtype=np.int64)
+    firstpos = np.empty(vn, dtype=np.int64)
     forest: list = []
-    for root in verts_list:
+    for root in range(vn):
         if mb[root]:
             continue
         mb[root] = 1
@@ -603,13 +614,14 @@ def _scan_first_pass(verts_list, layout):
                 nxt: list = []
                 for u in frontier:
                     a = aptr_l[u]
+                    bu = verts_list[u]
                     for s in range(a, a + alen_l[u]):
                         t = aflat_l[s]
                         if mb[t] or used_b[eid_l[s]]:
                             continue
                         mb[t] = 1
                         used_b[eid_l[s]] = 1
-                        forest.append((u, t))
+                        forest.append((bu, verts_list[t]))
                         nxt.append(t)
                 frontier = nxt
                 continue
@@ -629,7 +641,7 @@ def _scan_first_pass(verts_list, layout):
             # slot offsets are not ordered by queue position.
             idx = np.arange(vt.size, dtype=np.int64)
             firstpos[vt[::-1]] = idx[::-1]
-            hit = np.zeros(n, dtype=bool)
+            hit = np.zeros(vn, dtype=bool)
             hit[vt] = True
             w_ids = np.flatnonzero(hit)  # distinct new vertices, by id
             first_idx = firstpos[w_ids]
@@ -639,7 +651,9 @@ def _scan_first_pass(verts_list, layout):
             used[slot_eid[sel_slots]] = 1
             marked[w_new] = 1
             u_new = slot_owner[sel_slots]
-            forest.extend(zip(u_new.tolist(), w_new.tolist()))
+            forest.extend(
+                zip(verts[u_new].tolist(), verts[w_new].tolist())
+            )
             frontier = w_new.tolist()
     return forest
 

@@ -332,10 +332,8 @@ def fill_forest_adjacency(cert, forests) -> None:
     both endpoint rows at the moment it streams by, so ``adj[x]`` lists
     x's forest partners in global edge-stream order.
     """
-    add = cert.add_edge
     for forest in forests:
-        for u, v in forest:
-            add(u, v)
+        cert.add_edges(forest)
 
 
 def sort_segments(indptr, flat) -> array:

@@ -1,14 +1,20 @@
 """Tests for GLOBAL-CUT / GLOBAL-CUT* (cut existence and validity)."""
 
+import tracemalloc
+from array import array
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.kernels as kernels
+from repro.certificate.sparse_certificate import sparse_certificate
 from repro.core.global_cut import global_cut
 from repro.core.options import KVCCOptions
 from repro.core.stats import RunStats
 from repro.core.variants import VARIANTS
 from repro.graph.connectivity import is_vertex_cut
+from repro.graph.csr import CSRGraph
 from repro.graph.generators import (
     complete_graph,
     cycle_graph,
@@ -120,3 +126,86 @@ def test_returned_cut_is_always_valid(seed, k):
         assert nx.node_connectivity(g.to_networkx()) >= min(
             k, g.num_vertices - 1
         )
+
+
+# ----------------------------------------------------------------------
+# Cost contract: a GLOBAL-CUT step over a view costs O(view), not O(base)
+# ----------------------------------------------------------------------
+CLIQUE = 12
+SMALL_PAD, LARGE_PAD = 20_000, 200_000
+
+#: Allowed growth of one call's tracemalloc peak per extra base vertex.
+#: Base-length C-level fills (byte masks, ``[-1] * n`` lists, int64
+#: ``np.full`` lookups) may scale with the base: a few of them alive at
+#: once stay under 32 bytes per vertex.  Any per-base-vertex Python
+#: object breaks it - an empty certificate row alone is a 56-byte list
+#: plus its 8-byte slot.
+BYTES_PER_BASE_VERTEX = 32
+
+
+def padded_clique_view(pad: int):
+    """A ``CLIQUE``-vertex clique spread over a base padded with ``pad``
+    isolated vertices, as a view of just the clique."""
+    n = CLIQUE + pad
+    members = [i * (n // CLIQUE) for i in range(CLIQUE)]
+    member_set = set(members)
+    indptr = array("l", [0]) * (n + 1)
+    total = 0
+    for v in range(n):
+        if v in member_set:
+            total += CLIQUE - 1
+        indptr[v + 1] = total
+    indices = array("l")
+    for v in members:
+        indices.extend(w for w in members if w != v)
+    return CSRGraph(n, indptr, indices).view_from_members(members)
+
+
+@pytest.fixture(scope="module")
+def padded_views():
+    return padded_clique_view(SMALL_PAD), padded_clique_view(LARGE_PAD)
+
+
+def global_cut_peak_bytes(view, k: int) -> int:
+    """tracemalloc peak of one ``global_cut`` call on ``view``."""
+    # Warm the base's lazily built, shared row caches first: they are
+    # built once per base, not per step.
+    assert global_cut(view, k) is None
+    tracemalloc.start()
+    try:
+        assert global_cut(view, k) is None
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kernel", kernels.available())
+class TestViewSizedCost:
+    def test_certificate_rows_are_member_only(self, padded_views, kernel):
+        _, view = padded_views
+        members = view.active_list()
+        with kernels.use(kernel):
+            for k in (3, 4, 5):
+                cert = sparse_certificate(view, k).graph
+                assert list(cert.adj) == members
+                assert cert.n == view.base.n
+                assert all(cert.degree(v) >= k for v in members)
+                for v in (members[0] + 1, members[-1] + 1, 1):
+                    assert v not in view
+                    assert v not in cert
+                    assert cert.degree(v) == 0
+                    assert cert.neighbors(v) == []
+                    assert not cert.has_edge(v, members[0])
+                    assert not cert.has_edge(members[0], v)
+
+    def test_global_cut_peak_does_not_grow_with_base(
+        self, padded_views, kernel
+    ):
+        small, large = padded_views
+        with kernels.use(kernel):
+            for k in (3, 4, 5):
+                growth = global_cut_peak_bytes(
+                    large, k
+                ) - global_cut_peak_bytes(small, k)
+                per_vertex = growth / (LARGE_PAD - SMALL_PAD)
+                assert per_vertex < BYTES_PER_BASE_VERTEX, (k, per_vertex)

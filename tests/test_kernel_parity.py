@@ -45,6 +45,19 @@ GRAPH_ARGS = dict(
     k=st.integers(min_value=2, max_value=5),
 )
 
+#: ``GRAPH_ARGS`` plus a view stride: 1 is the full view, ``s > 1``
+#: drops every ``s``-th base id, so kernels also see a view that is a
+#: strict subset of its base.
+VIEW_ARGS = dict(GRAPH_ARGS, stride=st.integers(min_value=1, max_value=4))
+
+
+def strided_view(g, stride: int):
+    """A view of ``g``'s CSR base on the ids kept by ``stride``."""
+    base = CSRGraph.from_graph(g)
+    return base.view_from_members(
+        v for v in range(base.n) if stride == 1 or v % stride
+    )
+
 
 def per_kernel(fn):
     """Run ``fn(kernel_name)`` under each kernel; returns its results."""
@@ -105,12 +118,12 @@ class TestFlowParity:
 @requires_numpy
 class TestViewKernelParity:
     @settings(max_examples=25, deadline=None)
-    @given(**GRAPH_ARGS)
-    def test_peel_mask_degrees_and_active_ids(self, n, p, seed, k):
+    @given(**VIEW_ARGS)
+    def test_peel_mask_degrees_and_active_ids(self, n, p, seed, k, stride):
         g = random_connected_graph(n, p, seed)
 
         def run(_name):
-            view = CSRGraph.from_graph(g).full_view()
+            view = strided_view(g, stride)
             removed = view.peel(k)
             kern = kernels.select()
             # deg entries of removed vertices are unobservable scratch
@@ -133,12 +146,12 @@ class TestViewKernelParity:
         assert py == np_
 
     @settings(max_examples=25, deadline=None)
-    @given(**GRAPH_ARGS)
-    def test_scan_first_forests_edge_for_edge(self, n, p, seed, k):
+    @given(**VIEW_ARGS)
+    def test_scan_first_forests_edge_for_edge(self, n, p, seed, k, stride):
         g = random_connected_graph(n, p, seed)
 
         def run(_name):
-            view = CSRGraph.from_graph(g).full_view()
+            view = strided_view(g, stride)
             return kernels.select().scan_first_forests(view, k)
 
         py, np_ = per_kernel(run)
@@ -184,18 +197,22 @@ class TestViewKernelParity:
         assert list(py) == list(np_)
 
     @settings(max_examples=25, deadline=None)
-    @given(**GRAPH_ARGS)
-    def test_fill_forest_adjacency(self, n, p, seed, k):
+    @given(**VIEW_ARGS)
+    def test_fill_forest_adjacency(self, n, p, seed, k, stride):
         g = random_connected_graph(n, p, seed)
-        base = CSRGraph.from_graph(g)
-        view = base.full_view()
+        view = strided_view(g, stride)
+        base = view.base
         with kernels.use("python"):
             forests = kernels.select().scan_first_forests(view, k)
 
         def run(_name):
             cert = IntAdjacency(base.n, view.active_list())
             kernels.select().fill_forest_adjacency(cert, forests)
-            return [sorted(cert.adj[v]) for v in range(base.n)]
+            net = build_flow_network(cert, k)
+            return (
+                [list(cert.neighbors(v)) for v in range(base.n)],
+                (net.head, net.cap, net.tails, net.to_index),
+            )
 
         py, np_ = per_kernel(run)
         assert py == np_

@@ -4,15 +4,19 @@ import time
 
 import pytest
 
+from repro.core.hierarchy import build_hierarchy_csr
+from repro.core.kvcc import enumerate_kvccs
 from repro.core.options import KVCCOptions
 from repro.core.stats import (
     PRUNE_GS,
     PRUNE_NS1,
     PRUNE_NS2,
+    STAGES,
     RunStats,
     Timer,
 )
 from repro.core.variants import VARIANTS
+from repro.graph.generators import planted_kvcc_graph
 
 
 class TestRunStats:
@@ -102,6 +106,45 @@ class TestRunStats:
         assert a.counters() == b.counters()
         b.partitions = 1
         assert a.counters() != b.counters()
+
+
+class TestStageAttribution:
+    """Under the serial engine the stage rows sum to the wall time."""
+
+    @staticmethod
+    def assert_rows_sum_to_elapsed(stats):
+        rows = stats.stage_seconds
+        assert set(rows) <= set(STAGES)
+        assert {"peel", "certificate", "partition", "other"} <= set(rows)
+        for stage, seconds in rows.items():
+            assert seconds >= 0.0, (stage, seconds)
+        assert sum(rows.values()) == pytest.approx(
+            stats.elapsed_seconds, rel=1e-9, abs=1e-12
+        )
+
+    @pytest.mark.parametrize("options", [
+        KVCCOptions(),
+        KVCCOptions(maintain_side_vertices=False),
+        VARIANTS["VCCE"],
+    ], ids=["default", "no-inheritance", "VCCE"])
+    def test_enumerate_rows_sum_to_elapsed(self, options):
+        g, _ = planted_kvcc_graph(
+            k=4, num_blocks=4, block_size=7, overlap=2, seed=7
+        )
+        stats = RunStats(k=4)
+        enumerate_kvccs(g, 4, options, stats)
+        assert stats.partitions > 0
+        self.assert_rows_sum_to_elapsed(stats)
+
+    def test_rows_sum_across_hierarchy_levels(self):
+        """One stats sink over many ``run_many`` calls keeps the sum."""
+        g, _ = planted_kvcc_graph(
+            k=4, num_blocks=4, block_size=7, overlap=2, seed=7
+        )
+        stats = RunStats()
+        build_hierarchy_csr(g.to_csr(), stats=stats)
+        assert stats.partitions > 0
+        self.assert_rows_sum_to_elapsed(stats)
 
 
 class TestKVCCOptions:
