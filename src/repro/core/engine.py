@@ -384,6 +384,9 @@ class ProcessPoolEngine:
         Results are grouped by input entry, each group in the serial
         engine's order.  ``materialize=False`` returns member lists
         instead of :class:`Graph` objects (see :func:`_finalize_leaf`).
+
+        The merged stage rows are summed *worker* time, which can
+        exceed this run's wall time, so no ``other`` row is added.
         """
         with Timer(stats):
             grouped: List[list] = [[] for _ in works]

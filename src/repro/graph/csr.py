@@ -754,15 +754,13 @@ class IntAdjacency:
         return self._m
 
     def add_edge(self, u: int, v: int) -> None:
-        """Append the undirected edge between two members (no duplicate
-        check; callers add forest edges, which are unique by
-        construction)."""
-        self.adj[u].append(v)
-        self.adj[v].append(u)
-        self._m += 1
+        """Append one undirected edge (see :meth:`add_edges`)."""
+        self.add_edges(((u, v),))
 
     def add_edges(self, edges: Sequence[Tuple[int, int]]) -> None:
-        """:meth:`add_edge` for each edge of ``edges``, in order."""
+        """Append undirected edges between members, in order, to both
+        endpoint rows (no duplicate check; callers add forest edges,
+        which are unique by construction)."""
         adj = self.adj
         for u, v in edges:
             adj[u].append(v)
