@@ -12,9 +12,9 @@ or a recorded trend number:
   arrays buy over calling the scalar method in a loop?  Gated: batch
   ``vcc_numbers`` must be **>= 3x** the scalar-loop throughput;
 * **HTTP serving** - end-to-end requests/s and p50/p99 latency through
-  the stdlib ``ThreadingHTTPServer`` front end, single-query GETs vs
-  64-query batch GETs (trend numbers, not gated - they measure the
-  whole socket + JSON stack, most of which is not ours);
+  the ``AsyncHTTPServer`` front end ``repro serve`` runs, single-query
+  GETs vs 64-query batch GETs (trend numbers, not gated - they measure
+  the whole socket + JSON stack, most of which is not ours);
 * **v2 cohesion serving** - per-measure requests/s through the
   ``/v2/<ds>/<measure>/<query>`` family over a ``KVCCCOH``
   multi-measure index, plus the derived products (``top-communities``,
@@ -47,7 +47,6 @@ import json
 import os
 import random
 import tempfile
-import threading
 import time
 from typing import Callable, Dict, List, Tuple
 
@@ -59,7 +58,12 @@ from repro.index import (
     build_cohesion_index,
     build_index,
 )
-from repro.service import IndexRegistry, create_server
+from repro.service import (
+    AsyncHTTPServer,
+    IndexRegistry,
+    ServerThread,
+    registry_dispatch,
+)
 
 #: Shards in the production-scale stand-in (~64x the web index file).
 TILE_COPIES = 64
@@ -273,10 +277,8 @@ def bench(smoke: bool, json_path: str) -> None:
         registry = IndexRegistry(capacity=4)
         registry.register("web", web_path)
         registry.register("web-xl", xl_path)
-        server = create_server(registry, port=0)
-        host, port = server.server_address[:2]
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+        server = ServerThread(AsyncHTTPServer(registry_dispatch(registry)))
+        host, port = server.start()
         try:
             n_single = 300 if smoke else 2_000
             single_paths = [
@@ -378,8 +380,7 @@ def bench(smoke: bool, json_path: str) -> None:
                     f"http_{name}_rps", n_v2 / total_d, "req/s", coh_n
                 )
         finally:
-            server.shutdown()
-            server.server_close()
+            server.stop()
 
     # ------------------------------------------------------- acceptance
     assert cold_speedup >= 10, (

@@ -6,9 +6,10 @@ the *same* tiled web stand-in index (the production-scale fixture from
 ``bench_serve_throughput``) to the same concurrent keep-alive client
 processes:
 
-* **baseline** - one ordinary serving process (the thread-per-connection
-  stdlib server); the GIL serializes its handler work no matter how
-  many client connections pile on;
+* **baseline** - one ordinary serving process (the same
+  ``AsyncHTTPServer`` a single ``repro serve`` replica runs, on one
+  event loop); the GIL serializes its handler work no matter how many
+  client connections pile on;
 * **sharded** - N shard worker processes behind the asyncio router
   front end (:mod:`repro.service.aserver`), i.e. exactly what
   ``repro serve --shards N`` boots.

@@ -646,7 +646,6 @@ def _serve_sharded(args: argparse.Namespace, datasets) -> int:
     hashing over vertex labels - byte-identical answers to a single
     unsharded server (see :mod:`repro.service.router`).
     """
-    import asyncio
     import os
     import threading
 
@@ -680,7 +679,7 @@ def _serve_sharded(args: argparse.Namespace, datasets) -> int:
         shard_dirs[name] = os.path.dirname(paths[0])
         for shard, path in enumerate(paths):
             shard_specs[shard].append((name, path))
-    cluster = ShardCluster(shard_specs, quiet=not args.verbose)
+    cluster = ShardCluster(shard_specs)
     try:
         addresses = cluster.start()
     except RuntimeError as exc:
@@ -719,33 +718,52 @@ def _serve_sharded(args: argparse.Namespace, datasets) -> int:
             dispatch, host=args.host, port=args.port,
             quiet=not args.verbose,
         )
-
-        async def _run() -> None:
-            task = asyncio.ensure_future(server.serve())
-            while server.address is None and not task.done():
-                await asyncio.sleep(0.01)
-            if server.address is not None:
-                names = ", ".join(name for name, _, _ in datasets)
-                print(
-                    f"serving {len(datasets)} dataset(s) [{names}] on "
-                    f"http://{server.address[0]}:{server.address[1]} "
-                    f"({args.shards} shard process(es) behind an async "
-                    f"router); Ctrl-C to stop"
-                )
-            await task
-
-        try:
-            asyncio.run(_run())
-        except KeyboardInterrupt:
-            print("\nshutting down")
+        return _serve_foreground(
+            server, datasets,
+            f"{args.shards} shard process(es) behind an async router",
+        )
     finally:
         cluster.stop()
+
+
+def _serve_foreground(server, datasets, layout: str) -> int:
+    """Run ``server`` on this thread until SIGINT; returns 0.
+
+    Prints the banner once the socket is bound (scripts parse ``on
+    http://HOST:PORT`` from it).  SIGINT stops the server, which drains
+    its connections; ``shutting down`` is the last line printed.
+    """
+    import asyncio
+    import signal
+
+    names = ", ".join(name for name, _, _ in datasets)
+
+    def announce(address) -> None:
+        host, port = address
+        print(f"serving {len(datasets)} dataset(s) [{names}] "
+              f"on http://{host}:{port} ({layout}); Ctrl-C to stop",
+              flush=True)
+
+    async def run() -> None:
+        # A handler rather than KeyboardInterrupt, which can land inside
+        # any task and skip the drain.
+        loop = asyncio.get_running_loop()
+        signal.signal(signal.SIGINT,
+                      lambda *_: loop.call_soon_threadsafe(server.shutdown))
+        await server.serve(announce)
+
+    previous = signal.getsignal(signal.SIGINT)
+    try:
+        asyncio.run(run())
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    print("\nshutting down")
     return 0
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the HTTP index-serving front end until interrupted."""
-    from repro.service import IndexRegistry, create_server
+    from repro.service import AsyncHTTPServer, IndexRegistry, registry_dispatch
 
     try:
         datasets = prepare_serve_datasets(
@@ -770,26 +788,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 print(f"error: cannot load {name!r}: {exc}", file=sys.stderr)
                 return 2
     mutations = _build_mutation_manager(datasets, args.cache_dir)
-    server = create_server(
-        registry,
-        host=args.host,
-        port=args.port,
-        quiet=not args.verbose,
-        mutations=mutations,
+    server = AsyncHTTPServer(
+        registry_dispatch(registry, mutations),
+        host=args.host, port=args.port, quiet=not args.verbose,
     )
-    host, port = server.server_address[:2]
-    names = ", ".join(name for name, _, _ in datasets)
-    print(f"serving {len(datasets)} dataset(s) [{names}] "
-          f"on http://{host}:{port} "
-          f"({'eager' if args.eager else 'mmap'} loads, "
-          f"capacity {args.capacity}); Ctrl-C to stop")
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("\nshutting down")
-    finally:
-        server.server_close()
-    return 0
+    return _serve_foreground(
+        server, datasets,
+        f"{'eager' if args.eager else 'mmap'} loads, "
+        f"capacity {args.capacity}",
+    )
 
 
 def cmd_experiments(args: argparse.Namespace) -> int:
@@ -996,13 +1003,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p.set_defaults(func=cmd_query)
 
+    from repro.service.aserver import DEFAULT_PORT
+
     p = sub.add_parser(
         "serve", help="HTTP JSON service over saved hierarchy indexes",
-        epilog="examples: repro serve web=web.kvccidx --port 8716; "
+        epilog="examples: repro serve web=web.kvccidx; "
         "repro serve youtube=name:youtube --build-missing (hierarchy "
         "built and cached on first boot); then curl "
-        "'http://127.0.0.1:8716/v1/web/vcc-number?v=42' or batch with "
-        "repeated params: '...?v=1&v=2&v=3'",
+        f"'http://127.0.0.1:{DEFAULT_PORT}/v1/web/vcc-number?v=42' or "
+        "batch with repeated params: '...?v=1&v=2&v=3'",
     )
     p.add_argument(
         "datasets", nargs="+", type=_serve_spec, metavar="NAME=TARGET",
@@ -1013,8 +1022,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--host", default="127.0.0.1", help="bind address")
     p.add_argument(
-        "--port", type=int, default=8716,
-        help="TCP port (default 8716; 0 = ephemeral)",
+        "--port", type=int, default=DEFAULT_PORT,
+        help=f"TCP port (default {DEFAULT_PORT}; 0 = ephemeral)",
     )
     p.add_argument(
         "--capacity", type=int, default=8, metavar="N",

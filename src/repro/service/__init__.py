@@ -3,7 +3,7 @@
 Where :mod:`repro.index` answers queries for one loaded index in one
 process, this package turns that into a *service*: many named datasets,
 mmap-backed cold starts measured in microseconds, LRU-bounded residency
-with hot reload, and a dependency-free HTTP front end.
+with hot reload, and one dependency-free HTTP front end.
 
 * :class:`~repro.service.registry.IndexRegistry` - name -> index file,
   lazy mmap open, LRU of resident indexes, mtime-based hot reload,
@@ -13,12 +13,13 @@ with hot reload, and a dependency-free HTTP front end.
   per-measure ``/v2/<dataset>/<measure>/<query>`` cohesion family);
 * :mod:`repro.service.schema` - the declarative per-endpoint parameter
   schemas and stable error codes both routing tables share;
-* :func:`~repro.service.server.create_server` - the stdlib
-  ``ThreadingHTTPServer`` JSON front end, started by ``repro serve``;
-* :class:`~repro.service.router.ShardRouter`,
-  :mod:`repro.service.cluster`, :mod:`repro.service.aserver` - the
-  sharded tier: per-shard index files behind worker processes, routed
-  by consistent hashing from an asyncio keep-alive front end
+* :class:`~repro.service.aserver.AsyncHTTPServer` - the asyncio
+  HTTP/1.1 JSON front end ``repro serve`` runs, answering from a
+  registry (:func:`~repro.service.aserver.registry_dispatch`) or from
+  shards (:class:`~repro.service.aserver.RouterDispatch`);
+* :class:`~repro.service.router.ShardRouter` and
+  :mod:`repro.service.cluster` - the sharded tier: per-shard index
+  files behind worker processes, routed by consistent hashing
   (``repro serve --shards N``).
 
 Examples
@@ -37,6 +38,7 @@ Examples
 """
 
 from repro.service.aserver import (
+    DEFAULT_PORT,
     AsyncHTTPServer,
     RouterDispatch,
     ServerThread,
@@ -57,12 +59,6 @@ from repro.service.schema import (
     EndpointSpec,
     ParamSpec,
 )
-from repro.service.server import (
-    DEFAULT_PORT,
-    ServiceRequestHandler,
-    ServiceServer,
-    create_server,
-)
 
 __all__ = [
     "ApiError",
@@ -77,11 +73,9 @@ __all__ = [
     "MutationManager",
     "RouterDispatch",
     "ServerThread",
-    "ServiceRequestHandler",
-    "ServiceServer",
     "ShardCluster",
     "ShardRouter",
-    "create_server",
     "handle_mutation",
     "handle_request",
+    "registry_dispatch",
 ]

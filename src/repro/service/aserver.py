@@ -1,21 +1,21 @@
-"""Asyncio HTTP/1.1 front end for the serving layer.
+"""The HTTP/1.1 front end of the serving layer, on one asyncio loop.
 
-The threading server in :mod:`repro.service.server` spends one OS
-thread per connection; a router front tier mostly *waits* - on client
-sockets and on shard responses - which is exactly the workload a single
-event loop handles with no per-connection threads at all.
-:class:`AsyncHTTPServer` is that loop: a minimal HTTP/1.1 keep-alive
-GET server over ``asyncio`` streams, speaking the same JSON API, with
-the same never-drop-a-connection guarantee (any dispatch failure
-answers as a 500 JSON body on the still-open connection).
+:class:`AsyncHTTPServer` is the only HTTP server in the package: ``repro
+serve`` runs it for a single replica, for every shard worker and for
+the ``--shards`` router.  It is a minimal HTTP/1.1 keep-alive server
+over ``asyncio`` streams that never drops a connection on a handler
+failure (any dispatch failure answers as a 500 JSON body on the
+still-open connection).  Request bodies are framed by
+``Content-Length`` only; a body it cannot frame, or a head over
+:data:`MAX_HEAD`, is answered and the connection closed.
 
 What it serves is a *dispatch* coroutine - ``(path, params) -> (status,
 body bytes)`` - with two implementations here:
 
 * :func:`registry_dispatch` - answer from a local
-  :class:`~repro.service.registry.IndexRegistry` via the same
-  :func:`~repro.service.handlers.handle_request` the threading server
-  uses (a drop-in async replica of one unsharded server);
+  :class:`~repro.service.registry.IndexRegistry` via
+  :func:`~repro.service.handlers.handle_request` (one unsharded
+  replica, or one shard worker);
 * :class:`RouterDispatch` - execute
   :class:`~repro.service.router.ShardRouter` plans against HTTP shard
   processes over pooled keep-alive upstream connections, fanning
@@ -23,15 +23,18 @@ body bytes)`` - with two implementations here:
   requests relay the shard's body *bytes* untouched - byte parity with
   an unsharded server is structural, not re-encoded.
 
-Run it on the current thread (``asyncio.run(server.serve())``) or, for
-tests and benchmarks that need a server *next to* the measuring code,
-in a daemon thread via :class:`ServerThread`.
+Run it on the current thread (``asyncio.run(server.serve(on_bound))``,
+as ``repro serve`` does) or, for tests and benchmarks that need a
+server *next to* the measuring code, in a daemon thread via
+:class:`ServerThread`.
 """
 
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import logging
+import sys
 import threading
 from http import HTTPStatus
 from typing import Awaitable, Callable, Dict, List, Optional, Set, Tuple
@@ -56,16 +59,23 @@ Dispatch = Callable[
     [str, Dict[str, List[str]], str], Awaitable[Tuple[int, bytes]]
 ]
 
+#: Default TCP port of ``repro serve`` (chosen to be collision-poor).
+DEFAULT_PORT = 8716
+
 #: Cap on request head size (``readuntil`` limit); far above any real
 #: batch URL while still bounding a hostile or broken client.
 MAX_HEAD = 1 << 20
 
-#: Cap on POST body size (64 MiB, matching the threading server).
+#: Cap on POST body size (64 MiB - far above any sane batch).
 MAX_BODY = 1 << 26
 
 #: How long :meth:`AsyncHTTPServer.serve` lets in-flight requests finish
 #: after a shutdown before cancelling them.
 DRAIN_SECONDS = 5.0
+
+#: How long a connection the server ends keeps reading (and dropping)
+#: what the client still sends; see :meth:`AsyncHTTPServer._linger`.
+LINGER_SECONDS = 2.0
 
 _INTERNAL_ERROR = (
     b'{"error":"internal server error","code":"internal_error"}'
@@ -79,14 +89,15 @@ def _reason(status: int) -> str:
         return "Unknown"
 
 
-def _framing(head: bytes) -> Tuple[int, bool, Optional[Tuple[int, str]]]:
+def _framing(head: bytes) -> Tuple[int, bool, Optional[Tuple[int, str, str]]]:
     """``(body_length, keep_alive, error)`` for one request head.
 
     Only ``Content-Length`` bodies are read.  ``error`` is ``(status,
-    message)`` when the body cannot be framed: any ``Transfer-Encoding``
-    (411), conflicting ``Content-Length`` values, or a junk or oversized
-    length (400).  The body's bytes are then still in the stream, where
-    they would parse as the next request, so an error always ends the
+    message, code)`` when the body cannot be framed: any
+    ``Transfer-Encoding`` (411), conflicting ``Content-Length`` values,
+    or a junk or oversized length (400), all with code ``bad_body``.
+    The body's bytes are then still in the stream, where they would
+    parse as the next request, so an error always ends the
     connection.  HTTP/1.0 requests stay open only with ``Connection:
     keep-alive``; HTTP/1.1 ones until ``Connection: close``.
     """
@@ -101,17 +112,21 @@ def _framing(head: bytes) -> Tuple[int, bool, Optional[Tuple[int, str]]]:
     else:
         keep_alive = b"close" not in connection
     if b"transfer-encoding" in headers:
-        error = (411, "Transfer-Encoding is not supported; send Content-Length")
+        error = (
+            411,
+            "Transfer-Encoding is not supported; send Content-Length",
+            "bad_body",
+        )
         return 0, False, error
     lengths = set(headers.get(b"content-length", [b"0"]))
     if len(lengths) > 1:
-        return 0, False, (400, "conflicting Content-Length headers")
+        return 0, False, (400, "conflicting Content-Length headers", "bad_body")
     try:
         length = int(lengths.pop())
     except ValueError:
         length = -1
     if not 0 <= length <= MAX_BODY:
-        return 0, False, (400, "missing or oversized request body")
+        return 0, False, (400, "missing or oversized request body", "bad_body")
     return length, keep_alive, None
 
 
@@ -119,8 +134,8 @@ def _response_bytes(status: int, body: bytes, close: bool) -> bytes:
     """One buffered write per response: head and body coalesced.
 
     A single ``write`` is not just tidy - split head/body packets
-    interlock Nagle with the client's delayed ACK (the ~40 ms stall the
-    threading server avoids the same way, via ``wbufsize = -1``).
+    interlock Nagle with the client's delayed ACK into a ~40 ms stall
+    per keep-alive round trip.
     """
     lines = [
         f"HTTP/1.1 {status} {_reason(status)}",
@@ -136,12 +151,15 @@ class AsyncHTTPServer:
     """Event-loop HTTP server delegating every request to ``dispatch``.
 
     Listens on ``(host, port)`` (``port=0`` binds an ephemeral port,
-    readable from :attr:`address` once serving), keeps HTTP/1.1
+    reported to :meth:`serve`'s ``on_bound`` callback), keeps HTTP/1.1
     connections alive across requests, and never aborts a connection
-    on handler failure - the catch-all answers 500 JSON, mirroring the
-    threading server's guard.  Shutdown drains: idle connections close
-    at once, in-flight requests get :data:`DRAIN_SECONDS` to finish,
-    and whatever is left is cancelled before :meth:`serve` returns.
+    on handler failure - the catch-all answers 500 JSON.  GETs run
+    inline on the loop; ``registry_dispatch`` sends POSTs to a worker
+    thread.  ``quiet=False`` writes one line per request to stderr:
+    the peer, the request line and the status.  Shutdown drains: idle
+    connections close at once, in-flight requests get
+    :data:`DRAIN_SECONDS` to finish, and whatever is left is cancelled
+    before :meth:`serve` returns.
     """
 
     def __init__(
@@ -155,28 +173,28 @@ class AsyncHTTPServer:
         self._host = host
         self._port = port
         self._quiet = quiet
-        self.address: Optional[Tuple[str, int]] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._stopped: Optional[asyncio.Event] = None
         #: Every live connection task, and the writers of those waiting
-        #: for their next request head (safe to close on shutdown).
+        #: for their next request head or lingering before close (safe
+        #: to close on shutdown).
         self._connections: Set[asyncio.Task] = set()
         self._idle: Dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._closing = False
 
-    async def serve(self, ready: Optional[threading.Event] = None) -> None:
-        """Bind and serve until :meth:`shutdown`, then drain."""
+    async def serve(
+        self, on_bound: Optional[Callable[[Tuple[str, int]], None]] = None
+    ) -> None:
+        """Bind, pass the bound ``(host, port)`` to ``on_bound`` once,
+        and serve until :meth:`shutdown` or cancellation; then drain."""
         self._stopped = asyncio.Event()
         self._server = await asyncio.start_server(
             self._serve_client, self._host, self._port, limit=MAX_HEAD
         )
-        sock = self._server.sockets[0].getsockname()
-        self.address = (sock[0], sock[1])
-        if ready is not None:
-            ready.set()
-        if not self._quiet:
-            LOG.info("async server listening on %s:%d", *self.address)
         try:
+            if on_bound is not None:
+                host, port = self._server.sockets[0].getsockname()[:2]
+                on_bound((host, port))
             await self._stopped.wait()
         finally:
             self._server.close()
@@ -223,18 +241,19 @@ class AsyncHTTPServer:
                 self._idle[task] = writer
                 try:
                     head = await reader.readuntil(b"\r\n\r\n")
-                except (
-                    asyncio.IncompleteReadError,
-                    asyncio.LimitOverrunError,
-                    ConnectionError,
-                ):
-                    return  # client went away or sent garbage beyond limit
+                except asyncio.LimitOverrunError:
+                    # The head stays unread in the stream: answer, close.
+                    head, length, keep_alive = b"", 0, False
+                    error = (431, f"request head over {MAX_HEAD} bytes", "bad_request")
+                except (asyncio.IncompleteReadError, ConnectionError):
+                    return  # client went away
+                else:
+                    length, keep_alive, error = _framing(head)
                 finally:
                     self._idle.pop(task, None)
-                length, keep_alive, error = _framing(head)
                 if error is not None:
-                    status, message = error
-                    body = render_json({"error": message, "code": "bad_body"})
+                    status, message, code = error
+                    body = render_json({"error": message, "code": code})
                 else:
                     try:
                         payload = (
@@ -251,10 +270,14 @@ class AsyncHTTPServer:
                 close = not keep_alive or self._closing
                 writer.write(_response_bytes(status, body, close))
                 await writer.drain()
+                if not self._quiet:
+                    self._log(writer, head, status)
                 if close:
+                    if not self._closing:
+                        await self._linger(task, reader, writer)
                     return
-        except (ConnectionError, TimeoutError):
-            return  # mid-response disconnect: nothing left to tell them
+        except OSError:
+            return  # the connection broke: nothing left to tell them
         finally:
             self._connections.discard(task)
             writer.close()
@@ -262,6 +285,31 @@ class AsyncHTTPServer:
                 await writer.wait_closed()
             except (ConnectionError, TimeoutError):
                 pass
+
+    async def _linger(self, task, reader, writer) -> None:
+        """Close a connection without resetting it (RFC 9112, 9.6).
+
+        Closing a socket that still holds unread client bytes - the
+        rest of a pipeline, an unframed body, an oversized head - makes
+        the kernel send a reset, which can destroy the response before
+        the client reads it.  So half-close, then drop whatever still
+        arrives until the client closes, for at most
+        :data:`LINGER_SECONDS`; a shutdown ends the wait at once.
+        """
+        writer.write_eof()
+        self._idle[task] = writer
+        try:
+            await asyncio.wait_for(_discard(reader), LINGER_SECONDS)
+        except asyncio.TimeoutError:
+            pass
+        finally:
+            self._idle.pop(task, None)
+
+    @staticmethod
+    def _log(writer, head: bytes, status: int) -> None:
+        peer = writer.get_extra_info("peername") or ("-",)
+        line = head.split(b"\r\n", 1)[0].decode("latin-1") or "-"
+        sys.stderr.write(f'{peer[0]} "{line}" {status}\n')
 
     async def _answer(self, head: bytes, body: bytes) -> Tuple[int, bytes]:
         """Parse one request head and dispatch it; never raises."""
@@ -291,6 +339,12 @@ class AsyncHTTPServer:
         except Exception:
             LOG.exception("unhandled error in async dispatch")
             return 500, _INTERNAL_ERROR
+
+
+async def _discard(reader) -> None:
+    """Read and drop everything until EOF."""
+    while await reader.read(1 << 16):
+        pass
 
 
 class _UpstreamPool:
@@ -499,11 +553,11 @@ class ServerThread:
 
     def start(self) -> Tuple[str, int]:
         """Boot the loop thread; returns the bound ``(host, port)``."""
-        ready = threading.Event()
+        bound: concurrent.futures.Future = concurrent.futures.Future()
 
         async def main() -> None:
             self._loop = asyncio.get_running_loop()
-            await self._server.serve(ready)
+            await self._server.serve(bound.set_result)
 
         def run() -> None:
             # asyncio.run also shuts down the default executor that
@@ -514,10 +568,10 @@ class ServerThread:
             target=run, name="repro-aserver", daemon=True
         )
         self._thread.start()
-        if not ready.wait(timeout=30):
-            raise RuntimeError("async server failed to start within 30s")
-        assert self._server.address is not None
-        return self._server.address
+        try:
+            return bound.result(timeout=30)
+        except concurrent.futures.TimeoutError:
+            raise RuntimeError("async server failed to start within 30s") from None
 
     def stop(self) -> None:
         """Shut the server down and join the loop thread."""

@@ -2,10 +2,14 @@
 
 A sharded deployment is N ordinary serving processes - each a
 :class:`~repro.service.registry.IndexRegistry` full of that shard's
-index files behind the plain threading HTTP server - plus the async
-router in front.  :class:`ShardCluster` owns the N processes: it forks
-them, collects the ephemeral port each one bound (sent back over a
-pipe, so there is no port-guessing race), and tears them down.
+index files behind the same :class:`~repro.service.aserver.AsyncHTTPServer`
+a single replica runs - plus the async router in front.
+:class:`ShardCluster` owns the N processes: it forks them, collects the
+ephemeral port each one bound (sent back over a pipe from the server's
+``on_bound`` callback, so there is no port-guessing race), and tears
+them down.  Workers log no requests (the router's ``--verbose`` log
+covers every client request once) and ignore SIGINT: on Ctrl-C the
+router drains first, then stops them.
 
 Shard workers are *entirely* the existing serving stack; nothing in a
 shard process knows it is a shard.  That is the point: every behavior
@@ -23,26 +27,32 @@ from typing import List, Optional, Sequence, Tuple
 DatasetSpec = Tuple[str, str]
 
 
-def _shard_worker(specs, conn, host: str, quiet: bool) -> None:
+def _shard_worker(specs, conn, host: str) -> None:
     """Entry point of one shard process: serve ``specs`` forever.
 
     Imports live inside the function so a spawned child pays them
     itself and the module stays importable without triggering server
     machinery.
     """
-    from repro.service.registry import IndexRegistry
-    from repro.service.server import create_server
+    import asyncio
+    import signal
 
+    from repro.service.aserver import AsyncHTTPServer, registry_dispatch
+    from repro.service.registry import IndexRegistry
+
+    # The router owns shutdown: it drains first, then stops the workers,
+    # so a Ctrl-C sent to the whole process group must not stop them.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     registry = IndexRegistry()
     for name, path in specs:
         registry.register(name, path)
-    server = create_server(registry, host=host, port=0, quiet=quiet)
-    conn.send(server.server_address)
-    conn.close()
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
+    server = AsyncHTTPServer(registry_dispatch(registry), host=host, port=0)
+
+    def report(address) -> None:
+        conn.send(address)
+        conn.close()
+
+    asyncio.run(server.serve(report))
 
 
 class ShardCluster:
@@ -68,13 +78,11 @@ class ShardCluster:
         self,
         shard_specs: Sequence[Sequence[DatasetSpec]],
         host: str = "127.0.0.1",
-        quiet: bool = True,
     ) -> None:
         if not shard_specs:
             raise ValueError("a cluster needs at least one shard")
         self._specs = [list(spec) for spec in shard_specs]
         self._host = host
-        self._quiet = quiet
         self._processes: List[multiprocessing.Process] = []
         self.addresses: Optional[List[Tuple[str, int]]] = None
 
@@ -93,7 +101,7 @@ class ShardCluster:
                 parent_conn, child_conn = multiprocessing.Pipe(duplex=False)
                 process = multiprocessing.Process(
                     target=_shard_worker,
-                    args=(specs, child_conn, self._host, self._quiet),
+                    args=(specs, child_conn, self._host),
                     name=f"repro-shard-{shard}",
                     daemon=True,
                 )

@@ -1,10 +1,10 @@
 """Route serving-API requests to registry queries (transport-agnostic).
 
-The HTTP layer in :mod:`repro.service.server` is a thin shell around
-:func:`handle_request`, which speaks only paths + query parameters and
-returns ``(status, payload)``.  Keeping the routing pure makes every
-endpoint unit-testable without sockets and keeps the actual HTTP
-handler to a dozen lines.
+The HTTP layer (:func:`repro.service.aserver.registry_dispatch`) is a
+thin shell around :func:`handle_request`, which speaks only paths +
+query parameters and returns ``(status, payload)``.  Keeping the
+routing pure makes every endpoint unit-testable without sockets and
+keeps the actual HTTP dispatch to a dozen lines.
 
 Endpoints (every response is a JSON object):
 

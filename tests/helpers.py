@@ -15,6 +15,7 @@ here.
 from __future__ import annotations
 
 import random
+import socket
 from array import array
 from typing import List, Set
 
@@ -82,3 +83,64 @@ def small_k_values(graph: Graph) -> List[int]:
         return [1]
     hi = min(6, graph.max_degree() + 1)
     return list(range(1, hi + 1))
+
+
+#: ``/v1`` requests covering every endpoint, batch shape and error path,
+#: against a dataset registered as ``g``.
+PARITY_CATALOG = [
+    ("/v1/g/vcc-number", {"v": ["0"]}),
+    ("/v1/g/vcc-number", {"v": ["05"]}),
+    ("/v1/g/vcc-number", {"v": [str(i) for i in range(40)]}),
+    ("/v1/g/vcc-number", {"v": ["05", "5", "nope"]}),
+    ("/v1/g/same-kvcc", {"u": ["0"], "v": ["7"], "k": ["2"]}),
+    ("/v1/g/same-kvcc",
+     {"k": ["2"], "pair": [f"{i}:{i + 1}" for i in range(30)]}),
+    ("/v1/g/components-of", {"v": ["3"], "k": ["2"]}),
+    ("/v1/g/max-shared-level", {"u": ["0"], "v": ["9"]}),
+    ("/v1/g/max-shared-level",
+     {"pair": [f"{i}:{40 - i}" for i in range(30)]}),
+    ("/v1/g/vcc-number", {}),                                       # 400
+    ("/v1/g/vcc-number", {"x": ["1"]}),                             # 400
+    ("/v1/g/same-kvcc", {"u": ["0"], "v": ["1"], "k": ["zero"]}),   # 400
+    ("/v1/g/same-kvcc", {"u": ["0"], "v": ["1"], "k": ["0"]}),      # 400
+    ("/v1/g/same-kvcc", {"k": ["2"], "pair": ["junk"]}),            # 400
+    ("/v1/g/same-kvcc", {"k": ["2", "2"], "pair": ["0:1"]}),        # 400
+    ("/v1/nope/vcc-number", {"v": ["1"]}),                          # 404
+    ("/v1/g/nope", {"v": ["1"]}),                                   # 404
+    ("/nowhere", {}),                                               # 404
+]
+
+
+def read_to_eof(sock) -> bytes:
+    """Everything the server sends until it closes the connection (a
+    server that never closes fails the test with a socket timeout)."""
+    blob = b""
+    while True:
+        chunk = sock.recv(65536)
+        if not chunk:
+            return blob
+        blob += chunk
+
+
+def split_responses(blob: bytes) -> list:
+    """Split a reply stream into ``(status, headers, body)`` responses
+    by Content-Length (header names and values lower-cased)."""
+    responses = []
+    while blob:
+        head, _, rest = blob.partition(b"\r\n\r\n")
+        lines = head.split(b"\r\n")
+        headers = {}
+        for line in lines[1:]:
+            name, _, value = line.partition(b":")
+            headers[name.strip().lower()] = value.strip().lower()
+        length = int(headers.get(b"content-length", b"0"))
+        responses.append((int(lines[0].split()[1]), headers, rest[:length]))
+        blob = rest[length:]
+    return responses
+
+
+def raw_exchange(host, port, payload: bytes) -> list:
+    """Send raw request bytes, read to EOF, and split the replies."""
+    with socket.create_connection((host, port), timeout=5) as sock:
+        sock.sendall(payload)
+        return split_responses(read_to_eof(sock))

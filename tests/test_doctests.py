@@ -61,7 +61,7 @@ def test_index_package_is_collected():
         "repro.index.query",
         "repro.service.registry",
         "repro.service.handlers",
-        "repro.service.server",
+        "repro.service.aserver",
         "repro.data.format",
         "repro.data.ingest",
         "repro.data.resolver",

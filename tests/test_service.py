@@ -1,8 +1,13 @@
 """Tests for the serving layer: registry, handlers, HTTP server, CLI."""
 
+import contextlib
 import http.client
 import json
 import os
+import re
+import signal
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -15,11 +20,15 @@ from repro.graph.generators import (
 )
 from repro.index import HierarchyQueryService, build_index
 from repro.service import (
+    AsyncHTTPServer,
     DatasetNotFound,
     IndexRegistry,
-    create_server,
+    ServerThread,
     handle_request,
+    registry_dispatch,
 )
+
+from helpers import raw_exchange, read_to_eof
 
 
 def save_index(graph, path):
@@ -438,17 +447,14 @@ class TestHandlers:
 
 @pytest.fixture
 def server(registry):
-    srv = create_server(registry, port=0)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
-    yield srv
-    srv.shutdown()
-    srv.server_close()
+    """The registry served over HTTP; yields the bound (host, port)."""
+    with ServerThread(AsyncHTTPServer(registry_dispatch(registry))) as address:
+        yield address
 
 
 def http_get(server, path):
     """One GET against the test server; returns (status, payload)."""
-    host, port = server.server_address[:2]
+    host, port = server
     connection = http.client.HTTPConnection(host, port, timeout=10)
     try:
         connection.request("GET", path)
@@ -488,7 +494,7 @@ class TestHttpServer:
         assert http_get(server, "/bogus")[0] == 404
 
     def test_keep_alive_connection(self, server):
-        host, port = server.server_address[:2]
+        host, port = server
         connection = http.client.HTTPConnection(host, port, timeout=10)
         try:
             for _ in range(5):
@@ -512,7 +518,7 @@ class TestHttpServer:
             raise TypeError("endpoint bug")
 
         monkeypatch.setitem(handlers.QUERY_ENDPOINTS, "same-kvcc", boom)
-        host, port = server.server_address[:2]
+        host, port = server
         connection = http.client.HTTPConnection(host, port, timeout=10)
         try:
             connection.request("GET", "/v1/ring/same-kvcc?u=0&v=1&k=2")
@@ -536,7 +542,7 @@ class TestHttpServer:
         assert (status, payload["vcc_number"]) == (200, 4)
 
     def test_content_type_json(self, server):
-        host, port = server.server_address[:2]
+        host, port = server
         connection = http.client.HTTPConnection(host, port, timeout=10)
         try:
             connection.request("GET", "/healthz")
@@ -603,3 +609,97 @@ class TestServeCli:
         code = main(["serve", f"bad={bad}", "--preload", "--port", "0"])
         assert code == 2
         assert "bad magic" in capsys.readouterr().err
+
+
+SRC = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
+)
+
+#: Seconds a ``repro serve`` process may take to exit after SIGINT.
+STOP_DEADLINE = 15.0
+
+
+@contextlib.contextmanager
+def serve_process(*args):
+    """``python -m repro serve ARGS --port 0`` as a child process.
+
+    Yields ``(process, (host, port))`` once the banner is out, read
+    from stdout exactly as scripts do; a child still running when the
+    block ends is killed.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SRC, env.get("PYTHONPATH")])
+    )
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", *args, "--port", "0"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    watchdog = threading.Timer(60, process.kill)
+    watchdog.start()
+    try:
+        banner = process.stdout.readline()
+        match = re.search(r"on http://([\d.]+):(\d+)", banner)
+        assert match, banner + process.stderr.read()
+        yield process, (match.group(1), int(match.group(2)))
+    finally:
+        watchdog.cancel()
+        if process.poll() is None:
+            process.kill()
+        process.communicate()
+
+
+class TestServeProcess:
+    """``repro serve`` booted as a real process, driven over sockets."""
+
+    def test_framing_errors_answer_once_and_close(self, ring_path):
+        """A body the server cannot frame gets one error and EOF; its
+        bytes are never answered as a second request."""
+        body = b'{"mutations": []}'
+        chunked = (
+            b"POST /v1/ring/edges HTTP/1.1\r\nHost: x\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            + b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
+        )
+        conflicting = (
+            b"POST /v1/ring/edges HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: 2\r\nContent-Length: 40\r\n\r\n"
+            b"{}GET /v1/ring/vcc-number?v=0 HTTP/1.1\r\n\r\n"
+        )
+        with serve_process(f"ring={ring_path}") as (_, (host, port)):
+            for request, want in ((chunked, 411), (conflicting, 400)):
+                responses = raw_exchange(host, port, request)
+                assert [status for status, _, _ in responses] == [want]
+                _, headers, payload = responses[0]
+                assert headers[b"connection"] == b"close"
+                assert json.loads(payload)["code"] == "bad_body"
+
+    @pytest.mark.parametrize(
+        "layout", [[], ["--shards", "2"]], ids=["replica", "shards"]
+    )
+    def test_sigint_drains_and_exits_cleanly(
+        self, ring_path, tmp_path, layout
+    ):
+        """SIGINT with an idle keep-alive client: the client sees EOF,
+        the process exits 0 within STOP_DEADLINE, ``shutting down`` is
+        the last stdout line, and stderr holds no traceback."""
+        with serve_process(
+            f"ring={ring_path}", "--cache-dir", str(tmp_path), *layout
+        ) as (process, (host, port)):
+            idle = http.client.HTTPConnection(
+                host, port, timeout=STOP_DEADLINE
+            )
+            try:
+                idle.request("GET", "/v1/ring/vcc-number?v=0")
+                assert json.loads(idle.getresponse().read())["vcc_number"] == 4
+                process.send_signal(signal.SIGINT)
+                assert read_to_eof(idle.sock) == b""
+            finally:
+                idle.close()
+            out, err = process.communicate(timeout=STOP_DEADLINE)
+        assert process.returncode == 0
+        assert out.splitlines()[-1] == "shutting down"
+        assert "Traceback" not in err

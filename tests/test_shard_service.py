@@ -40,6 +40,8 @@ from repro.service import (
 )
 from repro.service.handlers import render_json
 
+from helpers import PARITY_CATALOG, raw_exchange, read_to_eof
+
 
 def string_label_graph():
     """A graph whose labels are strings, some numeric-looking."""
@@ -240,31 +242,6 @@ def make_backends(paths):
     return backends
 
 
-#: Requests covering every endpoint, batch shape and error path.
-PARITY_CATALOG = [
-    ("/v1/g/vcc-number", {"v": ["0"]}),
-    ("/v1/g/vcc-number", {"v": ["05"]}),
-    ("/v1/g/vcc-number", {"v": [str(i) for i in range(40)]}),
-    ("/v1/g/vcc-number", {"v": ["05", "5", "nope"]}),
-    ("/v1/g/same-kvcc", {"u": ["0"], "v": ["7"], "k": ["2"]}),
-    ("/v1/g/same-kvcc",
-     {"k": ["2"], "pair": [f"{i}:{i + 1}" for i in range(30)]}),
-    ("/v1/g/components-of", {"v": ["3"], "k": ["2"]}),
-    ("/v1/g/max-shared-level", {"u": ["0"], "v": ["9"]}),
-    ("/v1/g/max-shared-level",
-     {"pair": [f"{i}:{40 - i}" for i in range(30)]}),
-    ("/v1/g/vcc-number", {}),                                       # 400
-    ("/v1/g/vcc-number", {"x": ["1"]}),                             # 400
-    ("/v1/g/same-kvcc", {"u": ["0"], "v": ["1"], "k": ["zero"]}),   # 400
-    ("/v1/g/same-kvcc", {"u": ["0"], "v": ["1"], "k": ["0"]}),      # 400
-    ("/v1/g/same-kvcc", {"k": ["2"], "pair": ["junk"]}),            # 400
-    ("/v1/g/same-kvcc", {"k": ["2", "2"], "pair": ["0:1"]}),        # 400
-    ("/v1/nope/vcc-number", {"v": ["1"]}),                          # 404
-    ("/v1/g/nope", {"v": ["1"]}),                                   # 404
-    ("/nowhere", {}),                                               # 404
-]
-
-
 class TestShardRouter:
     @pytest.fixture
     def setup(self, tmp_path):
@@ -406,37 +383,6 @@ def http_get(host, port, target):
         return response.status, response.read()
     finally:
         connection.close()
-
-
-def read_to_eof(sock):
-    """Everything the server sends until it closes the connection (a
-    server that never closes fails the test with a socket timeout)."""
-    blob = b""
-    while True:
-        chunk = sock.recv(65536)
-        if not chunk:
-            return blob
-        blob += chunk
-
-
-def raw_exchange(host, port, payload):
-    """Send raw request bytes, read to EOF, and split the reply stream
-    into ``(status, headers, body)`` responses by Content-Length."""
-    with socket.create_connection((host, port), timeout=5) as sock:
-        sock.sendall(payload)
-        blob = read_to_eof(sock)
-    responses = []
-    while blob:
-        head, _, rest = blob.partition(b"\r\n\r\n")
-        lines = head.split(b"\r\n")
-        headers = {}
-        for line in lines[1:]:
-            name, _, value = line.partition(b":")
-            headers[name.strip().lower()] = value.strip().lower()
-        length = int(headers.get(b"content-length", b"0"))
-        responses.append((int(lines[0].split()[1]), headers, rest[:length]))
-        blob = rest[length:]
-    return responses
 
 
 class TestAsyncServer:
@@ -619,6 +565,56 @@ class TestAsyncServer:
         assert one[0][1][b"connection"] == b"close"
         assert [status for status, _, _ in two] == [200, 200]
         assert b"connection" not in two[0][1]
+
+    def test_oversized_head_answers_431_and_closes(self, registry):
+        """A head past MAX_HEAD gets an answer, not a reset: one 431
+        with a bad_request body and ``Connection: close``, then EOF."""
+        from repro.service.aserver import MAX_HEAD
+
+        server = AsyncHTTPServer(registry_dispatch(registry))
+        with ServerThread(server) as (host, port):
+            responses = raw_exchange(
+                host,
+                port,
+                b"GET /healthz?pad=" + b"x" * (2 * MAX_HEAD) + b" HTTP/1.1\r\n"
+                b"Host: x\r\n\r\n",
+            )
+        assert len(responses) == 1
+        status, headers, body = responses[0]
+        assert status == 431
+        assert headers[b"connection"] == b"close"
+        assert json.loads(body)["code"] == "bad_request"
+
+    @pytest.mark.parametrize("quiet", [True, False])
+    def test_request_log_has_one_line_per_request(
+        self, registry, capsys, quiet
+    ):
+        """``quiet=False`` (``repro serve --verbose``) writes one stderr
+        line per request on a keep-alive connection: peer, request line,
+        status.  ``quiet=True`` writes nothing."""
+        targets = [
+            ("/v1/ring/vcc-number?v=0", 200),
+            ("/healthz", 200),
+            ("/v1/nope/vcc-number?v=0", 404),
+            ("/v1/ring/vcc-number", 400),
+        ]
+        server = AsyncHTTPServer(registry_dispatch(registry), quiet=quiet)
+        with ServerThread(server) as (host, port):
+            connection = http.client.HTTPConnection(host, port, timeout=10)
+            try:
+                for target, _ in targets:
+                    connection.request("GET", target)
+                    connection.getresponse().read()
+            finally:
+                connection.close()
+        lines = capsys.readouterr().err.splitlines()
+        if quiet:
+            assert lines == []
+        else:
+            assert lines == [
+                f'{host} "GET {target} HTTP/1.1" {status}'
+                for target, status in targets
+            ]
 
     def test_stop_with_idle_keep_alive_connection(self, registry, caplog):
         """Stopping drains: the idle client sees EOF, and no task is
