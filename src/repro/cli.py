@@ -79,6 +79,11 @@ from typing import Optional, Sequence
 from repro.core.stats import RunStats
 from repro.core.variants import VARIANTS
 
+#: Default TCP port of ``repro serve`` (chosen to be collision-poor).
+#: Defined here, its only user, so building the parser imports no
+#: :mod:`repro.service` module.
+DEFAULT_PORT = 8716
+
 #: Uniform help text for the dataset positional of every graph command.
 _DATASET_HELP = (
     "dataset: an edge-list path (u v per line, # comments; .csv and .gz "
@@ -1002,8 +1007,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pair_flags(q)
 
     p.set_defaults(func=cmd_query)
-
-    from repro.service.aserver import DEFAULT_PORT
 
     p = sub.add_parser(
         "serve", help="HTTP JSON service over saved hierarchy indexes",

@@ -28,11 +28,14 @@ the network itself: per-node arc indexes (linked per-tail lists for the
 pure-python kernel, a positional ``arc_indptr`` CSR for the numpy
 kernel) are *derived* state that the selected
 :mod:`repro.kernels` implementation builds once per network and caches
-in ``_kern_state``, alongside its reusable ``level`` / ``iter_idx``
-scratch buffers.  LOC-CUT runs many max-flow queries on the *same*
+in ``_kern_state``.  Beside it the python kernel keeps one reusable
+``level`` / ``iter_idx`` scratch pair per network; the numpy kernel
+keeps, per source node, the level arrays of the first BFS over
+``initial_cap``, which every later query from that source on a reset
+network reuses.  LOC-CUT runs many max-flow queries on the *same*
 network (one per tested vertex pair), so :meth:`FlowNetwork.reset`
 restores all capacities in O(arcs touched) using a dirty list instead
-of rebuilding, and the cached layout + scratch survive across queries.
+of rebuilding, and the cached state survives across queries.
 
 Bulk construction (:func:`build_flow_network` on a view or certificate)
 is also a kernel call: the numpy kernel emits every arc quad with
@@ -96,8 +99,9 @@ class FlowNetwork:
         #: into their own buffers know when to restart from initial.
         self._version: int = 0
         #: Kernel-owned derived state (adjacency indexes, scratch
-        #: buffers), keyed by kernel name; built on first use, after
-        #: :func:`build_flow_network` has filled the arena.
+        #: buffers, per-source level arrays), keyed by kernel name;
+        #: built on first use, after :func:`build_flow_network` has
+        #: filled the arena.
         self._kern_state: dict = {}
 
     # ------------------------------------------------------------------

@@ -8,7 +8,8 @@ degrees - but the batchable loops run as array programs:
   selects/gathers instead of a per-edge Python loop;
 * Dinic's layered BFS expands whole frontiers over positional arc
   slices (``arc_indptr`` over arc ids sorted by tail), against
-  position-space mirrors of the head and capacity arrays;
+  position-space mirrors of the head and capacity arrays, and keeps
+  each level's admissible arcs as it goes;
 * k-core peeling processes whole frontiers per round with
   ``unique(return_counts=True)`` degree decrements;
 * active-degree recounts are a row gather plus a ``bincount``.
@@ -19,8 +20,14 @@ only: base-length buffers are C-level fills (``np.full``,
 step over a small view of a large base costs O(view).
 
 The blocking-flow DFS stays a scalar Python walk in both kernels (its
-path-at-a-time control flow does not batch), but here it runs over the
-flat positional layout this module prepares.
+path-at-a-time control flow does not batch).  Here it walks a pruned
+level graph: a sweep back from the sink over the BFS's per-level arc
+lists keeps only the arcs whose head still reaches the sink, packed
+into compact per-node slices, and dead ends are marked in a byte mask.
+A query on an untouched network (``_touched`` empty, as after
+``reset()``) takes its first phase from its source's full BFS over
+``initial_cap``, computed once per (network, source) and kept in the
+network's kernel state, so it is freed with the network.
 
 Storage discipline: the arena's ``cap`` stays a plain list (scalar DFS
 indexing dominates, and lists index faster than any buffer type); the
@@ -34,11 +41,13 @@ the same memory.
 Visit-order parity: the python kernel walks each node's arcs in
 ascending arc-id order (creation order).  The positional layout here
 sorts arc ids by tail with a *stable* sort, which yields exactly the
-same ascending-id order per node - so both kernels pick identical
-augmenting paths and identical min cuts.  The BFS labels whole levels
-(the python kernel stops mid-level once the sink is labeled); the extra
-labeled nodes sit at the sink's level and can only dead-end in the DFS,
-so flow values, pushes, and residual states still agree exactly.
+same ascending-id order per node, and the pruned slices keep it - so
+both kernels pick identical augmenting paths and identical min cuts.
+Every arc the pruning drops leads only to nodes that cannot reach the
+sink in that phase (among them the non-sink nodes of the sink's level,
+which the python kernel's BFS labels up to the point it stops); the
+python kernel's DFS enters such nodes, dead-ends and leaves without
+pushing.  So flow values, pushes, and residual states agree exactly.
 """
 
 from __future__ import annotations
@@ -105,12 +114,12 @@ def _ranges(starts, counts):
 # Flow-network kernels
 # ----------------------------------------------------------------------
 def prepare_network(net) -> dict:
-    """Positional arc layout + scratch buffers (cached per network).
+    """Positional arc layout + capacity mirror (cached per network).
 
     Builds ``arc_indptr`` over arc ids stable-sorted by tail node - a
-    CSR over the arena - plus the scalar-side mirrors the DFS walks
-    (flat arc-id list, per-node start/end cursors) and a reusable int32
-    ``level`` buffer for the vectorized BFS.
+    CSR over the arena - with position-space mirrors of the arc ids,
+    heads, tails and capacities that the BFS gathers from, and the
+    per-source cache of first-phase level graphs (see :func:`max_flow`).
     """
     st = net._kern_state.get(NAME)
     if st is not None:
@@ -128,28 +137,24 @@ def prepare_network(net) -> dict:
     order = np.argsort(tails_np, kind="stable")
     arc_indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(tails_np, minlength=n), out=arc_indptr[1:])
-    starts = arc_indptr[:-1].tolist()
     pos_of_arc = np.empty(order.size, dtype=np.int64)
     pos_of_arc[order] = np.arange(order.size, dtype=np.int64)
     init_cap_ord = init_cap_np[order]
-    head_ord = head_np[order]
     st = {
         # Position-space mirrors (indexed by sorted-by-tail position,
         # not arc id): the BFS gathers slices of positions directly,
         # with no per-level order[] translation.
-        "head_ord": head_ord,
+        "arc_ord": order,
+        "head_ord": head_np[order],
+        "tail_ord": tails_np[order],
         "init_cap_ord": init_cap_ord,
         "cap_ord": init_cap_ord.copy(),
         "pos_of_arc": pos_of_arc.tolist(),
         # Mirror sync cursor: [reset epoch applied, touched prefix applied].
         "cap_sync": [net._version, 0],
         "arc_indptr": arc_indptr,
-        "arc_list": order.tolist(),
-        "head_pos": head_ord.tolist(),
-        "starts": starts,
-        "ends": arc_indptr[1:].tolist(),
-        "iter": list(starts),
-        "level_np": np.empty(n, dtype=np.int32),
+        # source node -> its full BFS over ``initial_cap``.
+        "first_phase": {},
     }
     net._kern_state[NAME] = st
     return st
@@ -286,34 +291,38 @@ def _emit_arcs(net, lookup, sv, tv, n: int, k: int) -> None:
 
 
 def max_flow(net, source: int, sink: int, k: int) -> int:
-    """Dinic capped at ``k``: vectorized BFS phases, scalar blocking DFS.
+    """Dinic capped at ``k``: vectorized BFS phases, pruned scalar DFS.
 
-    After each BFS the level labels are copied once into a plain list
-    (``tolist``), so the DFS inner loop runs on pure Python scalars; its
-    dead-end markings live in that list and are rebuilt next phase.
-    (A precomputed per-arc admissibility byte array measured slower
-    here: it trades the two-load level test for one load but gives up
-    live dead-end pruning and pays a per-phase vector rebuild.)
+    Each phase's BFS records, level by level, the positions of the
+    admissible arcs (residual capacity, level ``l`` to ``l + 1``), and
+    :func:`_prune` sweeps those lists back from the sink so the DFS
+    walks only arcs on a shortest source-sink path.  A query that starts
+    on an untouched network (``net._touched`` empty, as after
+    :meth:`~repro.flow.flow_network.FlowNetwork.reset`) takes its first
+    phase from the source's full BFS over ``initial_cap``, computed once
+    per (network, source) and cached in the kernel state.
     """
     st = prepare_network(net)
     cap = net.cap
-    head = net.head
-    arc_list = st["arc_list"]
-    head_pos = st["head_pos"]
-    ends = st["ends"]
-    iter_idx = st["iter"]
     touched = net._touched
+    bfs = None if touched else _first_phase(st, source)
     flow = 0
     while flow < k:
-        _sync_caps(net, st)
-        if not _bfs_levels(st, source, sink):
+        if bfs is None:
+            _sync_caps(net, st)
+            bfs = _bfs_layers(st, st["cap_ord"], source, sink)
+        level, layers = bfs
+        bfs = None
+        depth = int(level[sink])
+        if depth < 0:
             break
-        level = st["level_np"].tolist()
-        iter_idx[:] = st["starts"]
+        arcs, heads, cursor, end = _prune(st, layers[:depth], sink)
+        size = len(cursor)
+        dead = bytearray(size + 1)
         while flow < k:
-            pushed = _dfs_blocking(
-                arc_list, head_pos, ends, head, cap, level, iter_idx,
-                touched, source, sink, k - flow,
+            pushed = _augment(
+                arcs, heads, cursor, end, dead, cap, touched, size,
+                k - flow,
             )
             if pushed == 0:
                 break
@@ -321,101 +330,141 @@ def max_flow(net, source: int, sink: int, k: int) -> int:
     return flow
 
 
-def _bfs_levels(st, source: int, sink: int) -> bool:
-    """Frontier-at-a-time layered BFS; True if the sink gets a label.
+def _first_phase(st, source: int):
+    """The cached full BFS from ``source`` over the initial capacities."""
+    cache = st["first_phase"]
+    bfs = cache.get(source)
+    if bfs is None:
+        bfs = cache[source] = _bfs_layers(st, st["init_cap_ord"], source, -1)
+    return bfs
+
+
+def _bfs_layers(st, cap_ord, source: int, sink: int):
+    """Frontier-at-a-time layered BFS; ``(level, layers)``.
 
     Each round gathers every arc of the frontier through the positional
-    layout, keeps those with residual capacity and unlabeled targets,
-    and scatters the next level in one assignment.  Stops as soon as the
-    sink's level is labeled (see the module docstring for why labeling
-    the sink's whole level preserves parity with the python kernel).
+    layout and keeps those with capacity in ``cap_ord`` into unlabeled
+    nodes - exactly the admissible arcs out of that level, ascending by
+    position - then scatters the next level in one assignment.
+    ``layers[l]`` holds those positions for level ``l``.  The BFS stops
+    once the sink is labeled (``sink = -1`` runs until the frontier
+    empties); the sink's whole level is labeled, but :func:`_prune`
+    keeps only the arcs into the sink there, so the extra labels never
+    reach the DFS.
     """
-    level = st["level_np"]
-    level.fill(-1)
-    level[source] = 0
     arc_indptr = st["arc_indptr"]
     head_ord = st["head_ord"]
-    cap_ord = st["cap_ord"]
+    level = np.full(arc_indptr.size - 1, -1, dtype=np.int32)
+    level[source] = 0
+    layers = []
     frontier = np.array([source], dtype=np.int64)
-    lv = 0
-    while frontier.size:
-        lv += 1
+    while True:
         starts = arc_indptr[frontier]
-        counts = arc_indptr[frontier + 1] - starts
-        pos = _ranges(starts, counts)
+        pos = _ranges(starts, arc_indptr[frontier + 1] - starts)
+        pos = pos[cap_ord[pos] > 0]
+        targets = head_ord[pos]
+        fresh = level[targets] < 0
+        pos = pos[fresh]
         if pos.size == 0:
-            break
-        targets = head_ord[pos[cap_ord[pos] > 0]]
-        targets = targets[level[targets] < 0]
-        if targets.size == 0:
-            break
-        level[targets] = lv
-        if level[sink] == lv:
-            # Unlabel the sink's siblings: a non-sink node on the last
-            # level can never advance, so leaving it labeled only buys
-            # dead-end scans in the DFS.  (Augmenting paths and pushes
-            # are unchanged; the python kernel labels at most a prefix
-            # of this level before stopping at the sink.)
-            level[targets] = -1
-            level[sink] = lv
-            return True
+            return level, layers
+        layers.append(pos)
+        lv = len(layers)
+        level[targets[fresh]] = lv
+        if sink >= 0 and level[sink] == lv:
+            return level, layers
         # Deduplicated next frontier, cheaper than unique(targets): one
         # scan of the (small, fixed-size) level array, ascending ids.
         frontier = np.flatnonzero(level == lv)
-    return False
 
 
-def _dfs_blocking(
-    arc_list, head_pos, arc_end, head, cap, level, iter_idx, touched,
-    source, sink, limit,
-) -> int:
-    """One augmenting path (iterative DFS over the positional layout).
+def _prune(st, layers, sink: int):
+    """The level graph cut down to the arcs that still reach the sink.
 
-    Mirrors the python kernel's DFS exactly - ``iter_idx`` holds
-    absolute cursors into the flat sorted arc-id list instead of offsets
-    into per-node lists, which is the only difference.  ``head_pos``
-    (the head array in position space) makes the dead-end majority of
-    scans a two-load test; the arc id is only materialized once the
-    level matches.
+    Sweeps ``layers`` back from the sink: the last level keeps its arcs
+    into the sink, and each earlier level keeps the arcs whose head
+    kept an arc one level down.  Every dropped arc leads only to nodes
+    that cannot reach the sink this phase, which the python kernel's
+    DFS enters, dead-ends and leaves without pushing, so skipping them
+    changes no augmenting path.
+
+    Returns DFS-ready lists over *local* node ids (source 0, sink
+    ``len(cursor)``): each kept node's arcs form one contiguous slice
+    ``[cursor[u], end[u])`` of ``arcs`` (arc ids, ascending - the
+    python kernel's scan order) and ``heads`` (local head ids).
     """
-    path: List[int] = []
-    node = source
-    while True:
-        if node == sink:
-            pushed = limit
-            for arc_id in path:
-                c = cap[arc_id]
-                if c < pushed:
-                    pushed = c
-            for arc_id in path:
-                cap[arc_id] -= pushed
-                cap[arc_id ^ 1] += pushed
-            touched.extend(path)
-            return pushed
-        j = iter_idx[node]
-        end = arc_end[node]
-        target = level[node] + 1
-        advanced = False
-        while j < end:
-            v = head_pos[j]
-            if level[v] == target:
-                arc_id = arc_list[j]
+    head_ord = st["head_ord"]
+    tail_ord = st["tail_ord"]
+    n = st["arc_indptr"].size - 1
+    keep = layers[-1]
+    keep = keep[head_ord[keep] == sink]
+    kept = [keep]
+    reach = np.zeros(n, dtype=bool)
+    for pos in reversed(layers[:-1]):
+        reach[tail_ord[keep]] = True
+        keep = pos[reach[head_ord[pos]]]
+        kept.append(keep)
+    # Source level first.  Each level lists its tails in ascending
+    # position order, so every node's kept arcs are one run.
+    pos = np.concatenate(kept[::-1])
+    tails = tail_ord[pos]
+    cuts = np.flatnonzero(tails[1:] != tails[:-1]) + 1
+    starts = np.concatenate(([0], cuts))
+    local = np.empty(n, dtype=np.int64)
+    local[tails[starts]] = np.arange(starts.size, dtype=np.int64)
+    local[sink] = starts.size
+    return (
+        st["arc_ord"][pos].tolist(),
+        local[head_ord[pos]].tolist(),
+        starts.tolist(),
+        cuts.tolist() + [pos.size],
+    )
+
+
+def _augment(
+    arcs, heads, cursor, end, dead, cap, touched, sink, limit,
+) -> int:
+    """One augmenting path over the pruned level graph (iterative DFS).
+
+    The python kernel's current-arc DFS on the arcs :func:`_prune` kept.
+    Every kept arc joins consecutive levels, so a scan tests only the
+    dead-end byte mask and the residual capacity.
+    """
+    path: List[int] = []  # arc ids along the current partial path
+    stack: List[int] = []  # local tail of each path arc
+    node = 0
+    while node != sink:
+        j = cursor[node]
+        stop = end[node]
+        while j < stop:
+            v = heads[j]
+            if not dead[v]:
+                arc_id = arcs[j]
                 if cap[arc_id] > 0:
-                    iter_idx[node] = j
-                    path.append(arc_id)
-                    node = v
-                    advanced = True
                     break
             j += 1
-        if advanced:
+        else:
+            # Dead end: retreat, marking the node unusable this phase.
+            dead[node] = 1
+            if not path:
+                return 0
+            path.pop()
+            node = stack.pop()
+            cursor[node] += 1
             continue
-        iter_idx[node] = j
-        level[node] = -1
-        if not path:
-            return 0
-        arc_id = path.pop()
-        node = head[arc_id ^ 1]
-        iter_idx[node] += 1
+        cursor[node] = j
+        path.append(arc_id)
+        stack.append(node)
+        node = v
+    pushed = limit
+    for arc_id in path:
+        c = cap[arc_id]
+        if c < pushed:
+            pushed = c
+    for arc_id in path:
+        cap[arc_id] -= pushed
+        cap[arc_id ^ 1] += pushed
+    touched.extend(path)
+    return pushed
 
 
 def residual_reachable(net, source: int) -> bytearray:

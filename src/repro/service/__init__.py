@@ -38,7 +38,6 @@ Examples
 """
 
 from repro.service.aserver import (
-    DEFAULT_PORT,
     AsyncHTTPServer,
     RouterDispatch,
     ServerThread,
@@ -64,7 +63,6 @@ __all__ = [
     "ApiError",
     "AsyncHTTPServer",
     "DatasetNotFound",
-    "DEFAULT_PORT",
     "ENDPOINTS",
     "ERROR_CODES",
     "EndpointSpec",

@@ -59,9 +59,6 @@ Dispatch = Callable[
     [str, Dict[str, List[str]], str], Awaitable[Tuple[int, bytes]]
 ]
 
-#: Default TCP port of ``repro serve`` (chosen to be collision-poor).
-DEFAULT_PORT = 8716
-
 #: Cap on request head size (``readuntil`` limit); far above any real
 #: batch URL while still bounding a hostile or broken client.
 MAX_HEAD = 1 << 20

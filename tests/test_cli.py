@@ -1,6 +1,9 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -175,6 +178,38 @@ class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    def test_parser_imports_no_serving_code(self):
+        # Every command builds the parser in-process, so whatever it
+        # imports adds to the peak RSS of ``repro hierarchy`` too.
+        src = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            "src",
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        code = (
+            "import sys\n"
+            "from repro.cli import build_parser\n"
+            "build_parser()\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[:2] == ['repro', 'service']))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_serve_help_shows_default_port(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["serve", "--help"])
+        out = capsys.readouterr().out
+        assert "default 8716" in out
+        assert "http://127.0.0.1:8716/v1/web/vcc-number?v=42" in out
 
 
 @pytest.fixture

@@ -19,7 +19,8 @@ from __future__ import annotations
 from array import array
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from networkx.algorithms.connectivity import local_node_connectivity
 
 import repro.core.mask_pool as mask_pool
 import repro.kernels as kernels
@@ -30,6 +31,7 @@ from repro.flow.dinic import max_flow_min_k
 from repro.flow.flow_network import build_flow_network
 from repro.flow.min_cut import local_vertex_cut
 from repro.graph.csr import CSRGraph, IntAdjacency
+from repro.graph.graph import Graph
 
 from helpers import random_connected_graph, vertex_set_family
 
@@ -57,6 +59,24 @@ def strided_view(g, stride: int):
     return base.view_from_members(
         v for v in range(base.n) if stride == 1 or v % stride
     )
+
+
+def flow_states(g, k: int, pairs, reset: bool = True):
+    """``(flow, cap, touched)`` after each query of ``pairs`` on one network.
+
+    ``touched`` lists the arcs of every augmenting path pushed so far,
+    in push order, so equal states mean the same paths in the same
+    order.  ``reset=False`` starts each query from the previous one's
+    residual state.
+    """
+    net = build_flow_network(CSRGraph.from_graph(g).full_view(), k)
+    states = []
+    for u, v in pairs:
+        flow = max_flow_min_k(net, net.node_out(u), net.node_in(v), k)
+        states.append((flow, list(net.cap), list(net._touched)))
+        if reset:
+            net.reset()
+    return states
 
 
 def per_kernel(fn):
@@ -96,6 +116,73 @@ class TestFlowParity:
 
         py, np_ = per_kernel(run)
         assert py == np_
+
+    def check_interleaved_sources(self, n, p, seed, k):
+        """Both kernels agree on every query, and the flow is kappa.
+
+        Three sources take turns over three sinks with a reset between
+        queries, so each source's cached first phase is reused.
+        """
+        g = random_connected_graph(n, p, seed)
+        verts = sorted(g.vertices())
+        pairs = [
+            (u, v)
+            for v in verts[-3:]
+            for u in verts[:3]
+            if not g.has_edge(u, v)
+        ]
+        py, np_ = per_kernel(lambda _name: flow_states(g, k, pairs))
+        assert py == np_
+        nxg = g.to_networkx()
+        for (u, v), (flow, _cap, _touched) in zip(pairs, py):
+            assert flow == min(k, local_node_connectivity(nxg, u, v))
+        return py
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        n=st.integers(min_value=30, max_value=60),
+        p=st.floats(min_value=0.08, max_value=0.3),
+        seed=st.integers(min_value=0, max_value=10_000),
+        k=st.integers(min_value=2, max_value=8),
+    )
+    def test_interleaved_sources_with_resets(self, n, p, seed, k):
+        self.check_interleaved_sources(n, p, seed, k)
+
+    def test_later_phases_cancel_through_reverse_arcs(self):
+        states = self.check_interleaved_sources(40, 0.15, 2, 8)
+        # Odd arc ids are reverse arcs: pushing one cancels earlier flow.
+        assert any(
+            arc & 1 for _flow, _cap, touched in states for arc in touched
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(**GRAPH_ARGS)
+    # Reusing a source's cached first phase here picks other paths.
+    @example(n=10, p=0.4, seed=3, k=3)
+    def test_queries_without_reset(self, n, p, seed, k):
+        # Each query starts from the previous one's residual state, in
+        # which flow pushed from the other source can shorten paths, so
+        # its first phase must come from a fresh BFS, not the cache.
+        g = random_connected_graph(n, p, seed)
+        verts = sorted(g.vertices())
+        pairs = [
+            (u, v)
+            for u in verts[:2]
+            for v in verts[-2:]
+            if not g.has_edge(u, v)
+        ]
+        pairs += pairs[::-1]
+        py, np_ = per_kernel(
+            lambda _name: flow_states(g, k, pairs, reset=False)
+        )
+        assert py == np_
+
+    def test_disconnected_pair_has_zero_flow(self):
+        g = Graph([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+        pairs = [(0, 3), (3, 0), (0, 5)]
+        py, np_ = per_kernel(lambda _name: flow_states(g, 2, pairs))
+        assert py == np_
+        assert [flow for flow, _cap, _touched in py] == [0, 0, 0]
 
     @settings(max_examples=25, deadline=None)
     @given(**GRAPH_ARGS)
