@@ -10,7 +10,17 @@ Times the enumeration pipeline on mid-size generator graphs:
   the ``--workers N`` process-pool engine, on the single-component
   web-graph stand-in (pessimal: little fan-out before the first cuts)
   and on a sharded multi-community workload (top-level fan-out, the
-  shape the engine is built for).
+  shape the engine is built for);
+* **crossover** (``--crossover``, a mode of its own) - every LOC-CUT
+  query and peel call of one enumerate pass over perfbench's seven
+  stand-ins at their ``scaled_k_values`` and of one hierarchy build over
+  perfbench's ``build`` tenants, recorded under the python kernel and
+  replayed under both kernels, alternating.  It prints flow time per
+  network arc-count bucket and peel time per active-vertex bucket, and
+  the first bucket edge from which numpy's array Dinic wins on both
+  passes - the value ``numpy_impl._SCALAR_ARCS`` is set from.  It exits
+  non-zero if the kernels return a different flow or cut for any query
+  (``--smoke`` replays once, as CI does; there is no timing gate).
 
 Run directly (not under pytest-benchmark; this is a plain script so CI
 can execute it without extra plugins)::
@@ -18,6 +28,7 @@ can execute it without extra plugins)::
     PYTHONPATH=src python benchmarks/bench_backend_compare.py
     PYTHONPATH=src python benchmarks/bench_backend_compare.py --quick
     PYTHONPATH=src python benchmarks/bench_backend_compare.py --workers 4
+    PYTHONPATH=src python benchmarks/bench_backend_compare.py --crossover
 
 The kernel bar compares against the committed ``BENCH_baseline.json``
 snapshot (see ``main``); for the parallel engine it is >= 1.5x over
@@ -32,14 +43,22 @@ in CHANGES.md.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import importlib
 import json
 import os
+import sys
 import time
 
 import repro.kernels as kernels
-from repro.core.kvcc import enumerate_kvccs
+from repro.core.hierarchy import build_hierarchy_csr
+from repro.core.kvcc import enumerate_kvccs, enumerate_kvccs_csr
 from repro.core.options import KVCCOptions
 from repro.core.stats import STAGES, RunStats
+from repro.flow.dinic import max_flow_min_k
+from repro.flow.flow_network import build_flow_network
+from repro.flow.min_cut import minimum_vertex_cut_from_residual
+from repro.graph.csr import CSRGraph, SubgraphView
 from repro.graph.generators import assemble_communities, web_graph
 from repro.graph.graph import Graph
 
@@ -47,6 +66,21 @@ from repro.graph.graph import Graph
 BASELINE_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "BENCH_baseline.json"
 )
+
+#: The module whose flow-network calls the crossover records (the
+#: package re-exports a function of the same name).
+global_cut = importlib.import_module("repro.core.global_cut")
+
+#: perfbench's input generators, imported read-only for the crossover.
+PERFBENCH_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"
+)
+
+#: Crossover buckets: flow networks by ``len(net.head)`` (reverse arcs
+#: included, the count ``numpy_impl._SCALAR_ARCS`` is compared with),
+#: peel calls by active vertices before the peel.
+ARC_EDGES = (0, 512, 1024, 1536, 2048, 2560, 3072, 3584, 4096, 8192, 16384)
+PEEL_EDGES = (0, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
 
 
 def _mid_size_graph(quick: bool) -> Graph:
@@ -167,10 +201,226 @@ def _sharded_graph(quick: bool) -> Graph:
     return assemble_communities(communities, cross_edges=0, seed=40)
 
 
+# ----------------------------------------------------------------------
+# --crossover: replay recorded kernel calls under both kernels
+# ----------------------------------------------------------------------
+def _crossover_passes(smoke: bool):
+    """``(name, run)`` for the two recorded passes, on perfbench inputs.
+
+    The enumerate pass is perfbench ``enumerate``'s grid (every cell at
+    seed 1; ``smoke`` keeps the lowest and highest k of each stand-in);
+    the build pass is the hierarchy of perfbench ``build``'s tenants.
+    """
+    sys.path.insert(0, PERFBENCH_DIR)
+    import inputs
+    from offline import BUILD_FRINGE, BUILD_TENANT_SIZE, BUILD_TENANTS
+
+    cells = []
+    for _name, edges, ks in inputs.stand_ins(1):
+        base, _ = CSRGraph.from_edges(edges)
+        cells.extend((base, k) for k in (sorted({ks[0], ks[-1]})
+                                         if smoke else ks))
+    tenants, _ = inputs.tenant_graph(
+        1, BUILD_TENANTS, BUILD_TENANT_SIZE, BUILD_FRINGE
+    )
+    tenant_base, _ = CSRGraph.from_edges(tenants)
+    return [
+        ("enumerate", lambda: [enumerate_kvccs_csr(base, k, materialize=False)
+                               for base, k in cells]),
+        ("build", lambda: build_hierarchy_csr(tenant_base)),
+    ]
+
+
+@contextlib.contextmanager
+def _recording(networks: list, peels: list):
+    """Record every LOC-CUT network + query and every view peel.
+
+    ``networks`` gets ``[graph, k, arcs, queries]`` per flow network
+    GLOBAL-CUT builds (``graph`` is the certificate, or a copy of the
+    view), and ``peels`` gets ``(base, mask, k, active)`` per peel.
+    """
+    by_net = {}
+    build, loc_cut, peel = (
+        global_cut.build_flow_network, global_cut.local_vertex_cut,
+        SubgraphView.peel,
+    )
+
+    def record_build(graph, k):
+        net = build(graph, k)
+        snapshot = graph.copy() if isinstance(graph, SubgraphView) else graph
+        by_net[id(net)] = entry = [snapshot, k, len(net.head), []]
+        networks.append(entry)
+        return net
+
+    def record_query(graph, net, u, v, k):
+        by_net[id(net)][3].append((u, v))
+        return loc_cut(graph, net, u, v, k)
+
+    def record_peel(view, k):
+        peels.append((view.base, bytes(view.mask), k, view.num_vertices))
+        return peel(view, k)
+
+    global_cut.build_flow_network = record_build
+    global_cut.local_vertex_cut = record_query
+    SubgraphView.peel = record_peel
+    try:
+        yield
+    finally:
+        global_cut.build_flow_network = build
+        global_cut.local_vertex_cut = loc_cut
+        SubgraphView.peel = peel
+
+
+@contextlib.contextmanager
+def _pinned(name: str):
+    """Pin a kernel; numpy runs its array programs at every size."""
+    with kernels.use(name), contextlib.ExitStack() as stack:
+        module = kernels.select()
+        for attr in [a for a in vars(module) if a.startswith("_SCALAR_")]:
+            stack.callback(setattr, module, attr, getattr(module, attr))
+            setattr(module, attr, 0)
+        yield module
+
+
+def _flow_query(net, u: int, v: int, k: int):
+    """One LOC-CUT flow test: ``(flow, cut or None)``; resets ``net``."""
+    source = net.node_out(u)
+    flow = max_flow_min_k(net, source, net.node_in(v), k)
+    cut = minimum_vertex_cut_from_residual(net, source) if flow < k else None
+    net.reset()
+    return flow, cut
+
+
+def _replay(calls: list, run, repeats: int):
+    """Best time of ``run(call)`` per call and kernel, alternating.
+
+    The kernel that goes first flips from call to call and repeat to
+    repeat.  Returns ``(best, mismatches)``: per-kernel lists of best
+    seconds, and the number of calls whose answers differ.
+    """
+    names = ("python", "numpy")
+    best = {name: [float("inf")] * len(calls) for name in names}
+    mismatches = 0
+    for rep in range(repeats):
+        for i, call in enumerate(calls):
+            answers = {}
+            for name in names[::1 if (rep + i) % 2 else -1]:
+                with _pinned(name):
+                    seconds, answers[name] = run(call)
+                best[name][i] = min(best[name][i], seconds)
+            mismatches += answers["python"] != answers["numpy"]
+    return best, mismatches
+
+
+def _time_network(entry):
+    """Build ``entry``'s network (untimed), then time its queries."""
+    graph, k, _arcs, queries = entry
+    net = build_flow_network(graph, k)
+    start = time.perf_counter()
+    out = [_flow_query(net, u, v, k) for u, v in queries]
+    return time.perf_counter() - start, out
+
+
+def _time_peel(call):
+    """Rebuild the view (untimed), then time its peel."""
+    base, mask, k, _active = call
+    view = base.view_from_mask(mask)
+    start = time.perf_counter()
+    removed = kernels.select().peel(view, k)
+    return time.perf_counter() - start, (removed, bytes(view.mask))
+
+
+def _bucket_rows(pass_name, sizes, counts, best, edges):
+    """Sum calls, counts and best times per ``[lo, hi)`` size bucket."""
+    rows = []
+    for lo, hi in zip(edges, edges[1:] + (None,)):
+        idx = [i for i, size in enumerate(sizes)
+               if size >= lo and (hi is None or size < hi)]
+        if idx:
+            rows.append({
+                "pass": pass_name, "lo": lo, "hi": hi, "calls": len(idx),
+                "tests": sum(counts[i] for i in idx),
+                "python_s": sum(best["python"][i] for i in idx),
+                "numpy_s": sum(best["numpy"][i] for i in idx),
+            })
+    return rows
+
+
+def _print_rows(title: str, unit: str, rows) -> None:
+    print(title)
+    print(f"  {'pass':10s} {unit:>15s} {'calls':>6s} {'tests':>6s} "
+          f"{'python s':>9s} {'numpy s':>9s} {'np/py':>6s}")
+    for r in rows:
+        span = f"[{r['lo']}, {r['hi'] if r['hi'] is not None else 'inf'})"
+        print(f"  {r['pass']:10s} {span:>15s} {r['calls']:6d} "
+              f"{r['tests']:6d} {r['python_s']:9.4f} {r['numpy_s']:9.4f} "
+              f"{r['numpy_s'] / max(r['python_s'], 1e-9):6.2f}")
+
+
+def crossover_edge(rows):
+    """The first bucket edge from which numpy wins every bucket above it.
+
+    Buckets are compared within each pass, so the edge holds on both
+    passes; ``None`` when numpy loses the largest bucket.
+    """
+    for lo in sorted({r["lo"] for r in rows}):
+        if all(r["numpy_s"] < r["python_s"] for r in rows if r["lo"] >= lo):
+            return lo
+    return None
+
+
+def run_crossover(smoke: bool, json_path: str) -> int:
+    """The ``--crossover`` mode (see the module docstring)."""
+    if "numpy" not in kernels.available():
+        print("crossover: numpy not installed - nothing to compare")
+        return 0
+    repeats = 1 if smoke else 3
+    flow_rows, peel_rows, mismatches = [], [], 0
+    for pass_name, run in _crossover_passes(smoke):
+        networks, peels = [], []
+        with kernels.use("python"), _recording(networks, peels):
+            run()
+        best, bad = _replay(networks, _time_network, repeats)
+        mismatches += bad
+        print(f"{pass_name}: {len(networks)} flow networks, "
+              f"{sum(len(e[3]) for e in networks)} LOC-CUT queries, "
+              f"{len(peels)} peels; {bad} flow/cut mismatch(es)")
+        flow_rows += _bucket_rows(
+            pass_name, [e[2] for e in networks],
+            [len(e[3]) for e in networks], best, ARC_EDGES,
+        )
+        best, bad = _replay(peels, _time_peel, repeats)
+        mismatches += bad
+        peel_rows += _bucket_rows(
+            pass_name, [p[3] for p in peels], [1] * len(peels), best,
+            PEEL_EDGES,
+        )
+    print(f"best of {repeats}, kernels alternating per call")
+    _print_rows("LOC-CUT flow time by network arcs (layout set-up "
+                "included):", "arcs", flow_rows)
+    _print_rows("peel time by active vertices:", "active", peel_rows)
+    edge = crossover_edge(flow_rows)
+    from repro.kernels import numpy_impl
+
+    configured = getattr(numpy_impl, "_SCALAR_ARCS", None)
+    print(f"crossover: numpy's Dinic wins every bucket from {edge} arcs "
+          f"up on both passes; numpy_impl._SCALAR_ARCS = {configured}")
+    if json_path:
+        with open(json_path, "w", encoding="utf-8") as handle:
+            json.dump({"repeats": repeats, "flow": flow_rows,
+                       "peel": peel_rows, "crossover_arcs": edge,
+                       "scalar_arcs": configured}, handle, indent=2)
+        print(f"wrote the crossover table to {json_path}")
+    if mismatches:
+        print(f"FAIL: the kernels disagree on {mismatches} replayed call(s)")
+        return 1
+    return 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--quick", action="store_true",
+        "--quick", "--smoke", action="store_true",
         help="small graph / single repeat (CI smoke mode)",
     )
     parser.add_argument("-k", type=int, default=None, help="threshold")
@@ -187,7 +437,14 @@ def main() -> int:
         help="run (and gate) only the sharded-workload parallel bar - "
         "the cpu-count-gated CI job's mode",
     )
+    parser.add_argument(
+        "--crossover", action="store_true",
+        help="replay recorded flow and peel calls under both kernels "
+        "and print the per-size crossover table",
+    )
     args = parser.parse_args()
+    if args.crossover:
+        return run_crossover(args.quick, args.json)
 
     k = args.k if args.k is not None else 5
     repeats = 1 if args.quick else 3

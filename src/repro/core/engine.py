@@ -82,7 +82,15 @@ def expand_work_item(
     it), otherwise the list of child work items in deterministic push
     order.  Both engines run exactly this code per item, which is what
     keeps their counters and results identical.
+
+    At ``k = 1`` every item is a leaf: items are connected views with
+    more than ``k`` vertices, and such a view has no vertex cut of size
+    0 (Definition 4), so the side-vertex scan and GLOBAL-CUT are
+    skipped.
     """
+    if k == 1:
+        stats.kvccs_found += 1
+        return None
     strong: Optional[Set[int]] = None
     if options.side_vertices_enabled:
         t0 = time.perf_counter()

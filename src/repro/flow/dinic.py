@@ -12,10 +12,12 @@ The BFS/DFS loops themselves live in :mod:`repro.kernels` (pure-python
 reference and optional numpy fast path; both produce identical flows,
 residual states and therefore identical min cuts).  The python kernel
 keeps one reusable ``level`` / ``iter_idx`` scratch pair cached per
-network.  The numpy kernel walks a level graph pruned to the arcs that
-reach the sink, and caches per source the level arrays of the first
-phase (the BFS over the initial capacities), so a query on a reset
-network from an already-seen source skips that BFS.  Either way the
+network.  On networks of a few thousand arcs or more (the numpy
+kernel's ``_SCALAR_ARCS``; smaller ones run the python Dinic) the numpy
+kernel walks a level graph pruned to the arcs that reach the sink, and
+caches per source the level arrays of the first phase (the BFS over
+the initial capacities), so a query on a reset network from an
+already-seen source skips that BFS.  Either way the
 ``FlowNetwork``'s dirty-arc tracking means repeated queries on the same
 network cost only a
 :meth:`~repro.flow.flow_network.FlowNetwork.reset`.

@@ -32,20 +32,24 @@ in ``_kern_state``.  Beside it the python kernel keeps one reusable
 ``level`` / ``iter_idx`` scratch pair per network; the numpy kernel
 keeps, per source node, the level arrays of the first BFS over
 ``initial_cap``, which every later query from that source on a reset
-network reuses.  LOC-CUT runs many max-flow queries on the *same*
-network (one per tested vertex pair), so :meth:`FlowNetwork.reset`
-restores all capacities in O(arcs touched) using a dirty list instead
-of rebuilding, and the cached state survives across queries.
+network reuses.  The numpy kernel builds its layout only for networks
+of at least ``numpy_impl._SCALAR_ARCS`` arcs; smaller ones run the
+python kernel's Dinic and hold only the python state.  LOC-CUT runs
+many max-flow queries on the *same* network (one per tested vertex
+pair), so :meth:`FlowNetwork.reset` restores all capacities in O(arcs
+touched) using a dirty list instead of rebuilding, and the cached
+state survives across queries.
 
 Bulk construction (:func:`build_flow_network` on a view or certificate)
 is also a kernel call: the numpy kernel emits every arc quad with
 vectorized gathers; the python kernel appends element by element.  Both
 produce the identical arc-id layout, and both leave plain lists in the
 arena - scalar DFS indexing dominates the flow phase, and CPython lists
-index measurably faster than ``array('i')`` buffers.  The numpy kernel
-keeps its own int32 mirror of ``cap`` for vectorized BFS sweeps, synced
-from the ``_touched`` dirty list; :attr:`FlowNetwork._version` ticks on
-every :meth:`FlowNetwork.reset` so the mirror can detect resets.
+index measurably faster than ``array('i')`` buffers.  On networks at
+or above its arc-count rule the numpy kernel keeps its own int32 mirror
+of ``cap`` for vectorized BFS sweeps, synced from the ``_touched``
+dirty list; :attr:`FlowNetwork._version` ticks on every
+:meth:`FlowNetwork.reset` so the mirror can detect resets.
 """
 
 from __future__ import annotations

@@ -172,9 +172,9 @@ def _components_view(
 ) -> List[Set[int]]:
     """Components of the view (minus ``removed``); a kernel call.
 
-    The python kernel runs the original list-queue BFS, the numpy kernel
-    a frontier-at-a-time equivalent; components are canonical so both
-    return the same sets in the same discovery order.
+    Both kernels run the python kernel's list-queue BFS: discovery
+    follows ``active_list`` order, and each component comes back as a
+    set.
     """
     return kernels.select().components(view, removed)
 

@@ -660,12 +660,10 @@ class SubgraphView:
     def peel(self, k: int) -> Set[int]:
         """Remove active vertices of degree < ``k`` in place (k-core).
 
-        Returns the set of removed ids.  Dispatches to the selected
-        kernel: the python reference dequeues one vertex at a time (O(
-        active + touched edges)); the numpy kernel peels whole frontiers
-        per round.  Survivor masks and survivor degrees are identical
-        either way (the k-core is unique); the degrees frozen for
-        *removed* ids - stale by contract - may differ between kernels.
+        Returns the set of removed ids.  Both kernels run the python
+        reference, which dequeues one vertex at a time (O(active +
+        touched edges)); the degrees it leaves on *removed* ids are
+        stale by contract.
         """
         return kernels.select().peel(self, k)
 

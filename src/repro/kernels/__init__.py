@@ -1,8 +1,8 @@
 """Hot-loop kernels: one seam, two interchangeable implementations.
 
 The KVCC-ENUM inner loops - k-core peeling, Dinic BFS/DFS over the flow
-arc arena, active-degree recounts, and scan-first forest extraction -
-all operate on flat integer arrays (the CSR base's
+arc arena, active-degree recounts, connected components, and scan-first
+forest extraction - all operate on flat integer arrays (the CSR base's
 ``indptr``/``indices``, a view's byte ``mask`` and int32 ``deg``, a
 :class:`~repro.flow.flow_network.FlowNetwork`'s ``head``/``cap``/``tails``
 arc arrays).  This package routes every one of those loops through a
@@ -11,10 +11,13 @@ selected *kernel module* so the same arrays can be driven either by
 * :mod:`repro.kernels.python_impl` - the pure-stdlib reference
   implementation (always available, byte-for-byte the library's
   semantics), or
-* :mod:`repro.kernels.numpy_impl` - an optional fast path that runs the
-  batchable loops (peel frontiers, degree recounts, arc-arena
-  construction) as numpy array programs over zero-copy
-  views of the very same buffers.
+* :mod:`repro.kernels.numpy_impl` - an optional fast path that runs
+  some loops as numpy array programs over zero-copy views of the very
+  same buffers (arc-arena construction, degree recounts, scan-first
+  forests, and Dinic's BFS on networks of a few thousand arcs or more),
+  each only at the input sizes where it measured faster, and shares
+  the reference's code everywhere else (peeling, components, small
+  flow networks).
 
 Selection
 ---------
@@ -27,8 +30,8 @@ Selection
 Both kernels produce *identical observable results* - identical max-flow
 values, residual states, min-cut sets, peel survivor masks and degrees,
 and scan-first forests - which the property-based parity suite
-(``tests/test_kernel_parity.py``) asserts directly.  Only wall-clock
-differs.
+(``tests/test_kernel_parity.py``) asserts directly, with numpy's array
+programs forced on at every input size.  Only wall-clock differs.
 
 Examples
 --------

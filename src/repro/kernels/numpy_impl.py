@@ -1,18 +1,29 @@
 """Numpy fast-path kernels (optional; selected when numpy imports).
 
 Result-identical to :mod:`repro.kernels.python_impl` - same max-flow
-values, residual states, min-cut sets, peel survivor masks and
-degrees - but the batchable loops run as array programs:
+values, residual states, min-cut sets, masks, degrees, forests and
+sorted rows - and each loop runs as an array program only at the input
+sizes where that measured faster than the reference:
 
 * flow-network construction emits all arc quads with vectorized
   selects/gathers instead of a per-edge Python loop;
-* Dinic's layered BFS expands whole frontiers over positional arc
+* Dinic's layered BFS, on networks of ``_SCALAR_ARCS`` arcs or more
+  (``len(net.head)``), expands whole frontiers over positional arc
   slices (``arc_indptr`` over arc ids sorted by tail), against
   position-space mirrors of the head and capacity arrays, and keeps
-  each level's admissible arcs as it goes;
-* k-core peeling processes whole frontiers per round with
-  ``unique(return_counts=True)`` degree decrements;
-* active-degree recounts are a row gather plus a ``bincount``.
+  each level's admissible arcs as it goes; smaller networks run the
+  python kernel's Dinic, and so does :func:`residual_reachable`, so a
+  network only ever builds one kernel's state;
+* active-degree recounts are a row gather plus a ``bincount``;
+* scan-first forests expand frontiers of more than ``_SCALAR_FRONTIER``
+  vertices level-synchronously;
+* segment sorts of ``_SCALAR_SEGMENTS`` values or more are one argsort.
+
+k-core peeling, connected components and the certificate's forest
+fill are the python kernel's own functions: their array versions
+measured slower at every size the workloads reach.  The crossover
+table behind ``_SCALAR_ARCS`` comes from
+``benchmarks/bench_backend_compare.py --crossover``.
 
 Every kernel here gathers from and scatters to the view's active ids
 only: base-length buffers are C-level fills (``np.full``,
@@ -54,7 +65,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import chain
-from typing import List, Set
+from typing import List
 
 import numpy as np
 
@@ -63,10 +74,11 @@ from repro.kernels import python_impl as _py
 NAME = "numpy"
 
 #: Below these sizes the array-program setup costs more than the scalar
-#: loop it replaces; the corresponding kernels fall back to the python
-#: reference (identical results either way - outputs are sets/sorted
-#: rows, so the crossover is a pure speed knob).
-_SCALAR_COMPONENTS = 256
+#: loop it replaces, so the python reference runs instead (identical
+#: results either way, so each crossover is a pure speed knob).
+#: ``_SCALAR_ARCS`` counts a flow network's arcs, reverse arcs
+#: included; see the crossover table in ``benchmarks/BENCH_17.json``.
+_SCALAR_ARCS = 3072
 _SCALAR_SEGMENTS = 2048
 _SCALAR_FRONTIER = 16
 
@@ -248,9 +260,10 @@ def _emit_arcs(net, lookup, sv, tv, n: int, k: int) -> None:
 
     Arc ids match the python kernel's builder exactly: internal pair
     ``2i``/``2i+1`` per vertex index, then quads in (vertex order, row
-    order) for edges with ``w > v``.  The int32 head/tails/cap arrays
+    order) for edges with ``w > v``.  On a network that will run the
+    array Dinic (see :func:`_scalar`) the int32 head/tails/cap arrays
     are stashed for :func:`prepare_network` so the layout pass never
-    re-boxes them.
+    re-boxes them; smaller networks keep no arrays.
     """
     iv = lookup[sv]
     iw = lookup[tv]
@@ -283,17 +296,32 @@ def _emit_arcs(net, lookup, sv, tv, n: int, k: int) -> None:
     net.cap = cap_all.tolist()
     net.initial_cap = net.cap.copy()
     net.tails = tails_all.tolist()
-    net._kern_state["numpy_build"] = {
-        "head_np": head_all,
-        "tails_np": tails_all,
-        "cap_np": cap_all,
-    }
+    if not _scalar(net):
+        net._kern_state["numpy_build"] = {
+            "head_np": head_all,
+            "tails_np": tails_all,
+            "cap_np": cap_all,
+        }
+
+
+def _scalar(net) -> bool:
+    """Whether ``net`` is small enough for the python kernel's Dinic.
+
+    Below ``_SCALAR_ARCS`` arcs the per-network layout and the per-phase
+    array set-up cost more than the scalar BFS they replace.  Both
+    :func:`max_flow` and :func:`residual_reachable` follow this rule, so
+    one network builds only one kernel's state.
+    """
+    return len(net.head) < _SCALAR_ARCS
 
 
 def max_flow(net, source: int, sink: int, k: int) -> int:
     """Dinic capped at ``k``: vectorized BFS phases, pruned scalar DFS.
 
-    Each phase's BFS records, level by level, the positions of the
+    Networks below ``_SCALAR_ARCS`` arcs run the python kernel's Dinic
+    instead (see :func:`_scalar`); the rest run the array program
+    below, with identical flows and residual states.  Each phase's BFS
+    records, level by level, the positions of the
     admissible arcs (residual capacity, level ``l`` to ``l + 1``), and
     :func:`_prune` sweeps those lists back from the sink so the DFS
     walks only arcs on a shortest source-sink path.  A query that starts
@@ -302,6 +330,8 @@ def max_flow(net, source: int, sink: int, k: int) -> int:
     phase from the source's full BFS over ``initial_cap``, computed once
     per (network, source) and cached in the kernel state.
     """
+    if _scalar(net):
+        return _py.max_flow(net, source, sink, k)
     st = prepare_network(net)
     cap = net.cap
     touched = net._touched
@@ -468,7 +498,13 @@ def _augment(
 
 
 def residual_reachable(net, source: int) -> bytearray:
-    """Byte mask of nodes reachable from ``source`` via residual arcs."""
+    """Byte mask of nodes reachable from ``source`` via residual arcs.
+
+    Frontier-at-a-time over the positional layout, on the networks
+    :func:`max_flow` runs as arrays; smaller ones take the python BFS.
+    """
+    if _scalar(net):
+        return _py.residual_reachable(net, source)
     st = prepare_network(net)
     _sync_caps(net, st)
     arc_indptr = st["arc_indptr"]
@@ -495,56 +531,9 @@ def residual_reachable(net, source: int) -> bytearray:
 # ----------------------------------------------------------------------
 # Subgraph-view kernels
 # ----------------------------------------------------------------------
-def peel(view, k: int) -> Set[int]:
-    """In-place k-core peel of a CSR view; returns the removed id set.
-
-    Round-based: unmask the whole sub-``k`` frontier, gather its still-
-    active neighbors, decrement their degrees via ``unique`` counts, and
-    promote the newly sub-``k`` ones to the next frontier.  Survivor
-    masks and survivor degrees match the queue-driven python kernel
-    exactly (the k-core is unique); only the frozen degrees of *removed*
-    vertices - documented as stale - may differ.
-    """
-    base = view.base
-    indptr, indices = _base_np(base)
-    mask_np = np.frombuffer(view.mask, dtype=np.uint8)
-    deg = view.deg
-    cand_list = view.active_list()
-    cand = np.asarray(cand_list, dtype=np.int64)
-    cand_deg = np.fromiter(
-        map(deg.__getitem__, cand_list), dtype=np.int64,
-        count=len(cand_list),
-    )
-    frontier = cand[cand_deg < k]
-    if frontier.size == 0:
-        return set()
-    # Base-indexed scratch: a C-level fill, then only active ids are
-    # gathered in and scattered back out.
-    deg_np = np.zeros(base.n, dtype=np.int64)
-    deg_np[cand] = cand_deg
-    removed_parts = []
-    while frontier.size:
-        mask_np[frontier] = 0
-        removed_parts.append(frontier)
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        pos = _ranges(starts, counts)
-        if pos.size == 0:
-            break
-        nbrs = indices[pos]
-        nbrs = nbrs[mask_np[nbrs] != 0]
-        if nbrs.size == 0:
-            break
-        vals, cnts = np.unique(nbrs, return_counts=True)
-        new_deg = deg_np[vals] - cnts
-        deg_np[vals] = new_deg
-        frontier = vals[new_deg < k]
-    removed = np.concatenate(removed_parts)
-    for v, d in zip(cand_list, deg_np[cand].tolist()):
-        deg[v] = d
-    view._n_active -= int(removed.size)
-    view._verts = cand[mask_np[cand] != 0].tolist()
-    return set(removed.tolist())
+#: Queue-driven peeling touches each removed vertex and edge once; the
+#: frontier-at-a-time array version measured slower at every size.
+peel = _py.peel
 
 
 def active_ids(mask) -> List[int]:
@@ -707,49 +696,10 @@ def _scan_first_pass(layout):
     return forest
 
 
-def components(view, removed) -> List[Set[int]]:
-    """Components of a CSR view minus ``removed``, frontier-at-a-time.
-
-    Per-component level-synchronous BFS over the base arrays; component
-    contents and discovery order match the python kernel (components are
-    canonical, discovery follows ``active_list`` order).  Small views go
-    through the scalar reference - the per-level gather setup would
-    dominate them.
-    """
-    if view._n_active < _SCALAR_COMPONENTS:
-        return _py.components(view, removed)
-    base = view.base
-    n = base.n
-    indptr, indices = _base_np(base)
-    mask_np = np.frombuffer(view.mask, dtype=np.uint8)
-    seen = bytearray(n)
-    if removed:
-        for v in removed:
-            if 0 <= v < n:
-                seen[v] = 1
-    seen_np = np.frombuffer(seen, dtype=np.uint8)
-    out: List[Set[int]] = []
-    for start in view.active_list():
-        if seen[start]:
-            continue
-        seen[start] = 1
-        members = [start]
-        frontier = np.array([start], dtype=np.int64)
-        while frontier.size:
-            starts = indptr[frontier]
-            pos = _ranges(starts, indptr[frontier + 1] - starts)
-            if pos.size == 0:
-                break
-            t = indices[pos]
-            t = t[(mask_np[t] != 0) & (seen_np[t] == 0)]
-            if t.size == 0:
-                break
-            t = np.unique(t)
-            seen_np[t] = 1
-            members.extend(t.tolist())
-            frontier = t
-        out.append(set(members))
-    return out
+#: A list-queue BFS per component; the frontier-at-a-time array
+#: version measured no faster on ``enumerate`` and 3x slower on the
+#: ``build`` root, so both kernels share the reference.
+components = _py.components
 
 
 #: The forest edges arrive as Python tuples either way, and the row
@@ -773,7 +723,7 @@ def sort_segments(indptr, flat) -> array:
     rowrep = np.repeat(
         np.arange(ip.size - 1, dtype=np.int64), np.diff(ip)
     )
-    stride = int(fl.max()) + 1
+    stride = int(fl.max(initial=0)) + 1
     order = np.argsort(rowrep * stride + fl)
     out = array("l")
     out.frombytes(fl[order].astype(np.int_, copy=False).tobytes())

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import pickle
 
+import networkx as nx
 import pytest
 from helpers import random_connected_graph, vertex_set_family
 
@@ -190,6 +191,30 @@ def test_expand_work_item_leaf_and_split():
     )
     assert grand is None  # a K5 is 4-connected: leaf
     assert stats.kvccs_found == 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_k1_items_are_leaves(workers):
+    """At k = 1 the k-VCCs are the components of at least 2 vertices.
+
+    Every work item is a connected view with more than one vertex, so
+    it has no vertex cut of size 0 and no GLOBAL-CUT runs.
+    """
+    graph = ring_of_cliques(num_cliques=3, clique_size=4)
+    for u, v in [(100, 101), (101, 102), (200, 201)]:
+        graph.add_edge(u, v)
+    graph.add_vertex(300)
+    stats = RunStats(k=1)
+    found = enumerate_kvccs(graph, 1, KVCCOptions(workers=workers), stats)
+    expected = {
+        frozenset(comp)
+        for comp in nx.connected_components(graph.to_networkx())
+        if len(comp) >= 2
+    }
+    assert vertex_set_family(found) == expected
+    assert stats.kvccs_found == len(expected) == 3
+    assert stats.global_cut_calls == 0
+    assert stats.flow_tests == 0
 
 
 def test_empty_after_peel_skips_pool():

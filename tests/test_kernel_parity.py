@@ -5,9 +5,15 @@ results* from both implementations - only wall-clock may differ.  This
 suite drives random graphs through every kernel entry point under each
 implementation and asserts exact agreement: max-flow values and the
 full residual capacity state, min vertex cut sets, peel survivor masks
-and active degrees, scan-first forests edge-for-edge, component
-families, segment sorts, certificate adjacency fills, and the
-end-to-end enumeration with its deterministic counters.
+and active degrees, scan-first forests edge-for-edge, segment sorts,
+certificate adjacency fills, and the end-to-end enumeration with its
+deterministic counters.
+
+The numpy kernel hands inputs below its ``_SCALAR_*`` size crossovers
+to the python reference, and hypothesis inputs are small, so an
+autouse fixture sets every crossover to 0: each case compares numpy's
+array code, at every size, with the reference.  (The production
+crossovers are checked in ``tests/test_flow.py``.)
 
 The numpy half of every comparison is skipped when numpy is not
 installed (CI runs the tier-1 suite both ways); the shared-memory
@@ -51,6 +57,18 @@ GRAPH_ARGS = dict(
 #: drops every ``s``-th base id, so kernels also see a view that is a
 #: strict subset of its base.
 VIEW_ARGS = dict(GRAPH_ARGS, stride=st.integers(min_value=1, max_value=4))
+
+
+@pytest.fixture(autouse=True)
+def array_code_at_every_size(monkeypatch):
+    """Force numpy's array programs on for inputs of any size."""
+    if "numpy" not in kernels.available():
+        return
+    from repro.kernels import numpy_impl
+
+    for name in vars(numpy_impl).copy():
+        if name.startswith("_SCALAR_"):
+            monkeypatch.setattr(numpy_impl, name, 0)
 
 
 def strided_view(g, stride: int):
@@ -245,19 +263,6 @@ class TestViewKernelParity:
         assert py == np_
 
     @settings(max_examples=25, deadline=None)
-    @given(**GRAPH_ARGS)
-    def test_components_after_removal(self, n, p, seed, k):
-        g = random_connected_graph(n, p, seed)
-        removed = set(list(sorted(g.vertices()))[::3][:k])
-
-        def run(_name):
-            view = CSRGraph.from_graph(g).full_view()
-            return kernels.select().components(view, removed)
-
-        py, np_ = per_kernel(run)
-        assert py == np_
-
-    @settings(max_examples=25, deadline=None)
     @given(
         rows=st.lists(
             st.lists(
@@ -268,6 +273,8 @@ class TestViewKernelParity:
             max_size=20,
         )
     )
+    # An empty input reaches numpy's argsort path once it is forced on.
+    @example(rows=[[]])
     def test_sort_segments(self, rows):
         indptr = [0]
         flat = []
