@@ -357,7 +357,7 @@ def _print_rows(title: str, unit: str, rows) -> None:
               f"{r['numpy_s'] / max(r['python_s'], 1e-9):6.2f}")
 
 
-def crossover_edge(rows):
+def _crossover_edge(rows):
     """The first bucket edge from which numpy wins every bucket above it.
 
     Buckets are compared within each pass, so the edge holds on both
@@ -399,10 +399,10 @@ def run_crossover(smoke: bool, json_path: str) -> int:
     _print_rows("LOC-CUT flow time by network arcs (layout set-up "
                 "included):", "arcs", flow_rows)
     _print_rows("peel time by active vertices:", "active", peel_rows)
-    edge = crossover_edge(flow_rows)
+    edge = _crossover_edge(flow_rows)
     from repro.kernels import numpy_impl
 
-    configured = getattr(numpy_impl, "_SCALAR_ARCS", None)
+    configured = numpy_impl._SCALAR_ARCS
     print(f"crossover: numpy's Dinic wins every bucket from {edge} arcs "
           f"up on both passes; numpy_impl._SCALAR_ARCS = {configured}")
     if json_path:

@@ -20,8 +20,10 @@ sizes where that measured faster than the reference:
 * segment sorts of ``_SCALAR_SEGMENTS`` values or more are one argsort.
 
 k-core peeling, connected components and the certificate's forest
-fill are the python kernel's own functions: their array versions
-measured slower at every size the workloads reach.  The crossover
+fill are the python kernel's own functions.  The array peel was slower
+at every size the workloads reach; the array components saved under
+1% of an ``enumerate`` pass and ran about 3x slower on the ``build``
+root, too little to keep a second implementation.  The crossover
 table behind ``_SCALAR_ARCS`` comes from
 ``benchmarks/bench_backend_compare.py --crossover``.
 
@@ -321,8 +323,8 @@ def max_flow(net, source: int, sink: int, k: int) -> int:
     Networks below ``_SCALAR_ARCS`` arcs run the python kernel's Dinic
     instead (see :func:`_scalar`); the rest run the array program
     below, with identical flows and residual states.  Each phase's BFS
-    records, level by level, the positions of the
-    admissible arcs (residual capacity, level ``l`` to ``l + 1``), and
+    records, level by level, the positions of the admissible arcs
+    (residual capacity, level ``l`` to ``l + 1``), and
     :func:`_prune` sweeps those lists back from the sink so the DFS
     walks only arcs on a shortest source-sink path.  A query that starts
     on an untouched network (``net._touched`` empty, as after
@@ -697,8 +699,8 @@ def _scan_first_pass(layout):
 
 
 #: A list-queue BFS per component; the frontier-at-a-time array
-#: version measured no faster on ``enumerate`` and 3x slower on the
-#: ``build`` root, so both kernels share the reference.
+#: version saved under 1% of an ``enumerate`` pass and ran about 3x
+#: slower on the ``build`` root, so both kernels share the reference.
 components = _py.components
 
 

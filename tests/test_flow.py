@@ -182,34 +182,33 @@ class TestNumpyArcRule:
     both the max flow (2) and the residual BFS of the cut extraction.
     """
 
+    @pytest.fixture
+    def rule(self):
+        from repro.kernels import numpy_impl
+
+        return numpy_impl._SCALAR_ARCS
+
     @staticmethod
-    def run_query(n, kernel):
+    def query(n, kernel):
+        """``(arcs, kernel-state keys, cut)`` after one query on C_n."""
         view = as_view(cycle_graph(n))
         with kernels.use(kernel):
             net = build_flow_network(view, 3)
             cut = local_vertex_cut(view, net, 0, n // 2, 3)
-        return net, cut
+        return len(net.head), set(net._kern_state), cut
 
-    def check(self, n, state):
-        from repro.kernels import numpy_impl
+    def check(self, n, rule, state):
+        _, _, expected = self.query(n, "python")
+        arcs, states, cut = self.query(n, "numpy")
+        assert (arcs >= rule) == (state == "numpy")
+        assert states == {state}
+        assert cut == expected and len(cut) == 2
 
-        net, cut = self.run_query(n, "numpy")
-        assert (len(net.head) >= numpy_impl._SCALAR_ARCS) == (
-            state == "numpy"
-        )
-        assert set(net._kern_state) == {state}
-        assert cut == self.run_query(n, "python")[1]
-        assert len(cut) == 2
+    def test_network_below_the_rule_keeps_no_numpy_state(self, rule):
+        self.check((rule - 1) // 6, rule, "python")
 
-    def test_network_below_the_rule_keeps_no_numpy_state(self):
-        from repro.kernels import numpy_impl
-
-        self.check((numpy_impl._SCALAR_ARCS - 1) // 6, "python")
-
-    def test_network_at_the_rule_builds_numpy_state(self):
-        from repro.kernels import numpy_impl
-
-        self.check(-(-numpy_impl._SCALAR_ARCS // 6), "numpy")
+    def test_network_at_the_rule_builds_numpy_state(self, rule):
+        self.check(-(-rule // 6), rule, "numpy")
 
 
 @settings(max_examples=30, deadline=None)
