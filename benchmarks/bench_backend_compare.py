@@ -236,8 +236,9 @@ def _recording(networks: list, peels: list):
     """Record every LOC-CUT network + query and every view peel.
 
     ``networks`` gets ``[graph, k, arcs, queries]`` per flow network
-    GLOBAL-CUT builds (``graph`` is the certificate, or a copy of the
-    view), and ``peels`` gets ``(base, mask, k, active)`` per peel.
+    GLOBAL-CUT builds (``graph`` is its sparse certificate, which nothing
+    mutates after the build), and ``peels`` gets ``(base, mask, k,
+    active)`` per peel.
     """
     by_net = {}
     build, loc_cut, peel = (
@@ -247,8 +248,7 @@ def _recording(networks: list, peels: list):
 
     def record_build(graph, k):
         net = build(graph, k)
-        snapshot = graph.copy() if isinstance(graph, SubgraphView) else graph
-        by_net[id(net)] = entry = [snapshot, k, len(net.head), []]
+        by_net[id(net)] = entry = [graph, k, len(net.head), []]
         networks.append(entry)
         return net
 
@@ -279,7 +279,7 @@ def _pinned(name: str):
         for attr in [a for a in vars(module) if a.startswith("_SCALAR_")]:
             stack.callback(setattr, module, attr, getattr(module, attr))
             setattr(module, attr, 0)
-        yield module
+        yield
 
 
 def _flow_query(net, u: int, v: int, k: int):
