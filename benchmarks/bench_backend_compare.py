@@ -1,4 +1,4 @@
-"""Micro-benchmark: CSR enumeration stages and kernels, serial vs parallel.
+"""Micro-benchmark: CSR enumeration stages and kernels.
 
 Times the enumeration pipeline on mid-size generator graphs:
 
@@ -6,11 +6,6 @@ Times the enumeration pipeline on mid-size generator graphs:
   a shared CSR base);
 * **enumerate** - the full ``enumerate_kvccs`` pipeline, with the
   per-stage breakdown of its fastest run and one row per kernel;
-* **serial vs parallel** - the CSR pipeline under the serial engine vs
-  the ``--workers N`` process-pool engine, on the single-component
-  web-graph stand-in (pessimal: little fan-out before the first cuts)
-  and on a sharded multi-community workload (top-level fan-out, the
-  shape the engine is built for);
 * **crossover** (``--crossover``, a mode of its own) - every LOC-CUT
   query and peel call of one enumerate pass over perfbench's seven
   stand-ins at their ``scaled_k_values`` and of one hierarchy build over
@@ -27,17 +22,10 @@ can execute it without extra plugins)::
 
     PYTHONPATH=src python benchmarks/bench_backend_compare.py
     PYTHONPATH=src python benchmarks/bench_backend_compare.py --quick
-    PYTHONPATH=src python benchmarks/bench_backend_compare.py --workers 4
     PYTHONPATH=src python benchmarks/bench_backend_compare.py --crossover
 
 The kernel bar compares against the committed ``BENCH_baseline.json``
-snapshot (see ``main``); for the parallel engine it is >= 1.5x over
-serial on the sharded workload *on machines exposing >= 2 CPUs* (the
-single-component web graph is documented as too serial to benefit - its
-first GLOBAL-CUT dominates the critical path - and on a single-CPU
-machine the parallel rows degrade to an equivalence check plus an
-overhead measurement and are not gated).  Measured numbers are recorded
-in CHANGES.md.
+snapshot (see ``main``).  Measured numbers are recorded in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -59,7 +47,7 @@ from repro.flow.dinic import max_flow_min_k
 from repro.flow.flow_network import build_flow_network
 from repro.flow.min_cut import minimum_vertex_cut_from_residual
 from repro.graph.csr import CSRGraph, SubgraphView
-from repro.graph.generators import assemble_communities, web_graph
+from repro.graph.generators import web_graph
 from repro.graph.graph import Graph
 
 #: Committed PR-5 snapshot the kernel gate diffs against.
@@ -160,45 +148,6 @@ def load_baseline() -> dict:
             return json.load(handle)
     except (OSError, ValueError):
         return {}
-
-
-def bench_parallel(graph: Graph, k: int, workers: int, repeats: int) -> tuple:
-    """Serial CSR enumerate vs the process-pool engine on the same graph."""
-    serial_opts = KVCCOptions()
-    par_opts = KVCCOptions(workers=workers)
-
-    # Capture the last timed run's result so the equivalence assertion
-    # below does not cost two extra full enumerations.
-    results = {}
-
-    def run_serial():
-        results["serial"] = enumerate_kvccs(graph, k, serial_opts)
-
-    def run_par():
-        results["par"] = enumerate_kvccs(graph, k, par_opts)
-
-    t_serial = _time(run_serial, repeats)
-    t_par = _time(run_par, repeats)
-    a = [tuple(sorted(c.vertices(), key=str)) for c in results["serial"]]
-    b = [tuple(sorted(c.vertices(), key=str)) for c in results["par"]]
-    assert a == b, "engines disagree on results or ordering"
-    return t_serial, t_par
-
-
-def _sharded_graph(quick: bool) -> Graph:
-    """Disjoint web communities: the fan-out-friendly sharded shape.
-
-    ``cross_edges=0`` keeps the communities separate components - even a
-    handful of surviving cross edges merges k-cores into one giant
-    component whose first GLOBAL-CUT re-serializes the critical path.
-    """
-    parts = 4 if quick else 8
-    size = 300 if quick else 600
-    communities = [
-        web_graph(size, out_degree=8, copy_prob=0.65, seed=40 + i)
-        for i in range(parts)
-    ]
-    return assemble_communities(communities, cross_edges=0, seed=40)
 
 
 # ----------------------------------------------------------------------
@@ -425,17 +374,8 @@ def main() -> int:
     )
     parser.add_argument("-k", type=int, default=None, help="threshold")
     parser.add_argument(
-        "--workers", type=int, default=4, metavar="N",
-        help="pool size for the serial-vs-parallel column (default 4)",
-    )
-    parser.add_argument(
         "--json", metavar="PATH", default="",
         help="also write the measured metrics as machine-readable JSON",
-    )
-    parser.add_argument(
-        "--parallel-only", action="store_true",
-        help="run (and gate) only the sharded-workload parallel bar - "
-        "the cpu-count-gated CI job's mode",
     )
     parser.add_argument(
         "--crossover", action="store_true",
@@ -459,41 +399,6 @@ def main() -> int:
             "n": n,
             "k": k,
         }
-
-    def flush_json() -> None:
-        if args.json:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                json.dump(metrics, handle, indent=2, sort_keys=True)
-            print(f"wrote {len(metrics)} metric(s) to {args.json}")
-
-    workers = args.workers
-    cpus = os.cpu_count() or 1
-
-    if args.parallel_only:
-        # The CI parallel job's mode: only the fan-out-friendly sharded
-        # workload, gated on machines where parallelism is possible.
-        sharded = _sharded_graph(args.quick)
-        t_ser2, t_par2 = bench_parallel(sharded, k, workers, repeats)
-        shard_speedup = t_ser2 / t_par2
-        print(
-            f"engine (k={k}, sharded n={sharded.num_vertices} "
-            f"m={sharded.num_edges}): serial {t_ser2 * 1e3:8.1f} ms   "
-            f"pool{workers} {t_par2 * 1e3:8.1f} ms   "
-            f"speedup {shard_speedup:5.2f}x"
-        )
-        record("engine_sharded_speedup", shard_speedup, "x",
-               sharded.num_vertices)
-        flush_json()
-        if cpus < 2:
-            print(f"  note: {cpus} CPU exposed - bar not applicable")
-            return 0
-        if not args.quick and shard_speedup < 1.5:
-            print(
-                "WARNING: parallel speedup below the 1.5x acceptance "
-                "bar on the sharded workload"
-            )
-            return 1
-        return 0
 
     graph = _mid_size_graph(args.quick)
     print(
@@ -539,51 +444,12 @@ def main() -> int:
         record(f"enumerate_csr_{name}_ms", seconds * 1e3, "ms",
                graph.num_vertices)
 
-    # Serial-vs-parallel column (same CSR pipeline, engine differs).
-    t_ser, t_par = bench_parallel(graph, k, workers, repeats)
-    par_speedup = t_ser / t_par
-    print(
-        f"engine (k={k}, web): serial {t_ser * 1e3:8.1f} ms   "
-        f"pool{workers} {t_par * 1e3:8.1f} ms   speedup {par_speedup:5.2f}x"
-    )
-    record("engine_web_speedup", par_speedup, "x", graph.num_vertices)
-    if par_speedup < 1.5:
-        print(
-            "  note: the web stand-in is one component whose first "
-            "GLOBAL-CUT dominates the critical path - too little "
-            "fan-out for process parallelism to pay for pool startup"
-        )
-
-    sharded = _sharded_graph(args.quick)
-    t_ser2, t_par2 = bench_parallel(sharded, k, workers, repeats)
-    shard_speedup = t_ser2 / t_par2
-    print(
-        f"engine (k={k}, sharded n={sharded.num_vertices} "
-        f"m={sharded.num_edges}): serial {t_ser2 * 1e3:8.1f} ms   "
-        f"pool{workers} {t_par2 * 1e3:8.1f} ms   speedup {shard_speedup:5.2f}x"
-    )
-    record("engine_sharded_speedup", shard_speedup, "x",
-           sharded.num_vertices)
-    if cpus < 2:
-        print(
-            f"  note: this machine exposes {cpus} CPU - a process pool "
-            "cannot exceed 1x here; the parallel rows only validate "
-            "engine equivalence and measure dispatch overhead"
-        )
-
-    flush_json()
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as handle:
+            json.dump(metrics, handle, indent=2, sort_keys=True)
+        print(f"wrote {len(metrics)} metric(s) to {args.json}")
 
     failed = False
-    if not args.quick and cpus >= 2 and shard_speedup < 1.5:
-        # The parallel bar only applies where parallelism is possible;
-        # on a single-CPU machine the rows above degrade to an overhead
-        # measurement (see note) and are not gated.
-        print(
-            "WARNING: parallel speedup below the 1.5x acceptance bar "
-            "on the sharded workload"
-        )
-        failed = True
-
     # Kernel gate against the committed PR-5 snapshot: the numpy
     # kernels must beat the pre-kernel serial CSR enumerate by >= 1.5x
     # on the same workload, and the pure-python path must not regress

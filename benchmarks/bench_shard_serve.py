@@ -21,9 +21,8 @@ a ~community-sized member list) and 64-token ``vcc-number`` batches
 requests/s and p50/p99 latency; the trend artifact keys are
 ``shard_serve.*``.
 
-Acceptance (full mode only, like the parallel-engine bench): on a
-machine exposing >= 2 CPUs, the sharded tier must reach **>= 1.5x** the
-single replica's request rate.  On 1 CPU the bar is physically
+Acceptance (full mode only): on a machine exposing >= 2 CPUs, the
+sharded tier must reach **>= 1.5x** the single replica's request rate.  On 1 CPU the bar is physically
 meaningless and downgrades to a note.
 
 Run directly (plain script, stdlib only)::

@@ -8,11 +8,10 @@ vcc-number is to vertex connectivity what the core number is to degree,
 and is never larger (Whitney / Theorem 3).
 
 The construction interns the graph once: one shared immutable CSR base,
-each level's components re-entered as zero-copy mask views (pass
-``KVCCOptions(workers=N)`` to fan a level's independent components out
-across processes).  The second half shows the serving pattern: persist
-the forest as a :mod:`repro.index` file once, then answer membership
-queries from the loaded index in O(1) - no flow computation per query.
+each level's components re-entered as zero-copy mask views.  The second
+half shows the serving pattern: persist the forest as a
+:mod:`repro.index` file once, then answer membership queries from the
+loaded index in O(1) - no flow computation per query.
 
 Run: ``python examples/hierarchy_explorer.py``
 """
@@ -38,9 +37,7 @@ def main() -> None:
     graph = collaboration_graph(400, 700, mean_paper_size=3.0, seed=11)
     print(f"collaboration graph: {graph}\n")
 
-    # One shared CSR base, zero-copy level views; pass
-    # options=KVCCOptions(workers=N) to parallelize each level's
-    # independent parent components.
+    # One shared CSR base, zero-copy level views.
     hierarchy = build_hierarchy(graph)
     print(f"hierarchy: {len(hierarchy)} components across "
           f"levels 1..{hierarchy.max_k}")

@@ -25,7 +25,6 @@ from repro.core import (
     VARIANTS,
     enumerate_kvccs,
     enumerate_kvccs_sweep,
-    enumerate_kvccs_via_ecc,
     build_overlap_graph,
     is_k_connected,
     local_connectivity,
@@ -78,7 +77,6 @@ __all__ = [
     "minimum_vertex_cut",
     "vertex_connectivity",
     "enumerate_kvccs_sweep",
-    "enumerate_kvccs_via_ecc",
     "build_overlap_graph",
     "overlap_partition",
     "articulation_points",

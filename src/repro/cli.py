@@ -9,9 +9,8 @@ Commands
 ``connectivity``
     Vertex connectivity of a graph (or of a vertex pair with ``-u/-v``).
 ``hierarchy``
-    The k-VCC hierarchy levels and per-vertex vcc-numbers (optionally
-    parallel with ``--workers``); can persist the forest with
-    ``--save-index``.
+    The k-VCC hierarchy levels and per-vertex vcc-numbers; can persist
+    the forest with ``--save-index``.
 ``build-cohesion``
     Build the multi-measure ``KVCCCOH`` cohesion index: the k-VCC,
     k-ECC, and k-core hierarchies of one dataset, persisted side by
@@ -48,12 +47,12 @@ Examples
 
     python -m repro kvcc graph.txt -k 4
     python -m repro kvcc name:youtube -k 8
-    python -m repro kvcc snap.txt.gz -k 4 --workers 4
+    python -m repro kvcc snap.txt.gz -k 4
     python -m repro kvcc graph.txt -k 4 --variant VCCE --out result.json
     python -m repro stats name:dblp
     python -m repro connectivity graph.txt
     python -m repro connectivity graph.txt -u 3 -v 17
-    python -m repro hierarchy name:youtube --max-k 6 --workers 4
+    python -m repro hierarchy name:youtube --max-k 6
     python -m repro hierarchy graph.txt --save-index graph.kvccidx
     python -m repro query vcc-number graph.kvccidx -v 3
     python -m repro query components-of graph.kvccidx -v 3 -k 4
@@ -109,16 +108,6 @@ def _shards_arg(token: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(
             f"shards must be >= 1 (1 = unsharded), got {value}"
-        )
-    return value
-
-
-def _workers_arg(token: str) -> int:
-    """argparse type for --workers: non-negative int, usage error otherwise."""
-    value = int(token)
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"workers must be >= 0 (0 = one per CPU), got {value}"
         )
     return value
 
@@ -196,16 +185,12 @@ def _label_id(base, token: str) -> int:
 
 def cmd_kvcc(args: argparse.Namespace) -> int:
     """Enumerate the k-VCCs of a dataset."""
-    import dataclasses
-
     from repro.core.kvcc import enumerate_kvccs_csr
     from repro.graph.serialization import save_decomposition
 
     base = _load_base(args)
     stats = RunStats(k=args.k)
-    options = dataclasses.replace(
-        VARIANTS[args.variant], workers=args.workers
-    )
+    options = VARIANTS[args.variant]
     from repro.data.external import resolve_mem_budget
 
     budget = resolve_mem_budget(args.mem_budget)
@@ -225,16 +210,11 @@ def cmd_kvcc(args: argparse.Namespace) -> int:
             base, args.k, options, stats, materialize=False
         )
     components = [[base.label_of(i) for i in leaf] for leaf in leaves]
-    engine_note = (
-        "" if options.engine == "serial"
-        else f", {stats.parallel_tasks} tasks on {args.workers or 'auto'} workers"
-    )
-    if budget is not None:
-        engine_note += ", component-at-a-time"
+    mode_note = "" if budget is None else ", component-at-a-time"
     print(
         f"{len(components)} {args.k}-VCC(s) in {stats.elapsed_seconds:.3f}s "
         f"({stats.flow_tests} local connectivity tests, "
-        f"{stats.partitions} partitions{engine_note})"
+        f"{stats.partitions} partitions{mode_note})"
     )
     if args.out:
         graph = base.to_graph() if args.embed_graph else None
@@ -296,11 +276,9 @@ def cmd_connectivity(args: argparse.Namespace) -> int:
 def cmd_hierarchy(args: argparse.Namespace) -> int:
     """Print the k-VCC hierarchy levels; optionally persist the index."""
     from repro.core.hierarchy import build_hierarchy_csr
-    from repro.core.options import KVCCOptions
 
     base = _load_base(args)
-    options = KVCCOptions(workers=args.workers)
-    hierarchy = build_hierarchy_csr(base, max_k=args.max_k, options=options)
+    hierarchy = build_hierarchy_csr(base, max_k=args.max_k)
     print(f"max level: {hierarchy.max_k}")
     for k in range(1, hierarchy.max_k + 1):
         comps = hierarchy.components_at(k)
@@ -326,12 +304,10 @@ def cmd_hierarchy(args: argparse.Namespace) -> int:
 
 def cmd_build_cohesion(args: argparse.Namespace) -> int:
     """Build and persist the multi-measure ``KVCCCOH`` cohesion index."""
-    from repro.core.options import KVCCOptions
     from repro.index import build_cohesion_index
 
     base = _load_base(args)
-    options = KVCCOptions(workers=args.workers)
-    cohesion = build_cohesion_index(base, max_k=args.max_k, options=options)
+    cohesion = build_cohesion_index(base, max_k=args.max_k)
     # Temp-file + atomic rename, same discipline as --save-index: a
     # serving process hot-reloading this path must never mmap a
     # half-written container.
@@ -825,19 +801,13 @@ def build_parser() -> argparse.ArgumentParser:
         "kvcc", help="enumerate k-VCCs of a dataset",
         epilog="examples: repro kvcc graph.txt -k 4; "
         "repro kvcc name:youtube -k 8 (generated once, mmap-cached "
-        "thereafter); repro kvcc snap.txt.gz -k 5 --workers 4",
+        "thereafter); repro kvcc snap.txt.gz -k 5",
     )
     _add_dataset_args(p)
     p.add_argument("-k", type=int, required=True, help="connectivity threshold")
     p.add_argument(
         "--variant", choices=sorted(VARIANTS), default="VCCE*",
         help="algorithm variant (default: VCCE*)",
-    )
-    p.add_argument(
-        "--workers", type=_workers_arg, default=1, metavar="N",
-        help="execution engine: 1 = serial (default), N > 1 = fan the "
-        "worklist out to N worker processes, 0 = one per CPU; results "
-        "and ordering are identical to serial",
     )
     p.add_argument("--out", help="write the decomposition to this JSON file")
     p.add_argument(
@@ -864,20 +834,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "hierarchy", help="k-VCC hierarchy across k",
-        epilog="examples: repro hierarchy name:youtube --max-k 6 "
-        "--workers 4; repro hierarchy graph.txt --save-index "
-        "graph.kvccidx (then query it with 'repro query')",
+        epilog="examples: repro hierarchy name:youtube --max-k 6; "
+        "repro hierarchy graph.txt --save-index graph.kvccidx (then "
+        "query it with 'repro query')",
     )
     _add_dataset_args(p)
     p.add_argument("--max-k", type=int, default=None)
     p.add_argument(
         "--vcc-numbers", action="store_true",
         help="also print the per-vertex vcc-number",
-    )
-    p.add_argument(
-        "--workers", type=_workers_arg, default=1, metavar="N",
-        help="fan each level's independent parent components out to N "
-        "worker processes (1 = serial, 0 = one per CPU)",
     )
     p.add_argument(
         "--save-index", metavar="PATH",
@@ -903,11 +868,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-k", type=int, default=None,
         help="cap every measure's hierarchy at this level",
-    )
-    p.add_argument(
-        "--workers", type=_workers_arg, default=1, metavar="N",
-        help="worker processes for the k-VCC hierarchy build "
-        "(1 = serial, 0 = one per CPU)",
     )
     p.set_defaults(func=cmd_build_cohesion)
 

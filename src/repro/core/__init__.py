@@ -13,9 +13,7 @@ Public entry points
 :mod:`~repro.core.connectivity_api`
     Whole-graph helpers: ``is_k_connected``, ``vertex_connectivity``.
 :mod:`~repro.core.engine`
-    Execution engines draining the KVCC-ENUM worklist: the serial
-    reference driver and the multiprocessing fan-out
-    (``KVCCOptions(workers=N)``).
+    The serial driver that drains the KVCC-ENUM worklist.
 :mod:`~repro.core.outofcore`
     Component-at-a-time enumeration over an mmap CSR under a memory
     budget (``enumerate_kvccs_outofcore``).
@@ -27,11 +25,7 @@ from repro.core.outofcore import (
     streaming_components,
 )
 from repro.core.stats import RssTracker, RunStats, max_rss_bytes
-from repro.core.engine import (
-    ProcessPoolEngine,
-    SerialEngine,
-    create_engine,
-)
+from repro.core.engine import SerialEngine
 from repro.core.kvcc import enumerate_kvccs, vccs_containing
 from repro.core.partition import overlap_partition
 from repro.core.global_cut import global_cut
@@ -42,7 +36,6 @@ from repro.core.connectivity_api import (
     vertex_connectivity,
 )
 from repro.core.ksweep import enumerate_kvccs_sweep
-from repro.core.ecc_prefilter import enumerate_kvccs_via_ecc
 from repro.core.overlap_graph import OverlapGraph, build_overlap_graph
 from repro.core.variants import (
     VARIANTS,
@@ -57,8 +50,6 @@ __all__ = [
     "RssTracker",
     "RunStats",
     "SerialEngine",
-    "ProcessPoolEngine",
-    "create_engine",
     "enumerate_kvccs",
     "enumerate_kvccs_outofcore",
     "max_rss_bytes",
@@ -71,7 +62,6 @@ __all__ = [
     "minimum_vertex_cut",
     "vertex_connectivity",
     "enumerate_kvccs_sweep",
-    "enumerate_kvccs_via_ecc",
     "OverlapGraph",
     "build_overlap_graph",
     "VARIANTS",

@@ -49,11 +49,10 @@ def _query_options(options: Optional[KVCCOptions]) -> KVCCOptions:
 
     Callers pass options here to standardize on one configured object
     across enumeration and query calls.  A query is a single GLOBAL-CUT
-    call that never spawns an engine, so ``workers`` has no effect, and
-    silently re-enabling the sweep machinery the preset deliberately
-    turns off (it only costs time when each answer is computed once)
-    would be an unrequested slowdown - only the source tie-break seed
-    is taken over.
+    call that never runs the engine, and silently re-enabling the sweep
+    machinery the preset deliberately turns off (it only costs time
+    when each answer is computed once) would be an unrequested
+    slowdown - only the source tie-break seed is taken over.
     """
     if options is None:
         return _QUERY_OPTIONS

@@ -18,9 +18,8 @@ The graph is interned **once** into an immutable
 :class:`~repro.graph.csr.CSRGraph`; every level-k component becomes a
 zero-copy mask view over that shared base for the level-(k+1) search
 (:func:`build_hierarchy_csr`), and all parent components of a level are
-fanned out through **one** engine invocation
-(:meth:`~repro.core.engine.SerialEngine.run_many`), so
-``KVCCOptions(workers=N)`` parallelizes whole levels.
+drained by **one** engine invocation
+(:meth:`~repro.core.engine.SerialEngine.run_many`).
 
 Derived queries:
 
@@ -39,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.core.engine import create_engine
+from repro.core.engine import SerialEngine
 from repro.core.options import KVCCOptions
 from repro.core.stats import RunStats
 from repro.graph.csr import CSRGraph
@@ -121,9 +120,7 @@ def build_hierarchy_csr(
     member-id list, level k+1 re-enters the enumeration through
     zero-copy mask views (:meth:`~repro.graph.csr.CSRGraph.view_from_members`),
     and all parent components of a level are drained by **one**
-    :meth:`~repro.core.engine.SerialEngine.run_many` call - under
-    ``KVCCOptions(workers=N)`` that fans the independent parents out
-    across one process pool per level.
+    :meth:`~repro.core.engine.SerialEngine.run_many` call.
 
     Parameters
     ----------
@@ -134,7 +131,7 @@ def build_hierarchy_csr(
         Stop after this level; ``None`` keeps going until a level has
         no components.
     options:
-        Engine/strategy switches.
+        Strategy switches.
     stats:
         Optional counter sink accumulated across every level.
 
@@ -144,7 +141,7 @@ def build_hierarchy_csr(
         The nesting forest, levels stored in ascending order.
     """
     options = options or KVCCOptions()
-    engine = create_engine(options)
+    engine = SerialEngine()
     stats = stats if stats is not None else RunStats(k=1)
     hierarchy = KVCCHierarchy()
 
@@ -208,8 +205,7 @@ def build_hierarchy(
         has no components (which happens at the latest just above the
         graph's degeneracy).
     options:
-        :class:`~repro.core.options.KVCCOptions`; ``workers=N``
-        parallelizes each level's independent parent components.
+        :class:`~repro.core.options.KVCCOptions`.
 
     Returns
     -------

@@ -11,9 +11,7 @@ The graph is interned **once** into an immutable
 :class:`~repro.graph.csr.CSRGraph`; each level's components are carried
 as sorted member-id lists and re-entered as zero-copy mask views, with
 every level's independent parents drained by one
-:meth:`~repro.core.engine.SerialEngine.run_many` engine call - so
-``KVCCOptions(workers=N)`` fans a whole level out across one process
-pool.
+:meth:`~repro.core.engine.SerialEngine.run_many` call.
 
 On the bundled stand-ins the nesting reuse cuts a 5-value sweep's work
 roughly in half versus independent runs; the test suite checks the
@@ -24,7 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set
 
-from repro.core.engine import create_engine
+from repro.core.engine import SerialEngine
 from repro.core.hierarchy import _label_set
 from repro.core.options import KVCCOptions
 from repro.core.stats import RunStats
@@ -47,8 +45,7 @@ def enumerate_kvccs_sweep(
         Any iterable of thresholds >= 1; duplicates are collapsed, order
         does not matter.  An empty iterable returns ``{}``.
     options:
-        :class:`~repro.core.options.KVCCOptions`; ``workers``
-        parallelizes each level.
+        :class:`~repro.core.options.KVCCOptions`.
     stats:
         Optional :class:`~repro.core.stats.RunStats` sink accumulated
         across all levels.
@@ -76,7 +73,7 @@ def enumerate_kvccs_sweep(
         raise ValueError(f"k must be at least 1, got {levels[0]}")
     options = options or KVCCOptions()
     base = graph.to_csr()
-    engine = create_engine(options)
+    engine = SerialEngine()
     stats = stats if stats is not None else RunStats(k=levels[0])
 
     results: Dict[int, List[Set[Vertex]]] = {}

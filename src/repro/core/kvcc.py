@@ -24,20 +24,17 @@ degree array over the shared base) speaking base ids.  Partitioning
 restricts masks instead of copying adjacency, and only the *final*
 k-VCCs are materialized back into labeled :class:`Graph` objects.
 
-The worklist itself is drained by an execution engine from
-:mod:`repro.core.engine`, selected by
-:attr:`~repro.core.options.KVCCOptions.workers`: the default serial
-engine, or a process pool that fans the independent post-partition
-items out across cores with identical results and ordering.
+The worklist itself is drained by
+:class:`~repro.core.engine.SerialEngine`.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Set
 
-from repro.core.engine import create_engine
+from repro.core.engine import SerialEngine
 from repro.core.options import KVCCOptions
-from repro.core.stats import RunStats, Timer
+from repro.core.stats import RunStats
 from repro.graph.connectivity import connected_components
 from repro.graph.core_decomposition import peel_in_place
 from repro.graph.graph import Graph, Vertex
@@ -88,19 +85,8 @@ def enumerate_kvccs(
         raise ValueError(f"k must be at least 1, got {k}")
     options = options or KVCCOptions()
     stats = stats if stats is not None else RunStats(k=k)
-
-    if k == 2 and options.tarjan_k2:
-        from repro.graph.biconnected import two_vccs
-
-        with Timer(stats):
-            result = [
-                graph.induced_subgraph(c) for c in two_vccs(graph)
-            ]
-            stats.kvccs_found += len(result)
-        return result
-
     work = graph.to_csr().full_view()
-    return create_engine(options).run(work, k, options, stats)
+    return SerialEngine().run(work, k, options, stats)
 
 
 def enumerate_kvccs_csr(
@@ -134,8 +120,7 @@ def enumerate_kvccs_csr(
         raise ValueError(f"k must be at least 1, got {k}")
     options = options or KVCCOptions()
     stats = stats if stats is not None else RunStats(k=k)
-    engine = create_engine(options)
-    return engine.run_many(
+    return SerialEngine().run_many(
         [base.full_view()], k, options, stats, materialize=materialize
     )[0]
 

@@ -45,27 +45,13 @@ class KVCCOptions:
     seed:
         Tie-break seed for the (paper: random) choice among strong
         side-vertex sources.  The default picks deterministically.
-    tarjan_k2:
-        For ``k = 2`` only: answer with the linear-time Hopcroft-Tarjan
-        biconnected components instead of the flow machinery.  Off by
-        default to keep the paper's algorithm the reference path; the
-        two are proven equivalent by the test suite.
-    workers:
-        Execution-engine selector (see :mod:`repro.core.engine`): ``1``
-        (the default) drains the worklist serially on the calling
-        thread; ``N > 1`` fans independent worklist items out to a pool
-        of ``N`` worker processes; ``0`` sizes the pool to the machine's
-        CPU count.  Results and deterministic counters are identical
-        across all settings.
 
     Examples
     --------
     >>> KVCCOptions().describe()
     'NS+GS'
-    >>> KVCCOptions(workers=4).describe()
-    'NS+GS+pool4'
-    >>> KVCCOptions(workers=4).engine
-    'process'
+    >>> KVCCOptions(use_certificate=False).describe()
+    'NS+GS+nocert'
     >>> KVCCOptions.from_dict(KVCCOptions(seed=7).to_dict()).seed
     7
     """
@@ -77,24 +63,11 @@ class KVCCOptions:
     source_strong_side_vertex: bool = True
     maintain_side_vertices: bool = True
     seed: int = 0
-    tarjan_k2: bool = False
-    workers: int = 1
-
-    def __post_init__(self) -> None:
-        if self.workers < 0:
-            raise ValueError(
-                f"workers must be >= 0 (0 = one per CPU), got {self.workers}"
-            )
 
     @property
     def side_vertices_enabled(self) -> bool:
         """Strong side-vertices are needed by either sweep family."""
         return self.neighbor_sweep or self.group_sweep
-
-    @property
-    def engine(self) -> str:
-        """Execution engine implied by ``workers``: serial or process."""
-        return "serial" if self.workers == 1 else "process"
 
     def describe(self) -> str:
         """Short human-readable tag, e.g. for benchmark labels."""
@@ -107,10 +80,6 @@ class KVCCOptions:
             parts.append("basic")
         if not self.use_certificate:
             parts.append("nocert")
-        if self.workers == 0:
-            parts.append("pool-auto")
-        elif self.workers != 1:
-            parts.append(f"pool{self.workers}")
         return "+".join(parts)
 
     def to_dict(self) -> dict:

@@ -21,9 +21,7 @@ This driver restores locality with two passes:
    component starts.
 
 Peak residency is therefore O(V) global bookkeeping plus the largest
-single component - not the whole graph - and the per-component mask
-views are exactly the worklist items the parallel engine already
-understands, so a pool engine inherits the locality for free.
+single component - not the whole graph.
 :class:`~repro.core.stats.RssTracker` wraps the whole run so
 ``stats.peak_rss_bytes`` reports what enumeration actually cost.
 """
@@ -33,7 +31,7 @@ from __future__ import annotations
 from array import array
 from typing import List, Optional, Union
 
-from repro.core.engine import create_engine
+from repro.core.engine import SerialEngine
 from repro.core.options import KVCCOptions
 from repro.core.stats import RssTracker, RunStats
 from repro.graph.csr import CSRGraph
@@ -158,7 +156,7 @@ def enumerate_kvccs_outofcore(
 
     parse_mem_budget(mem_budget)  # validate eagerly; reserved for batching
     stats = stats if stats is not None else RunStats(k=k)
-    engine = create_engine(options)
+    engine = SerialEngine()
     results: list = []
     with RssTracker(stats):
         components = streaming_components(base, min_size=k + 1)

@@ -36,7 +36,7 @@ TESTED = "tested"  # reached LOC-CUT
 #: certificate; side-group extraction from ``F_k``; the flow-network
 #: build; LOC-CUT max-flow tests; overlap partition plus the component
 #: split, ``restrict`` and side-vertex inheritance of its parts; and
-#: ``other``, the serial engine's remainder.
+#: ``other``, the engine's remainder.
 STAGES = (
     "peel",
     "side_vertex",
@@ -74,13 +74,8 @@ class RunStats:
     certificate_edges_input: int = 0
     #: Peak number of vertices resident across the work stack, a
     #: machine-independent memory proxy (Figure 12 additionally measures
-    #: tracemalloc peaks in the experiment driver).  Under the parallel
-    #: engine this counts pending plus in-flight items, which can exceed
-    #: the serial stack's depth-first peak.
+    #: tracemalloc peaks in the experiment driver).
     peak_resident_vertices: int = 0
-    #: Worklist items executed by pool workers (0 under the serial
-    #: engine; the parallel engine records one per dispatched task).
-    parallel_tasks: int = 0
     #: High-water RSS growth over the run, in bytes: the
     #: ``ru_maxrss`` delta an :class:`RssTracker` observed.  Unlike the
     #: tracemalloc peak the memory experiment also records, this sees
@@ -91,19 +86,16 @@ class RunStats:
     peak_rss_bytes: int = 0
     elapsed_seconds: float = 0.0
     #: Wall-clock seconds per pipeline stage, accumulated at the call
-    #: sites of the corresponding steps (see :data:`STAGES`).  Under the
-    #: serial engine every run adds the wall time no other row covers
-    #: to ``other``, so the rows sum to :attr:`elapsed_seconds`.  Under
-    #: the process-pool engine the rows are *summed worker time*, which
-    #: can exceed the wall time, and there is no ``other`` row.
+    #: sites of the corresponding steps (see :data:`STAGES`).  Every
+    #: engine run adds the wall time no other row covers to ``other``,
+    #: so the rows sum to :attr:`elapsed_seconds`.
     #: Execution artifacts like :attr:`elapsed_seconds` - they feed the
     #: benchmark reports, never the equivalence comparisons.
     stage_seconds: Dict[str, float] = field(default_factory=dict)
 
-    #: Counters that are deterministic properties of (graph, k, options)
-    #: and therefore identical across execution engines and worker
-    #: counts.  ``peak_resident_vertices``, ``parallel_tasks`` and
-    #: ``elapsed_seconds`` are execution artifacts and excluded.
+    #: Counters that are deterministic properties of (graph, k, options).
+    #: ``peak_resident_vertices`` and ``elapsed_seconds`` are execution
+    #: artifacts and excluded.
     DETERMINISTIC_COUNTERS = (
         "k",
         "flow_tests",
@@ -152,10 +144,8 @@ class RunStats:
     def counters(self) -> Dict[str, int]:
         """The deterministic counters as a flat dict.
 
-        This is the comparison form the serial/parallel equivalence
-        suite asserts on: every entry must be identical for the same
-        (graph, k, options) no matter which engine or worker count ran
-        the enumeration.
+        This is the comparison form the equivalence tests assert on:
+        every entry must be identical for the same (graph, k, options).
         """
         out = {name: getattr(self, name) for name in self.DETERMINISTIC_COUNTERS}
         for rule in sorted(self.phase1_pruned):
@@ -166,8 +156,8 @@ class RunStats:
         """Accumulate another run's counters into this one.
 
         Additive counters sum and ``peak_resident_vertices`` takes the
-        max, so the operation serves both the k-sweep drivers (merging
-        whole runs) and the parallel engine (merging per-task deltas).
+        max, so whole runs merge into one sink (the Table 2 driver sums
+        one dataset's per-k runs this way).
         """
         self.flow_tests += other.flow_tests
         self.phase1_tested += other.phase1_tested
@@ -185,7 +175,6 @@ class RunStats:
             self.peak_resident_vertices, other.peak_resident_vertices
         )
         self.peak_rss_bytes = max(self.peak_rss_bytes, other.peak_rss_bytes)
-        self.parallel_tasks += other.parallel_tasks
         self.elapsed_seconds += other.elapsed_seconds
         for stage, seconds in other.stage_seconds.items():
             self.add_stage(stage, seconds)

@@ -5,16 +5,11 @@ Sample 20%..100% of a dataset's vertices (induced subgraph) or edges
 Expected shape: every variant's time grows with sample size; VCCE* stays
 fastest at every fraction and the VCCE / VCCE* gap widens as |E| grows -
 the paper quotes a 20x gap at 100% on Cit.
-
-``run_scalability(workers=N)`` re-runs the same protocol on the
-process-pool execution engine (:mod:`repro.core.engine`), the repo's
-scale-out direction beyond the paper's single-threaded measurements;
-results are engine-independent, only the timings change.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.kvcc import enumerate_kvccs
@@ -47,13 +42,8 @@ def run_scalability(
     variants: Sequence[str] = tuple(VARIANTS),
     k_per_dataset: Optional[Dict[str, int]] = None,
     seed: int = 0,
-    workers: int = 1,
 ) -> List[ScalabilityRow]:
-    """Time the variants across vertex- and edge-sampled graphs.
-
-    ``workers`` selects the execution engine for every run (1 = serial,
-    N > 1 = process pool, 0 = one worker per CPU).
-    """
+    """Time the variants across vertex- and edge-sampled graphs."""
     rows: List[ScalabilityRow] = []
     for name in datasets:
         base = load_dataset(name)
@@ -64,8 +54,9 @@ def run_scalability(
                 graph = sampler(base, fraction, seed=seed)
                 for variant in variants:
                     stats = RunStats(k=k)
-                    options = replace(VARIANTS[variant], workers=workers)
-                    result = enumerate_kvccs(graph, k, options, stats)
+                    result = enumerate_kvccs(
+                        graph, k, VARIANTS[variant], stats
+                    )
                     rows.append(
                         ScalabilityRow(
                             dataset=name,

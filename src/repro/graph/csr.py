@@ -33,12 +33,11 @@ per-base-vertex object in any step would dominate it.
 ``Graph`` remains the mutable construction/API type;
 ``Graph.to_csr()`` / ``Graph.from_csr()`` convert at the boundary.
 
-All CSR-side classes pickle compactly so the parallel execution engine
-(:mod:`repro.core.engine`) can ship them to worker processes: a
-:class:`CSRGraph` serializes only ``indptr``/``indices`` (the derived
-``rows`` lists are rebuilt on load), a :class:`VertexInterner` only its
-label list, and a :class:`SubgraphView` its base plus the raw mask bytes
-(degrees are recomputed).  Within one pickle payload the base is
+All CSR-side classes pickle compactly: a :class:`CSRGraph` serializes
+only ``indptr``/``indices`` (the derived ``rows`` lists are rebuilt on
+load), a :class:`VertexInterner` only its label list, and a
+:class:`SubgraphView` its base plus the raw mask bytes (degrees are
+recomputed).  Within one pickle payload the base is
 serialized once no matter how many views reference it.
 
 All three graph-shaped classes implement the informal protocol the
@@ -186,8 +185,8 @@ class CSRGraph:
         the hot loops (BFS, peel, Theorem-8 scans) prefer over repeatedly
         indexing the ``array`` (one int box per access).  Building them
         lazily keeps ``load(path, mmap=True)`` at O(header): a process
-        that only serves a few queries - or ships the base to workers -
-        never pays the O(n + m) boxing pass.
+        that only serves a few queries never pays the O(n + m) boxing
+        pass.
 
         In out-of-core mode (:meth:`prepare_rows`), the returned list is
         *partial*: only prepared entries are lists, the rest ``None``.
@@ -398,11 +397,10 @@ class CSRGraph:
     def view_from_mask(self, mask: bytes) -> "SubgraphView":
         """A view whose active set is the 1-bytes of ``mask``.
 
-        This is the payload decoder for the parallel execution engine:
-        a worklist item travels between processes as ``bytes(view.mask)``
-        and is rebuilt here against the receiver's copy of the base.
-        Active degrees are recomputed, so the mask is the only state
-        that needs to be shipped.
+        This is the decoder :class:`SubgraphView` unpickles through: a
+        view travels as ``bytes(view.mask)`` and is rebuilt here against
+        the receiver's copy of the base.  Active degrees are recomputed,
+        so the mask is the only state that needs to be shipped.
         """
         if len(mask) != self.n:
             raise ValueError(
@@ -439,11 +437,9 @@ class CSRGraph:
         """A labeled :class:`Graph` induced on ``members``, built
         directly from the CSR rows.
 
-        The single dict-adjacency construction both result paths share:
         :meth:`SubgraphView.materialize` delegates here with its active
-        list, and the parallel engine calls it directly with the bare
-        member-id list a worker returned per k-VCC leaf (no O(n) mask
-        or degree array needed).
+        list; a bare member-id list works too (no O(n) mask or degree
+        array needed).
         """
         member_set = set(members)
         rows = self.rows

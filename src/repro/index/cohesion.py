@@ -385,9 +385,8 @@ def build_cohesion_index(
 ) -> CohesionIndex:
     """Graph in, multi-measure cohesion index out.
 
-    The k-VCC forest runs on the CSR hierarchy engine (honoring
-    ``options.workers``), exactly as :func:`~repro.index.store.
-    build_index`; the k-ECC and k-core forests iterate the reference
+    The k-VCC forest runs on the CSR hierarchy engine, exactly as
+    :func:`~repro.index.store.build_index`; the k-ECC and k-core forests iterate the reference
     enumerators level by level via :func:`build_measure_hierarchy`.
     All three flatten under the *same* CSR interner, so every measure
     indexes every graph vertex under identical dense ids and the

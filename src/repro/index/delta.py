@@ -81,7 +81,7 @@ import zlib
 from time import perf_counter
 from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
 
-from repro.core.engine import create_engine
+from repro.core.engine import SerialEngine
 from repro.core.options import KVCCOptions
 from repro.core.stats import RunStats
 from repro.graph.csr import CSRGraph
@@ -350,8 +350,8 @@ class IndexUpdater:
         recorded in an existing log are replayed on top, so after
         construction the updater's adjacency matches the overlay.
     options:
-        Engine switches for the localized re-enumeration (defaults to
-        the serial engine, same as ``build_index``).
+        Strategy switches for the localized re-enumeration (defaults
+        to ``KVCCOptions()``, same as ``build_index``).
 
     ``apply`` classifies a batch of edge mutations, re-enumerates only
     the affected mask views, appends one delta record, and refreshes
@@ -368,7 +368,7 @@ class IndexUpdater:
         self.path = str(index_path)
         self.log_path = delta_log_path(index_path)
         self._options = options or KVCCOptions()
-        self._engine = create_engine(self._options)
+        self._engine = SerialEngine()
         base = HierarchyIndex.load(self.path, mmap=False)
         self._digest = _file_digest(self.path)
         self._forest = _Forest.from_index(base)

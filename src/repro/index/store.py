@@ -712,8 +712,8 @@ def build_index(
     """Graph in, persistent-ready index out.
 
     Interns the graph once into a CSR base, builds the full hierarchy
-    on it (:func:`~repro.core.hierarchy.build_hierarchy_csr`, honoring
-    ``options.workers``), and flattens the forest under the base's
+    on it (:func:`~repro.core.hierarchy.build_hierarchy_csr`), and
+    flattens the forest under the base's
     interner so every graph vertex - including vcc-number-0 ones - is
     covered.
 

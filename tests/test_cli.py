@@ -181,7 +181,9 @@ class TestParser:
 
     def test_parser_imports_no_serving_code(self):
         # Every command builds the parser in-process, so whatever it
-        # imports adds to the peak RSS of ``repro hierarchy`` too.
+        # imports adds to the peak RSS of ``repro hierarchy`` too.  The
+        # enumeration runs in this process, so no process-pool or
+        # shared-memory module is loaded either.
         src = os.path.join(
             os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
             "src",
@@ -194,8 +196,11 @@ class TestParser:
             "import sys\n"
             "from repro.cli import build_parser\n"
             "build_parser()\n"
+            "pool = {'multiprocessing', 'concurrent.futures.process',\n"
+            "        'multiprocessing.shared_memory'}\n"
             "print(sorted(m for m in sys.modules\n"
-            "             if m.split('.')[:2] == ['repro', 'service']))\n"
+            "             if m.split('.')[:2] == ['repro', 'service']\n"
+            "             or m in pool))\n"
         )
         done = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True,

@@ -162,26 +162,26 @@ def test_vertex_connectivity_property(seed):
 
 
 class TestQueryOptionsWiring:
-    """The options passthrough added with the execution-engine PR."""
+    """The options passthrough of the connectivity queries."""
 
     def test_query_options_adopts_only_execution_fields(self):
-        """Only the seed carries over: a query never spawns an engine."""
+        """Only the seed carries over; the preset's switches stay."""
         from repro.core.connectivity_api import _query_options
         from repro.core.options import KVCCOptions
 
-        merged = _query_options(KVCCOptions(workers=4, seed=9))
+        merged = _query_options(KVCCOptions(use_certificate=False, seed=9))
         assert merged.seed == 9
-        assert merged.workers == 1
+        assert merged.use_certificate
         # The single-query preset's strategy switches must survive.
         assert not merged.neighbor_sweep
         assert not merged.group_sweep
         assert not merged.farthest_first
-        assert _query_options(None).workers == 1
+        assert _query_options(None).use_certificate
 
     def test_answers_independent_of_options(self):
         from repro.core.options import KVCCOptions
 
-        configured = KVCCOptions(workers=2, seed=5)
+        configured = KVCCOptions(use_certificate=False, seed=5)
         for seed in range(3):
             g = random_connected_graph(9, 0.4, seed=seed + 7)
             assert vertex_connectivity(g, configured) == vertex_connectivity(g)

@@ -3,7 +3,6 @@
 from repro.baselines.naive import naive_kvccs
 from repro.core.hierarchy import build_hierarchy, build_hierarchy_csr, vcc_number
 from repro.core.kvcc import kvcc_vertex_sets
-from repro.core.options import KVCCOptions
 from repro.core.stats import RunStats
 from repro.graph.core_decomposition import core_number
 from repro.graph.generators import (
@@ -143,20 +142,6 @@ class TestHierarchyBackendParity:
         for node in h.nodes:
             if node.parent is not None:
                 assert node.vertices <= h.nodes[node.parent].vertices
-
-    def test_parallel_engine_identical_nodes(self):
-        """workers=2 produces byte-identical node order, not just the
-        same families (the engine re-sorts leaves by recursion path)."""
-        g = ring_of_cliques(3, 5)
-        serial = build_hierarchy(g)
-        pooled = build_hierarchy(g, options=KVCCOptions(workers=2))
-        assert [
-            (n.k, sorted(n.vertices), n.parent, n.children)
-            for n in serial.nodes
-        ] == [
-            (n.k, sorted(n.vertices), n.parent, n.children)
-            for n in pooled.nodes
-        ]
 
     def test_csr_entry_point_on_base(self):
         """build_hierarchy_csr on a prebuilt base matches the wrapper."""

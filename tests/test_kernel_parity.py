@@ -16,8 +16,7 @@ array code, at every size, with the reference.  (The production
 crossovers are checked in ``tests/test_flow.py``.)
 
 The numpy half of every comparison is skipped when numpy is not
-installed (CI runs the tier-1 suite both ways); the shared-memory
-``MaskPool`` tests at the bottom are kernel-independent.
+installed (CI runs the tier-1 suite both ways).
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from networkx.algorithms.connectivity import local_node_connectivity
 
-import repro.core.mask_pool as mask_pool
 import repro.kernels as kernels
 from repro.core.kvcc import enumerate_kvccs
 from repro.core.options import KVCCOptions
@@ -328,35 +326,3 @@ class TestEndToEndParity:
 
         py, np_ = per_kernel(run)
         assert py == np_
-
-
-@pytest.mark.skipif(
-    not mask_pool.available(), reason="shared memory unavailable"
-)
-class TestMaskPool:
-    def test_round_trip_and_slot_reuse(self):
-        with mask_pool.MaskPool(8, slots_per_segment=2) as pool:
-            a = pool.put(b"\x01" * 8)
-            b = pool.put(b"\x02" * 8)
-            c = pool.put(b"\x03" * 8)  # forces a second segment
-            assert mask_pool.read_mask(*a, 8) == b"\x01" * 8
-            assert mask_pool.read_mask(*b, 8) == b"\x02" * 8
-            assert mask_pool.read_mask(*c, 8) == b"\x03" * 8
-            pool.free(*b)
-            d = pool.put(b"\x04" * 8)
-            assert d == b  # LIFO reuse of the freed slot
-            assert mask_pool.read_mask(*d, 8) == b"\x04" * 8
-        mask_pool.detach_all()
-
-    def test_put_validates_length(self):
-        with mask_pool.MaskPool(4) as pool:
-            with pytest.raises(ValueError):
-                pool.put(b"\x00" * 5)
-
-    def test_close_is_idempotent_and_unlinks(self):
-        pool = mask_pool.MaskPool(4)
-        name, _ = pool.put(b"\x00" * 4)
-        pool.close()
-        pool.close()
-        with pytest.raises(RuntimeError):
-            pool.put(b"\x00" * 4)

@@ -1,59 +1,10 @@
-"""Tests for the k-ECC prefilter strategy and the overlap meta-graph."""
+"""Tests for the overlap meta-graph of k-VCCs."""
 
 import pytest
 
-from repro.core.ecc_prefilter import enumerate_kvccs_via_ecc
 from repro.core.kvcc import enumerate_kvccs, kvcc_vertex_sets
 from repro.core.overlap_graph import build_overlap_graph
-from repro.graph.generators import (
-    complete_graph,
-    gnp_random_graph,
-    overlapping_cliques_graph,
-    ring_of_cliques,
-)
-
-from helpers import vertex_set_family
-
-
-class TestEccPrefilter:
-    def test_invalid_k(self, triangle):
-        with pytest.raises(ValueError):
-            enumerate_kvccs_via_ecc(triangle, 0)
-
-    def test_figure1(self, figure1):
-        g, blocks = figure1
-        got = vertex_set_family(enumerate_kvccs_via_ecc(g, 4))
-        assert got == vertex_set_family(blocks.values())
-
-    def test_matches_flat_on_random(self):
-        for seed in range(15):
-            g = gnp_random_graph(14, 0.3 + (seed % 3) * 0.15, seed=seed * 5)
-            for k in (2, 3, 4):
-                got = vertex_set_family(enumerate_kvccs_via_ecc(g, k))
-                want = vertex_set_family(enumerate_kvccs(g, k))
-                assert got == want, (seed, k)
-
-    def test_matches_flat_on_structured(self):
-        for g in (
-            ring_of_cliques(4, 6),
-            overlapping_cliques_graph(6, 3, 2),
-        ):
-            for k in (2, 3, 4):
-                got = vertex_set_family(enumerate_kvccs_via_ecc(g, k))
-                want = vertex_set_family(enumerate_kvccs(g, k))
-                assert got == want
-
-    def test_prefilter_confines_work(self, figure1):
-        """Figure 1: the G4 block is a separate 4-ECC, so the expensive
-        enumeration never sees G1-G3 and G4 together."""
-        from repro.core.stats import RunStats
-
-        g, _ = figure1
-        stats = RunStats(k=4)
-        enumerate_kvccs_via_ecc(g, 4, stats=stats)
-        flat = RunStats(k=4)
-        enumerate_kvccs(g, 4, stats=flat)
-        assert stats.flow_tests <= flat.flow_tests
+from repro.graph.generators import complete_graph, gnp_random_graph
 
 
 class TestOverlapGraph:

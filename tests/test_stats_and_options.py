@@ -74,14 +74,6 @@ class TestRunStats:
             pass
         assert stats.elapsed_seconds >= 0.01  # accumulates
 
-    def test_merge_parallel_tasks(self):
-        a = RunStats()
-        a.parallel_tasks = 2
-        b = RunStats()
-        b.parallel_tasks = 5
-        a.merge(b)
-        assert a.parallel_tasks == 7  # additive, like the other counters
-
     def test_counters_snapshot(self):
         stats = RunStats(k=4)
         stats.flow_tests = 3
@@ -90,7 +82,7 @@ class TestRunStats:
         # Execution artifacts must not leak into the deterministic view.
         stats.elapsed_seconds = 1.23
         stats.peak_resident_vertices = 50
-        stats.parallel_tasks = 4
+        stats.peak_rss_bytes = 4096
         counters = stats.counters()
         assert counters["k"] == 4
         assert counters["flow_tests"] == 3
@@ -98,7 +90,7 @@ class TestRunStats:
         assert counters[f"phase1_pruned.{PRUNE_NS1}"] == 9
         assert "elapsed_seconds" not in counters
         assert "peak_resident_vertices" not in counters
-        assert "parallel_tasks" not in counters
+        assert "peak_rss_bytes" not in counters
 
     def test_counters_equal_iff_same_run_shape(self):
         a, b = RunStats(k=3), RunStats(k=3)
@@ -173,21 +165,6 @@ class TestKVCCOptions:
         )
         assert "nocert" in KVCCOptions(use_certificate=False).describe()
 
-    def test_describe_engine_fields(self):
-        assert KVCCOptions().describe() == "NS+GS"  # serial is unmarked
-        assert KVCCOptions(workers=4).describe() == "NS+GS+pool4"
-        assert KVCCOptions(workers=0).describe() == "NS+GS+pool-auto"
-        assert (
-            KVCCOptions(use_certificate=False, workers=2).describe()
-            == "NS+GS+nocert+pool2"
-        )
-
-    def test_engine_property(self):
-        assert KVCCOptions().engine == "serial"
-        assert KVCCOptions(workers=1).engine == "serial"
-        assert KVCCOptions(workers=2).engine == "process"
-        assert KVCCOptions(workers=0).engine == "process"
-
     def test_frozen(self):
         with pytest.raises(Exception):
             KVCCOptions().neighbor_sweep = False  # type: ignore[misc]
@@ -205,40 +182,32 @@ class TestKVCCOptions:
             source_strong_side_vertex=False,
             maintain_side_vertices=False,
             seed=7,
-            tarjan_k2=True,
-            workers=8,
         )
         data = opts.to_dict()
-        assert len(data) == 9 and data["workers"] == 8
+        assert len(data) == 7 and data["seed"] == 7
         assert KVCCOptions.from_dict(data) == opts
 
     def test_from_dict_partial_keeps_defaults(self):
-        opts = KVCCOptions.from_dict({"workers": 3})
-        assert opts.workers == 3
+        opts = KVCCOptions.from_dict({"seed": 3})
+        assert opts.seed == 3
         assert opts.use_certificate and opts.neighbor_sweep
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown"):
-            KVCCOptions.from_dict({"wrokers": 2})
+            KVCCOptions.from_dict({"sede": 2})
         # The graph representation is no longer a choice.
         with pytest.raises(ValueError, match="backend"):
             KVCCOptions.from_dict({"backend": "csr"})
 
-    def test_negative_workers_rejected(self):
-        with pytest.raises(ValueError, match="workers"):
-            KVCCOptions(workers=-1)
-        with pytest.raises(ValueError, match="workers"):
-            KVCCOptions.from_dict({"workers": -3})
-
     def test_round_trip_preserves_describe(self):
         for opts in (
             KVCCOptions(),
-            KVCCOptions(workers=4),
-            KVCCOptions(use_certificate=False, workers=0),
+            KVCCOptions(neighbor_sweep=False, group_sweep=False),
+            KVCCOptions(use_certificate=False, seed=4),
         ):
             clone = KVCCOptions.from_dict(opts.to_dict())
             assert clone.describe() == opts.describe()
-            assert clone.engine == opts.engine
+            assert clone == opts
 
 
 class TestVariantPresets:
