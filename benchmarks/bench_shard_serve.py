@@ -22,8 +22,8 @@ requests/s and p50/p99 latency; the trend artifact keys are
 ``shard_serve.*``.
 
 Acceptance (full mode only): on a machine exposing >= 2 CPUs, the
-sharded tier must reach **>= 1.5x** the single replica's request rate.  On 1 CPU the bar is physically
-meaningless and downgrades to a note.
+sharded tier must reach **>= 1.5x** the single replica's request rate.
+On 1 CPU the bar is physically meaningless and downgrades to a note.
 
 Run directly (plain script, stdlib only)::
 

@@ -386,8 +386,9 @@ def build_cohesion_index(
     """Graph in, multi-measure cohesion index out.
 
     The k-VCC forest runs on the CSR hierarchy engine, exactly as
-    :func:`~repro.index.store.build_index`; the k-ECC and k-core forests iterate the reference
-    enumerators level by level via :func:`build_measure_hierarchy`.
+    :func:`~repro.index.store.build_index`; the k-ECC and k-core
+    forests iterate the reference enumerators level by level via
+    :func:`build_measure_hierarchy`.
     All three flatten under the *same* CSR interner, so every measure
     indexes every graph vertex under identical dense ids and the
     container shares one label universe.

@@ -713,9 +713,8 @@ def build_index(
 
     Interns the graph once into a CSR base, builds the full hierarchy
     on it (:func:`~repro.core.hierarchy.build_hierarchy_csr`), and
-    flattens the forest under the base's
-    interner so every graph vertex - including vcc-number-0 ones - is
-    covered.
+    flattens the forest under the base's interner so every graph
+    vertex - including vcc-number-0 ones - is covered.
 
     Examples
     --------
