@@ -112,6 +112,17 @@ def _shards_arg(token: str) -> int:
     return value
 
 
+def _level_arg(token: str) -> int:
+    """argparse type for -k / --max-k: a level of at least 1, usage
+    error otherwise (no k-VCC level 0 exists)."""
+    value = int(token)
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be at least 1, got {value}"
+        )
+    return value
+
+
 def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
     """The dataset positional plus the shared cache knobs."""
     parser.add_argument("graph", help=_DATASET_HELP)
@@ -804,7 +815,9 @@ def build_parser() -> argparse.ArgumentParser:
         "thereafter); repro kvcc snap.txt.gz -k 5",
     )
     _add_dataset_args(p)
-    p.add_argument("-k", type=int, required=True, help="connectivity threshold")
+    p.add_argument(
+        "-k", type=_level_arg, required=True, help="connectivity threshold"
+    )
     p.add_argument(
         "--variant", choices=sorted(VARIANTS), default="VCCE*",
         help="algorithm variant (default: VCCE*)",
@@ -839,7 +852,7 @@ def build_parser() -> argparse.ArgumentParser:
         "query it with 'repro query')",
     )
     _add_dataset_args(p)
-    p.add_argument("--max-k", type=int, default=None)
+    p.add_argument("--max-k", type=_level_arg, default=None)
     p.add_argument(
         "--vcc-numbers", action="store_true",
         help="also print the per-vertex vcc-number",
@@ -866,7 +879,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the KVCCCOH container here (atomic rename)",
     )
     p.add_argument(
-        "--max-k", type=int, default=None,
+        "--max-k", type=_level_arg, default=None,
         help="cap every measure's hierarchy at this level",
     )
     p.set_defaults(func=cmd_build_cohesion)

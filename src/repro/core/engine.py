@@ -24,7 +24,7 @@ order, so the output order, like every counter in
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.global_cut import global_cut
 from repro.core.options import KVCCOptions
@@ -33,12 +33,16 @@ from repro.core.side_vertex import split_inheritance, strong_side_vertices
 from repro.core.stats import RunStats, Timer
 from repro.graph.connectivity import connected_components
 from repro.graph.core_decomposition import peel_in_place
-from repro.graph.csr import SubgraphView
+from repro.graph.csr import CSRGraph, SubgraphView
 from repro.graph.graph import Graph
 
 #: Worklist entry: (subgraph, inherited strong set, recheck set).  The
 #: two sets are ``None`` for roots, which get a full Theorem-8 scan.
 WorkItem = Tuple[SubgraphView, Optional[Set[int]], Optional[Set[int]]]
+
+#: A component between levels of a multi-k driver: (sorted member ids,
+#: floor), where the component is proven floor-vertex-connected.
+Component = Tuple[Sequence[int], int]
 
 
 def expand_work_item(
@@ -128,6 +132,39 @@ def root_work_items(
     return roots
 
 
+def connectivity_floor(
+    view: SubgraphView,
+    k: int,
+    next_k: Optional[int],
+    max_k: Optional[int],
+    options: KVCCOptions,
+    stats: RunStats,
+) -> int:
+    """A proven connectivity floor for ``view``, a k-VCC just found.
+
+    The bound starts at the view's minimum degree (no graph is more
+    vertex-connected than that), capped at ``max_k``.  GLOBAL-CUT runs
+    at the bound; a cut ``S`` proves the view is not (|S|+1)-connected,
+    so the next try is at |S|.  The first bound at which GLOBAL-CUT
+    finds no cut is returned.  The probe gives up, returning ``k``,
+    once the bound drops below ``next_k``, the next level the caller
+    needs (``None``: no further level, so no probe at all).  The result
+    is always a bound GLOBAL-CUT has proven, or the k the view was
+    found at, never an estimate.
+    """
+    if next_k is None:
+        return k
+    bound = view.min_degree()
+    if max_k is not None:
+        bound = min(bound, max_k)
+    while bound >= next_k:
+        cut = global_cut(view, bound, options, stats)
+        if cut is None:
+            return bound
+        bound = len(cut)
+    return k
+
+
 def _finalize_leaf(sub: SubgraphView, materialize: bool):
     """Turn a proven k-VCC into the caller-facing leaf value.
 
@@ -161,19 +198,22 @@ class SerialEngine:
         options: KVCCOptions,
         stats: RunStats,
         materialize: bool = True,
+        probe: Optional[Callable[[SubgraphView], int]] = None,
     ) -> List[list]:
         """Drain several independent root subgraphs, one result list each.
 
-        The hierarchy and sweep drivers call this with one entry per
-        parent component; each entry is processed exactly as
-        :meth:`run` would, and the results are grouped in input order.
+        :meth:`run_level` calls this with one entry per parent
+        component; each entry is processed exactly as :meth:`run`
+        would, and the results are grouped in input order.
         ``materialize=False`` returns each k-VCC as its member list
         instead of a materialized :class:`Graph` (see
-        :func:`_finalize_leaf`).
+        :func:`_finalize_leaf`).  ``probe``, when given, runs on each
+        k-VCC's view as soon as it is proven, and the leaf comes back
+        as ``(leaf, probe(view))``.
 
-        The run's wall time not covered by a stage row is added to the
-        ``other`` row, so this run's stage rows sum to its
-        ``elapsed_seconds``.
+        The run's wall time not covered by a stage row (probes
+        included) is added to the ``other`` row, so this run's stage
+        rows sum to its ``elapsed_seconds``.
         """
         elapsed0 = stats.elapsed_seconds
         staged0 = sum(stats.stage_seconds.values())
@@ -196,7 +236,10 @@ class SerialEngine:
                         sub, inherited, recheck, k, options, stats
                     )
                     if children is None:
-                        result.append(_finalize_leaf(sub, materialize))
+                        leaf = _finalize_leaf(sub, materialize)
+                        result.append(
+                            leaf if probe is None else (leaf, probe(sub))
+                        )
                         continue
                     for item in children:
                         stack.append(item)
@@ -207,4 +250,56 @@ class SerialEngine:
                 out.append(result)
         staged = sum(stats.stage_seconds.values()) - staged0
         stats.add_stage("other", stats.elapsed_seconds - elapsed0 - staged)
+        return out
+
+    def run_level(
+        self,
+        base: CSRGraph,
+        parents: Sequence[Component],
+        k: int,
+        options: KVCCOptions,
+        stats: RunStats,
+        next_k: Optional[int] = None,
+        max_k: Optional[int] = None,
+    ) -> List[List[Component]]:
+        """Level k of a multi-k driver: each parent's k-VCCs, with floors.
+
+        ``parents`` are :data:`Component` pairs over ``base``; the
+        result holds one list of child components per parent, in input
+        order.  A parent whose floor is at least k is k-connected with
+        more than k vertices (the floor never exceeds the minimum
+        degree), so it is its own and only k-VCC: it becomes its child
+        without an engine call.  Every other parent drains through one
+        :meth:`run_many`, and each k-VCC found there gets its floor
+        from :func:`connectivity_floor` for the levels from ``next_k``
+        up to ``max_k``.  Either way the children and their order are
+        exactly what :meth:`run_many` alone would give.
+        """
+        out: List[List[Component]] = []
+        works: List[SubgraphView] = []
+        slots: List[int] = []
+        for members, floor in parents:
+            if floor >= k:
+                stats.kvccs_found += 1
+                out.append([(members, floor)])
+                continue
+            slots.append(len(out))
+            out.append([])
+            works.append(
+                base.full_view()
+                if len(members) == base.n
+                else base.view_from_members(members)
+            )
+        if works:
+
+            def probe(view: SubgraphView) -> int:
+                return connectivity_floor(
+                    view, k, next_k, max_k, options, stats
+                )
+
+            groups = self.run_many(
+                works, k, options, stats, materialize=False, probe=probe
+            )
+            for slot, group in zip(slots, groups):
+                out[slot] = group
         return out

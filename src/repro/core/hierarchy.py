@@ -19,7 +19,9 @@ The graph is interned **once** into an immutable
 zero-copy mask view over that shared base for the level-(k+1) search
 (:func:`build_hierarchy_csr`), and all parent components of a level are
 drained by **one** engine invocation
-(:meth:`~repro.core.engine.SerialEngine.run_many`).
+(:meth:`~repro.core.engine.SerialEngine.run_many`).  A component whose
+proven connectivity floor (:func:`~repro.core.engine.connectivity_floor`)
+reaches a level is its own child there and skips the engine.
 
 Derived queries:
 
@@ -36,7 +38,7 @@ answer from the loaded index in O(1) instead of recomputing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.engine import SerialEngine
 from repro.core.options import KVCCOptions
@@ -117,10 +119,13 @@ def build_hierarchy_csr(
 
     This is the engine-backed construction path behind
     :func:`build_hierarchy`: each level-k component is kept as a sorted
-    member-id list, level k+1 re-enters the enumeration through
-    zero-copy mask views (:meth:`~repro.graph.csr.CSRGraph.view_from_members`),
-    and all parent components of a level are drained by **one**
-    :meth:`~repro.core.engine.SerialEngine.run_many` call.
+    member-id list, and each level goes through one
+    :meth:`~repro.core.engine.SerialEngine.run_level` call.  A
+    component whose proven connectivity floor reaches the next level is
+    its own child there with no engine call; the others re-enter the
+    enumeration through zero-copy mask views
+    (:meth:`~repro.graph.csr.CSRGraph.view_from_members`), all drained
+    by one :meth:`~repro.core.engine.SerialEngine.run_many` call.
 
     Parameters
     ----------
@@ -128,8 +133,8 @@ def build_hierarchy_csr(
         The immutable CSR adjacency (typically ``graph.to_csr()``).
         Node vertex sets are reported in the base's original labels.
     max_k:
-        Stop after this level; ``None`` keeps going until a level has
-        no components.
+        Stop after this level (at least 1); ``None`` keeps going until
+        a level has no components.
     options:
         Strategy switches.
     stats:
@@ -140,51 +145,47 @@ def build_hierarchy_csr(
     KVCCHierarchy
         The nesting forest, levels stored in ascending order.
     """
+    if max_k is not None and max_k < 1:
+        raise ValueError(f"max_k must be at least 1, got {max_k}")
     options = options or KVCCOptions()
     engine = SerialEngine()
     stats = stats if stats is not None else RunStats(k=1)
     hierarchy = KVCCHierarchy()
 
-    groups = engine.run_many(
-        [base.full_view()], 1, options, stats, materialize=False
-    )
-    #: (node index, sorted member ids) per live component of the level.
-    frontier: List[Tuple[int, List[int]]] = []
-    for members in groups[0]:
-        hierarchy.nodes.append(
-            HierarchyNode(k=1, vertices=_label_set(base, members))
-        )
-        frontier.append((len(hierarchy.nodes) - 1, members))
-    if frontier:
-        hierarchy.max_k = 1
-
+    #: (parent node index, member ids, proven floor) per component the
+    #: level descends into; level 1 descends into the whole base.
+    parents: List[Tuple[Optional[int], Sequence[int], int]] = [
+        (None, range(base.n), 0)
+    ]
     k = 1
-    while frontier and (max_k is None or k < max_k):
-        k += 1
-        # A k-VCC needs more than k vertices (Definition 4), so smaller
-        # parents cannot host one and are not worth a view.
-        parents = [(idx, m) for idx, m in frontier if len(m) > k]
-        views = [base.view_from_members(m) for _, m in parents]
-        groups = (
-            engine.run_many(views, k, options, stats, materialize=False)
-            if views
-            else []
+    while parents:
+        next_k = k + 1 if max_k is None or k < max_k else None
+        groups = engine.run_level(
+            base, [(m, f) for _, m, f in parents], k, options, stats,
+            next_k=next_k, max_k=max_k,
         )
         frontier = []
-        for (parent_idx, _), children in zip(parents, groups):
-            parent = hierarchy.nodes[parent_idx]
-            for members in children:
-                node = HierarchyNode(
-                    k=k,
-                    vertices=_label_set(base, members),
-                    parent=parent_idx,
+        for (parent_idx, _, _), children in zip(parents, groups):
+            for members, floor in children:
+                hierarchy.nodes.append(
+                    HierarchyNode(
+                        k=k,
+                        vertices=_label_set(base, members),
+                        parent=parent_idx,
+                    )
                 )
-                hierarchy.nodes.append(node)
                 child_idx = len(hierarchy.nodes) - 1
-                parent.children.append(child_idx)
-                frontier.append((child_idx, members))
+                if parent_idx is not None:
+                    hierarchy.nodes[parent_idx].children.append(child_idx)
+                frontier.append((child_idx, members, floor))
         if frontier:
             hierarchy.max_k = k
+        if next_k is None:
+            break
+        k = next_k
+        # A k-VCC needs more than k vertices (Definition 4), so smaller
+        # parents cannot host one and are not worth a view.
+        parents = [p for p in frontier if len(p[1]) > k]
     return hierarchy
 
 

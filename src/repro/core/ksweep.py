@@ -11,7 +11,10 @@ The graph is interned **once** into an immutable
 :class:`~repro.graph.csr.CSRGraph`; each level's components are carried
 as sorted member-id lists and re-entered as zero-copy mask views, with
 every level's independent parents drained by one
-:meth:`~repro.core.engine.SerialEngine.run_many` call.
+:meth:`~repro.core.engine.SerialEngine.run_many` call.  A component
+proven connected up to a requested level (its connectivity floor,
+probed once when it is found) is its own k-VCC there and skips the
+engine, so a gap such as ``[2, 5]`` costs one probe, not a re-run.
 
 On the bundled stand-ins the nesting reuse cuts a 5-value sweep's work
 roughly in half versus independent runs; the test suite checks the
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set
 
-from repro.core.engine import SerialEngine
+from repro.core.engine import Component, SerialEngine
 from repro.core.hierarchy import _label_set
 from repro.core.options import KVCCOptions
 from repro.core.stats import RunStats
@@ -77,21 +80,15 @@ def enumerate_kvccs_sweep(
     stats = stats if stats is not None else RunStats(k=levels[0])
 
     results: Dict[int, List[Set[Vertex]]] = {}
-    previous: Optional[List[List[int]]] = None
-    for k in levels:
-        if previous is None:
-            views = [base.full_view()]
-        else:
-            # A k-VCC needs more than k vertices (Definition 4).
-            views = [
-                base.view_from_members(m) for m in previous if len(m) > k
-            ]
-        groups = (
-            engine.run_many(views, k, options, stats, materialize=False)
-            if views
-            else []
+    parents: List[Component] = [(range(base.n), 0)]
+    for i, k in enumerate(levels):
+        next_k = levels[i + 1] if i + 1 < len(levels) else None
+        groups = engine.run_level(
+            base, parents, k, options, stats,
+            next_k=next_k, max_k=levels[-1],
         )
-        members = [m for group in groups for m in group]
-        results[k] = [_label_set(base, m) for m in members]
-        previous = members
+        found = [child for group in groups for child in group]
+        results[k] = [_label_set(base, m) for m, _ in found]
+        # A k-VCC needs more than k vertices (Definition 4).
+        parents = [c for c in found if next_k and len(c[0]) > next_k]
     return results

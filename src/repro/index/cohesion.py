@@ -110,7 +110,10 @@ def build_measure_hierarchy(
     within a level, so a single member probe determines the parent.
     Components within a level are stored sorted by member labels, so
     the forest - and everything serialized from it - is deterministic.
+    ``max_k`` must be at least 1 (``ValueError`` otherwise).
     """
+    if max_k is not None and max_k < 1:
+        raise ValueError(f"max_k must be at least 1, got {max_k}")
     hierarchy = KVCCHierarchy()
     parent_of: Dict[Hashable, int] = {}
     k = 1

@@ -769,25 +769,30 @@ class IndexUpdater:
                 region.update(node.members)
         #: (parent uid or -1 for the virtual root, new member list,
         #: True when the parent is an old node whose children can use
-        #: the delete-only refinement).
-        dirty: List[Tuple[int, List[int], bool]] = [
-            (-1, sorted(region), False)
+        #: the delete-only refinement, the parent's connectivity floor
+        #: proven by this batch's probes, 0 when none).
+        dirty: List[Tuple[int, List[int], bool, int]] = [
+            (-1, sorted(region), False, 0)
         ]
         k = 1
         while dirty or pool:
-            tasks: List[Tuple[int, List[int]]] = []
-            for puid, members, is_old in dirty:
+            #: (parent uid, member list, floor) per run_level parent.
+            tasks: List[Tuple[int, List[int], int]] = []
+            for puid, members, is_old, floor in dirty:
                 if len(members) <= k:
                     continue
-                mset = frozenset(members)
-                if is_old and not has_insert(mset):
+                if (
+                    floor < k
+                    and is_old
+                    and not has_insert(frozenset(members))
+                ):
                     # Delete-only parent: only children holding a
                     # deleted edge can change; the rest adopt in place.
                     for child in list(forest.children.get(puid, ())):
                         child_node = forest.nodes[child]
                         if changed(child_node.mset):
                             if len(child_node.members) > k:
-                                tasks.append((puid, child_node.members))
+                                tasks.append((puid, child_node.members, 0))
                             # Too small to host a k-VCC piece after the
                             # deletion check? Still enumerated via the
                             # parent task list when large enough; a
@@ -796,19 +801,22 @@ class IndexUpdater:
                             continue
                         pool.pop(child_node.mset, None)
                     continue
-                tasks.append((puid, members))
-            views = [base.view_from_members(m) for _, m in tasks]
-            groups = (
-                self._engine.run_many(
-                    views, k, self._options, stats, materialize=False
-                )
-                if views
-                else []
+                # A parent proven k-connected (floor >= k) is its own
+                # only k-VCC, which run_level passes through; with such
+                # a floor the refinement above has nothing to add.
+                tasks.append((puid, members, floor))
+            groups = self._engine.run_level(
+                base,
+                [(m, f) for _, m, f in tasks],
+                k,
+                self._options,
+                stats,
+                next_k=k + 1,
             )
-            next_dirty: List[Tuple[int, List[int], bool]] = []
+            next_dirty: List[Tuple[int, List[int], bool, int]] = []
             next_pool: Dict[FrozenSet[int], int] = {}
-            for (puid, _), comps in zip(tasks, groups):
-                for members in comps:
+            for (puid, _, _), comps in zip(tasks, groups):
+                for members, floor in comps:
                     key = frozenset(members)
                     cuid = pool.pop(key, None)
                     if cuid is not None:
@@ -816,7 +824,7 @@ class IndexUpdater:
                         if node.parent != puid:
                             reparented.append([cuid, puid])
                         if changed(key):
-                            next_dirty.append((cuid, members, True))
+                            next_dirty.append((cuid, members, True, floor))
                             for grandchild in forest.children.get(
                                 cuid, ()
                             ):
@@ -829,7 +837,7 @@ class IndexUpdater:
                         cuid = next_uid
                         next_uid += 1
                         added.append([cuid, k, puid, list(members)])
-                        next_dirty.append((cuid, members, False))
+                        next_dirty.append((cuid, members, False, floor))
             # Whatever was not re-found no longer exists at this level;
             # its children go up for adoption (a split may have moved
             # them under a new node) and cascade out if nobody claims

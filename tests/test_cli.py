@@ -170,6 +170,35 @@ class TestQueryCommand:
             main(["query"])
 
 
+class TestLevelArguments:
+    """-k and --max-k below 1 are usage errors (exit 2), as
+    ``repro query ... -k 0`` already is, not a traceback or a level-1
+    hierarchy."""
+
+    @pytest.mark.parametrize("argv", [
+        ["kvcc", "{graph}", "-k", "0"],
+        ["kvcc", "{graph}", "-k", "-3"],
+        ["hierarchy", "{graph}", "--max-k", "0"],
+        ["hierarchy", "{graph}", "--max-k", "-1"],
+        ["build-cohesion", "{graph}", "--out", "{out}", "--max-k", "0"],
+    ])
+    def test_below_one_exits_2(self, argv, graph_file, tmp_path, capsys):
+        out = tmp_path / "g.kvcccoh"
+        argv = [a.format(graph=graph_file, out=out) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "at least 1" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_max_k_one_still_accepted(self, graph_file, capsys):
+        assert main(["hierarchy", graph_file, "--max-k", "1"]) == 0
+        assert "max level: 1" in capsys.readouterr().out
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):

@@ -96,6 +96,12 @@ class TestBuildMeasureHierarchy:
         with pytest.raises(ValueError, match="unknown cohesion measure"):
             build_measure_hierarchy(ring, "kclique")
 
+    @pytest.mark.parametrize("measure", ["kecc", "kcore"])
+    @pytest.mark.parametrize("max_k", [0, -1])
+    def test_max_k_below_one_rejected(self, ring, measure, max_k):
+        with pytest.raises(ValueError, match="at least 1"):
+            build_measure_hierarchy(ring, measure, max_k=max_k)
+
 
 class TestCohesionIndexContainer:
     def test_measures_canonical_order(self, cohesion):

@@ -1,5 +1,7 @@
 """Tests for the k-VCC hierarchy and vcc-number."""
 
+import pytest
+
 from repro.baselines.naive import naive_kvccs
 from repro.core.hierarchy import build_hierarchy, build_hierarchy_csr, vcc_number
 from repro.core.kvcc import kvcc_vertex_sets
@@ -178,6 +180,13 @@ class TestHierarchyEdgeCases:
         assert h.max_k == 2
         assert h.components_at(3) == []
         assert h.components_at(10) == []
+
+    def test_max_k_below_one_rejected(self):
+        """There is no level 0; the parent returned level 1 anyway."""
+        base = cycle_graph(6).to_csr()
+        for max_k in (0, -1):
+            with pytest.raises(ValueError, match="at least 1"):
+                build_hierarchy_csr(base, max_k=max_k)
 
     def test_single_vertex_and_single_edge(self):
         assert len(build_hierarchy(Graph(vertices=[7]))) == 0

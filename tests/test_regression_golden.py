@@ -9,8 +9,11 @@ against naive enumeration and networkx on small graphs) and match
 harness_full.txt.
 """
 
+import hashlib
+
 import pytest
 
+from repro.cli import main
 from repro.core.kvcc import kvcc_vertex_sets
 from repro.datasets.registry import load_dataset
 
@@ -43,3 +46,33 @@ def test_golden_overlap_dblp():
     total = sum(len(c) for c in components)
     distinct = len(set().union(*components))
     assert total - distinct == 147
+
+
+#: dataset -> first 12 hex digits of the sha256 of the index that
+#: ``repro hierarchy name:<dataset> --save-index`` writes.  Recorded in
+#: ``benchmarks/BENCH_18.json`` (``cli_outputs``) before the hierarchy
+#: skipped levels by connectivity floor; the index bytes must not move.
+GOLDEN_INDEX_SHA256 = {
+    "cit": "a5766be72597",
+    "cnr": "2186a5a69a10",
+    "dblp": "20934004956f",
+    "google": "0a22a1c51f41",
+    "nd": "90bff79390c1",
+    "stanford": "268a15e15beb",
+    "youtube": "79f31d372b9a",
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("dataset", sorted(GOLDEN_INDEX_SHA256))
+def test_golden_index_bytes(dataset, tmp_path, capsys):
+    """The CLI path end to end: resolver, interner order, hierarchy and
+    index write give byte-identical files."""
+    path = tmp_path / f"{dataset}.kvccidx"
+    assert main([
+        "hierarchy", f"name:{dataset}", "--save-index", str(path),
+        "--cache-dir", str(tmp_path / "cache"),
+    ]) == 0
+    assert f"wrote {path}" in capsys.readouterr().out
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()[:12]
+    assert digest == GOLDEN_INDEX_SHA256[dataset]
