@@ -22,10 +22,7 @@ snapshot's alternating perfbench pairs (its ``perfbench_runs`` with
 ``BENCHMARK.json``.  For every workload and end-to-end metric it prints
 both sides' median and quartiles, the pairs the change won, whether the
 median gap exceeds the parent's interquartile range, and the bound
-verdict.  It exits 1 when any metric is worse than its bound, or when
-the snapshot's ``_meta.claimed_gain`` does not hold (the change must
-win at least 9 of every 10 pairs, over at least 10, and beat the parent
-median by more than the parent's interquartile range)::
+verdict, and it exits 1 when any metric is worse than its bound::
 
     python benchmarks/collect_bench_trend.py --compare benchmarks/BENCH_18.json
 """
@@ -151,23 +148,6 @@ def summarize(runs: list, benchmark: dict) -> dict:
     return out
 
 
-def claim_holds(summary: dict, claim: dict) -> bool:
-    """The gain rule: at least 9 of every 10 pairs won, over at least
-    10 pairs, and the median moved the better way by more than the
-    parent's interquartile range."""
-    row = summary.get(claim["workload"], {}).get(claim["metric"])
-    if row is None:
-        return False
-    gap = row["change"]["median"] - row["parent"]["median"]
-    if row["better"] == "lower":
-        gap = -gap
-    return (
-        row["pairs"] >= 10
-        and 10 * row["change_wins"] >= 9 * row["pairs"]
-        and gap > row["parent"]["q3"] - row["parent"]["q1"]
-    )
-
-
 def compare(snapshot_path: str, benchmark_path: str) -> int:
     """Print the verdict table of one snapshot; the process exit code."""
     with open(snapshot_path, "r", encoding="utf-8") as handle:
@@ -197,14 +177,6 @@ def compare(snapshot_path: str, benchmark_path: str) -> int:
                 f"gap{'>' if row['median_gap_exceeds_parent_iqr'] else '<='}IQR  "
                 f"{verdict} ({metric['better']}, bound {metric['bound']:g})"
             )
-    claim = snapshot.get("_meta", {}).get("claimed_gain")
-    if claim:
-        holds = claim_holds(summary, claim)
-        failed |= not holds
-        print(
-            f"claimed gain {claim['workload']} {claim['metric']}: "
-            f"{'holds' if holds else 'DOES NOT HOLD'}"
-        )
     return 1 if failed else 0
 
 
@@ -224,19 +196,12 @@ def main() -> int:
         "--compare", metavar="SNAPSHOT",
         help="judge a BENCH_<pr>.json snapshot's pairs instead of running",
     )
-    parser.add_argument(
-        "--benchmark", metavar="PATH",
-        default=os.path.join(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-            "BENCHMARK.json",
-        ),
-        help="bounds file for --compare (default: the repo's BENCHMARK.json)",
-    )
     args = parser.parse_args()
-    if args.compare:
-        return compare(args.compare, args.benchmark)
-
     bench_dir = os.path.dirname(os.path.abspath(__file__))
+    if args.compare:
+        bounds = os.path.join(os.path.dirname(bench_dir), "BENCHMARK.json")
+        return compare(args.compare, bounds)
+
     merged = {}
     with tempfile.TemporaryDirectory() as workdir:
         for script, smoke_args, full_args in BENCHES:
