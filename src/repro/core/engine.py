@@ -275,31 +275,27 @@ class SerialEngine:
         up to ``max_k``.  Either way the children and their order are
         exactly what :meth:`run_many` alone would give.
         """
+
+        def probe(view: SubgraphView) -> int:
+            return connectivity_floor(view, k, next_k, max_k, options, stats)
+
+        works = [
+            base.full_view() if len(m) == base.n else base.view_from_members(m)
+            for m, floor in parents
+            if floor < k
+        ]
+        drained = iter(
+            self.run_many(
+                works, k, options, stats, materialize=False, probe=probe
+            )
+            if works
+            else ()
+        )
         out: List[List[Component]] = []
-        works: List[SubgraphView] = []
-        slots: List[int] = []
         for members, floor in parents:
             if floor >= k:
                 stats.kvccs_found += 1
                 out.append([(members, floor)])
-                continue
-            slots.append(len(out))
-            out.append([])
-            works.append(
-                base.full_view()
-                if len(members) == base.n
-                else base.view_from_members(members)
-            )
-        if works:
-
-            def probe(view: SubgraphView) -> int:
-                return connectivity_floor(
-                    view, k, next_k, max_k, options, stats
-                )
-
-            groups = self.run_many(
-                works, k, options, stats, materialize=False, probe=probe
-            )
-            for slot, group in zip(slots, groups):
-                out[slot] = group
+            else:
+                out.append(next(drained))
         return out
