@@ -7,6 +7,12 @@ the calling thread; :func:`expand_work_item` is one step of Algorithm 1
 on one item, and :func:`root_work_items` turns an input view into the
 root items.
 
+The multi-k loops (the hierarchy, the k-sweep and the index updater)
+descend one level at a time through :meth:`SerialEngine.run_level`.
+Each k-VCC found there is probed once by :func:`connectivity_floor`,
+and a component proven k'-connected is its own k'-VCC at every level up
+to k', so those levels pass it through without a GLOBAL-CUT.
+
 Determinism
 -----------
 The worklist is a LIFO stack (last in, first out), and the input views
@@ -40,7 +46,7 @@ from repro.graph.graph import Graph
 #: two sets are ``None`` for roots, which get a full Theorem-8 scan.
 WorkItem = Tuple[SubgraphView, Optional[Set[int]], Optional[Set[int]]]
 
-#: A component between levels of a multi-k driver: (sorted member ids,
+#: A component between levels of a multi-k loop: (sorted member ids,
 #: floor), where the component is proven floor-vertex-connected.
 Component = Tuple[Sequence[int], int]
 
@@ -262,7 +268,7 @@ class SerialEngine:
         next_k: Optional[int] = None,
         max_k: Optional[int] = None,
     ) -> List[List[Component]]:
-        """Level k of a multi-k driver: each parent's k-VCCs, with floors.
+        """Level k of a multi-k loop: each parent's k-VCCs, with floors.
 
         ``parents`` are :data:`Component` pairs over ``base``; the
         result holds one list of child components per parent, in input
