@@ -5,9 +5,8 @@ delta path (:mod:`repro.index.delta`) actually beat the only
 alternative a rebuild-only index has - a full KVCC-ENUM re-run plus a
 whole-file ``KVCCIDX`` rewrite per update batch?
 
-The fixture is the serving workload the sharded tier targets: many
-independent communities (disjoint ring-of-cliques tenants) in one
-index.  The churn stream mutates **1% of the edge set** (the paper's
+The fixture is a multi-tenant serving workload: many independent
+communities (disjoint ring-of-cliques tenants) in one index.  The churn stream mutates **1% of the edge set** (the paper's
 dynamic-graph regime) as a sequence of small batches - the shape
 mutation traffic actually arrives in at a ``POST /v1/<ds>/edges``
 endpoint.  Per batch:

@@ -42,7 +42,6 @@ BENCHES = [
     ("bench_query_throughput.py", ["--smoke"], []),
     ("bench_backend_compare.py", ["--quick"], []),
     ("bench_serve_throughput.py", ["--smoke"], []),
-    ("bench_shard_serve.py", ["--smoke"], []),
     ("bench_incremental.py", ["--smoke"], []),
     ("bench_ingest.py", ["--smoke"], []),
     ("bench_outofcore.py", ["--smoke"], []),

@@ -1,8 +1,7 @@
 """End-to-end mutation smoke: POST a batch, answers must match rebuild.
 
-Boots a real ``repro serve`` subprocess (single replica by default, a
-sharded router with ``--shards N``) on a dataset materialized from a
-source token - the serve layer only accepts mutations when it knows
+Boots a real ``repro serve`` subprocess on a dataset materialized from
+a source token - the serve layer only accepts mutations when it knows
 how to reload the graph, so ``name=edgelist`` + ``--build-missing`` is
 the mutable registration shape.  Then:
 
@@ -15,11 +14,10 @@ the mutable registration shape.  Then:
    ``components-of`` across all levels for a sample) are identical to
    the fresh rebuild's.
 
-CI runs this twice (1 replica, then ``--shards 2``) in the
-``mutation-smoke`` job; it is also a convenient local repro::
+CI runs this in the ``mutation-smoke`` job; it is also a convenient
+local repro::
 
     PYTHONPATH=src python scripts/mutation_smoke.py
-    PYTHONPATH=src python scripts/mutation_smoke.py --shards 2
 """
 
 from __future__ import annotations
@@ -85,12 +83,7 @@ def post_json(url: str, payload: dict) -> dict:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--shards", type=int, default=1,
-        help="serve tier layout (1 = single replica, N = sharded router)",
-    )
-    args = parser.parse_args()
+    argparse.ArgumentParser(description=__doc__).parse_args()
 
     graph = ring_of_cliques(6, 5)
     workdir = tempfile.mkdtemp(prefix="mutation-smoke-")
@@ -102,8 +95,6 @@ def main() -> int:
         "--build-missing", "--cache-dir", os.path.join(workdir, "cache"),
         "--port", "0",
     ]
-    if args.shards > 1:
-        command += ["--shards", str(args.shards)]
     print(f"$ {' '.join(command)}", flush=True)
     env = dict(os.environ)
     env["PYTHONPATH"] = (
@@ -163,8 +154,7 @@ def main() -> int:
                 checked += 1
         print(
             f"OK: {checked} served answers identical to a fresh rebuild "
-            f"after {len(batch)} mutation(s) "
-            f"({args.shards} shard(s))"
+            f"after {len(batch)} mutation(s)"
         )
         return 0
     finally:

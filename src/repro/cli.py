@@ -64,7 +64,6 @@ Examples
     python -m repro query critical-vertices graph.kvcccoh -v 3 -k 4
     python -m repro query cohesion-strength graph.kvcccoh --pair 3:17
     python -m repro serve web=graph.kvccidx --port 8716
-    python -m repro serve web=graph.kvccidx --shards 4
     python -m repro serve youtube=name:youtube --build-missing
     python -m repro experiments --quick
 """
@@ -100,16 +99,6 @@ def _parse_vertex(token: str):
     except ValueError:
         return token
     return value if str(value) == token else token
-
-
-def _shards_arg(token: str) -> int:
-    """argparse type for --shards: positive int, usage error otherwise."""
-    value = int(token)
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"shards must be >= 1 (1 = unsharded), got {value}"
-        )
-    return value
 
 
 def _level_arg(token: str) -> int:
@@ -628,96 +617,6 @@ def _build_mutation_manager(datasets, cache_dir):
     return manager
 
 
-def _serve_sharded(args: argparse.Namespace, datasets) -> int:
-    """``repro serve --shards N``: worker processes + async router.
-
-    Each dataset's index is partitioned once (content-addressed under
-    the cache dir, so repeated boots of the same file reuse the shard
-    files), N ordinary serving processes host shard ``s`` of every
-    dataset, and an asyncio keep-alive front end routes by consistent
-    hashing over vertex labels - byte-identical answers to a single
-    unsharded server (see :mod:`repro.service.router`).
-    """
-    import os
-    import threading
-
-    from repro.data import default_cache_dir
-    from repro.index import ensure_shards, refresh_shards, ring_from_manifest
-    from repro.service import (
-        AsyncHTTPServer,
-        RouterDispatch,
-        ShardCluster,
-        ShardRouter,
-        handle_mutation,
-    )
-
-    cache_root = (
-        default_cache_dir() if args.cache_dir is None else args.cache_dir
-    )
-    rings = {}
-    measures = {}
-    shard_specs = [[] for _ in range(args.shards)]
-    shard_dirs = {}
-    for name, index_path, _ in datasets:
-        try:
-            manifest, paths = ensure_shards(
-                index_path, args.shards, cache_root
-            )
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot shard {name!r}: {exc}", file=sys.stderr)
-            return 2
-        rings[name] = ring_from_manifest(manifest)
-        measures[name] = list(manifest.get("measures", ["kvcc"]))
-        shard_dirs[name] = os.path.dirname(paths[0])
-        for shard, path in enumerate(paths):
-            shard_specs[shard].append((name, path))
-    cluster = ShardCluster(shard_specs)
-    try:
-        addresses = cluster.start()
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        mutations = _build_mutation_manager(datasets, args.cache_dir)
-        dataset_names = {name for name, _, _ in datasets}
-        mutate_lock = threading.Lock()
-
-        def mutate(path, params, body):
-            # The router owns the full index: apply the batch there,
-            # then rewrite only the shard files whose bytes changed -
-            # shard workers pick them up via their own hot reload.
-            # apply + refresh must be ONE critical section: each POST
-            # runs on its own to_thread worker, and while apply alone
-            # is lock-serialized inside the manager, an unserialized
-            # refresh could re-shard from a newer index snapshot than
-            # a concurrent writer, leaving shard files interleaved
-            # across two batches (with nothing to repair them until
-            # the next mutation).
-            with mutate_lock:
-                status, payload = handle_mutation(
-                    dataset_names, mutations, path, params, body
-                )
-                if status == 200:
-                    name = payload["dataset"]
-                    refresh_shards(
-                        mutations.updater(name).index, shard_dirs[name]
-                    )
-            return status, payload
-
-        router = ShardRouter(rings, measures=measures)
-        dispatch = RouterDispatch(router, addresses, mutate=mutate)
-        server = AsyncHTTPServer(
-            dispatch, host=args.host, port=args.port,
-            quiet=not args.verbose,
-        )
-        return _serve_foreground(
-            server, datasets,
-            f"{args.shards} shard process(es) behind an async router",
-        )
-    finally:
-        cluster.stop()
-
-
 def _serve_foreground(server, datasets, layout: str) -> int:
     """Run ``server`` on this thread until SIGINT; returns 0.
 
@@ -764,8 +663,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.shards > 1:
-        return _serve_sharded(args, datasets)
     registry = IndexRegistry(capacity=args.capacity, mmap=not args.eager)
     for name, path, _ in datasets:
         try:
@@ -1004,13 +901,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--capacity", type=int, default=8, metavar="N",
         help="max indexes resident at once (LRU evicts beyond this)",
-    )
-    p.add_argument(
-        "--shards", type=_shards_arg, default=1, metavar="N",
-        help="partition every index across N shard processes behind an "
-        "asyncio router (consistent hashing over vertex labels; "
-        "answers are byte-identical to --shards 1, which serves "
-        "unsharded in-process)",
     )
     p.add_argument(
         "--eager", action="store_true",

@@ -61,24 +61,12 @@ from repro.index.delta import (
     load_effective_index,
 )
 from repro.index.query import HierarchyQueryService
-from repro.index.shard import (
-    HashRing,
-    ensure_shards,
-    load_manifest,
-    refresh_shards,
-    ring_from_manifest,
-    route_key,
-    shard_cohesion_index,
-    shard_index,
-    write_shards,
-)
 
 __all__ = [
     "COHESION_FORMAT_VERSION",
     "CohesionIndex",
     "CohesionQueryService",
     "FORMAT_VERSION",
-    "HashRing",
     "HierarchyIndex",
     "HierarchyQueryService",
     "IndexUpdater",
@@ -86,17 +74,9 @@ __all__ = [
     "build_cohesion_index",
     "build_index",
     "delta_log_path",
-    "ensure_shards",
     "load_any_index",
     "load_cohesion_index",
     "load_effective_index",
     "load_index",
-    "load_manifest",
-    "refresh_shards",
-    "ring_from_manifest",
-    "route_key",
-    "shard_cohesion_index",
-    "shard_index",
     "sniff_measures",
-    "write_shards",
 ]

@@ -226,8 +226,8 @@ class CohesionIndex:
             self._write(handle)
 
     def to_bytes(self) -> bytes:
-        """The exact bytes :meth:`save` would write (for byte-compare
-        rewrites, same contract as :meth:`HierarchyIndex.to_bytes`)."""
+        """The exact bytes :meth:`save` would write (same contract as
+        :meth:`HierarchyIndex.to_bytes`)."""
         import io
 
         buffer = io.BytesIO()
@@ -474,8 +474,8 @@ def load_any_index(path, mmap: bool = True):
     takes the single-measure path through
     :func:`~repro.index.delta.load_effective_index`, so plain datasets
     keep their delta-log overlay semantics.  This is what the serving
-    registry and the sharder call, making every consumer of "an index
-    file" format-agnostic.
+    registry calls, making every consumer of "an index file"
+    format-agnostic.
     """
     if is_cohesion_file(path):
         return CohesionIndex.load(path, mmap=mmap)

@@ -423,10 +423,8 @@ class HierarchyIndex:
     def to_bytes(self) -> bytes:
         """The exact bytes :meth:`save` would write.
 
-        Lets a writer compare against an existing file and skip the
-        rewrite (and thus the readers' hot-reload) when nothing
-        changed - e.g. re-sharding after an incremental update that
-        left most shards untouched.
+        A :class:`~repro.index.cohesion.CohesionIndex` embeds these
+        bytes as one measure's stream.
         """
         import io
 

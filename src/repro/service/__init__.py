@@ -12,15 +12,12 @@ with hot reload, and one dependency-free HTTP front end.
   (``/healthz``, ``/datasets``, ``/v1/<dataset>/<query>``, and the
   per-measure ``/v2/<dataset>/<measure>/<query>`` cohesion family);
 * :mod:`repro.service.schema` - the declarative per-endpoint parameter
-  schemas and stable error codes both routing tables share;
+  schemas and stable error codes the handlers validate against;
+* :class:`~repro.service.mutation.MutationManager` - the incremental
+  updaters behind ``POST /v1/<dataset>/edges``;
 * :class:`~repro.service.aserver.AsyncHTTPServer` - the asyncio
   HTTP/1.1 JSON front end ``repro serve`` runs, answering from a
-  registry (:func:`~repro.service.aserver.registry_dispatch`) or from
-  shards (:class:`~repro.service.aserver.RouterDispatch`);
-* :class:`~repro.service.router.ShardRouter` and
-  :mod:`repro.service.cluster` - the sharded tier: per-shard index
-  files behind worker processes, routed by consistent hashing
-  (``repro serve --shards N``).
+  registry through :func:`~repro.service.aserver.registry_dispatch`.
 
 Examples
 --------
@@ -39,11 +36,9 @@ Examples
 
 from repro.service.aserver import (
     AsyncHTTPServer,
-    RouterDispatch,
     ServerThread,
     registry_dispatch,
 )
-from repro.service.cluster import ShardCluster
 from repro.service.handlers import (
     ApiError,
     handle_mutation,
@@ -51,7 +46,6 @@ from repro.service.handlers import (
 )
 from repro.service.mutation import MutationManager
 from repro.service.registry import DatasetNotFound, IndexRegistry
-from repro.service.router import ShardRouter
 from repro.service.schema import (
     ENDPOINTS,
     ERROR_CODES,
@@ -69,10 +63,7 @@ __all__ = [
     "IndexRegistry",
     "ParamSpec",
     "MutationManager",
-    "RouterDispatch",
     "ServerThread",
-    "ShardCluster",
-    "ShardRouter",
     "handle_mutation",
     "handle_request",
     "registry_dispatch",

@@ -1,27 +1,19 @@
 """The HTTP/1.1 front end of the serving layer, on one asyncio loop.
 
-:class:`AsyncHTTPServer` is the only HTTP server in the package: ``repro
-serve`` runs it for a single replica, for every shard worker and for
-the ``--shards`` router.  It is a minimal HTTP/1.1 keep-alive server
-over ``asyncio`` streams that never drops a connection on a handler
-failure (any dispatch failure answers as a 500 JSON body on the
-still-open connection).  Request bodies are framed by
-``Content-Length`` only; a body it cannot frame, or a head over
-:data:`MAX_HEAD`, is answered and the connection closed.
+:class:`AsyncHTTPServer` is the only HTTP server in the package; ``repro
+serve`` runs it.  It is a minimal HTTP/1.1 keep-alive server over
+``asyncio`` streams that never drops a connection on a handler failure
+(any dispatch failure answers as a 500 JSON body on the still-open
+connection).  Request bodies are framed by ``Content-Length`` only; a
+body it cannot frame, or a head over :data:`MAX_HEAD`, is answered and
+the connection closed.
 
 What it serves is a *dispatch* coroutine - ``(path, params) -> (status,
-body bytes)`` - with two implementations here:
-
-* :func:`registry_dispatch` - answer from a local
-  :class:`~repro.service.registry.IndexRegistry` via
-  :func:`~repro.service.handlers.handle_request` (one unsharded
-  replica, or one shard worker);
-* :class:`RouterDispatch` - execute
-  :class:`~repro.service.router.ShardRouter` plans against HTTP shard
-  processes over pooled keep-alive upstream connections, fanning
-  sub-requests out concurrently with ``asyncio.gather``.  Forwarded
-  requests relay the shard's body *bytes* untouched - byte parity with
-  an unsharded server is structural, not re-encoded.
+body bytes)`` - built by :func:`registry_dispatch`, which answers from
+a local :class:`~repro.service.registry.IndexRegistry` via
+:func:`~repro.service.handlers.handle_request` and applies POSTed
+mutation batches through a
+:class:`~repro.service.mutation.MutationManager`.
 
 Run it on the current thread (``asyncio.run(server.serve(on_bound))``,
 as ``repro serve`` does) or, for tests and benchmarks that need a
@@ -38,7 +30,7 @@ import sys
 import threading
 from http import HTTPStatus
 from typing import Awaitable, Callable, Dict, List, Optional, Set, Tuple
-from urllib.parse import parse_qs, urlencode, urlsplit
+from urllib.parse import parse_qs, urlsplit
 
 from repro.service.handlers import (
     handle_mutation,
@@ -46,18 +38,13 @@ from repro.service.handlers import (
     render_json,
 )
 from repro.service.registry import IndexRegistry
-from repro.service.router import ShardRouter
 
 LOG = logging.getLogger("repro.service")
 
-#: An async request executor: ``(path, params, raw_target) -> (status,
-#: body bytes)``.  ``raw_target`` is the request line's URL exactly as
-#: the client sent it, so a forwarding dispatch can relay it verbatim.
-#: Dispatches also accept ``method=`` ("GET"/"POST") and ``body=``
-#: (raw request body bytes) keyword arguments.
-Dispatch = Callable[
-    [str, Dict[str, List[str]], str], Awaitable[Tuple[int, bytes]]
-]
+#: An async request executor: ``(path, params) -> (status, body
+#: bytes)``.  Dispatches also accept ``method=`` ("GET"/"POST") and
+#: ``body=`` (raw request body bytes) keyword arguments.
+Dispatch = Callable[[str, Dict[str, List[str]]], Awaitable[Tuple[int, bytes]]]
 
 #: Cap on request head size (``readuntil`` limit); far above any real
 #: batch URL while still bounding a hostile or broken client.
@@ -329,7 +316,6 @@ class AsyncHTTPServer:
             return await self._dispatch(
                 url.path,
                 parse_qs(url.query),
-                target,
                 method=method,
                 body=body,
             )
@@ -344,174 +330,8 @@ async def _discard(reader) -> None:
         pass
 
 
-class _UpstreamPool:
-    """Keep-alive client connections to one shard, reused per request.
-
-    ``acquire`` hands out an idle connection (or dials a new one);
-    ``release`` returns it for reuse.  A request that fails on a
-    *pooled* connection retries once on a fresh dial - the pooled
-    socket may simply have idled out - while a fresh-dial failure
-    propagates (the shard really is down).
-    """
-
-    def __init__(self, host: str, port: int) -> None:
-        self._host = host
-        self._port = port
-        self._idle: List[Tuple[asyncio.StreamReader, asyncio.StreamWriter]]
-        self._idle = []
-
-    async def request(self, target: str) -> Tuple[int, bytes]:
-        """One GET against this shard; returns (status, body bytes)."""
-        head = (
-            f"GET {target} HTTP/1.1\r\nHost: {self._host}\r\n\r\n"
-        ).encode("latin-1")
-        for attempt in (0, 1):
-            reused = bool(self._idle)
-            if reused:
-                reader, writer = self._idle.pop()
-            else:
-                reader, writer = await asyncio.open_connection(
-                    self._host, self._port, limit=MAX_HEAD
-                )
-            try:
-                writer.write(head)
-                await writer.drain()
-                status, body = await self._read_response(reader)
-            except (ConnectionError, asyncio.IncompleteReadError, OSError):
-                writer.close()
-                if reused and attempt == 0:
-                    continue  # stale keep-alive socket: retry fresh
-                raise
-            self._idle.append((reader, writer))
-            return status, body
-        raise ConnectionError("unreachable")  # pragma: no cover
-
-    @staticmethod
-    async def _read_response(reader) -> Tuple[int, bytes]:
-        head = await reader.readuntil(b"\r\n\r\n")
-        lines = head.decode("latin-1").split("\r\n")
-        status = int(lines[0].split()[1])
-        length = 0
-        for line in lines[1:]:
-            name, _, value = line.partition(":")
-            if name.strip().lower() == "content-length":
-                length = int(value.strip())
-        body = await reader.readexactly(length) if length else b""
-        return status, body
-
-    def close(self) -> None:
-        while self._idle:
-            _, writer = self._idle.pop()
-            try:
-                writer.close()
-            except RuntimeError:
-                # The owning loop already closed; its transports died
-                # with it, so there is nothing left to release.
-                pass
-
-
-class RouterDispatch:
-    """Execute :class:`ShardRouter` plans over HTTP shard upstreams."""
-
-    def __init__(
-        self,
-        router: ShardRouter,
-        shard_addresses: List[Tuple[str, int]],
-        mutate=None,
-    ) -> None:
-        if len(shard_addresses) != router.num_shards:
-            raise ValueError(
-                f"router expects {router.num_shards} shard(s), got "
-                f"{len(shard_addresses)} address(es)"
-            )
-        self._router = router
-        self._pools = [
-            _UpstreamPool(host, port) for host, port in shard_addresses
-        ]
-        #: ``(path, params, body) -> (status, payload dict)``, run off
-        #: the event loop.  The router owns mutations: it updates the
-        #: full index and re-shards changed files, and shard workers
-        #: pick the new bytes up via their own hot reload - so POSTs
-        #: never fan out.
-        self._mutate = mutate
-
-    async def __call__(
-        self, path, params, target=None, method="GET", body=b""
-    ) -> Tuple[int, bytes]:
-        if method == "POST":
-            if self._mutate is None:
-                return 405, render_json(
-                    {
-                        "error": "mutations are not enabled on this router",
-                        "code": "method_not_allowed",
-                    }
-                )
-            # Classification + localized re-enumeration is CPU work
-            # seconds long in the worst case; to_thread keeps the
-            # event loop answering reads meanwhile.
-            status, payload = await asyncio.to_thread(
-                self._mutate, path, params, body
-            )
-            return status, render_json(payload)
-        plan = self._router.plan(path, params)
-        kind = plan[0]
-        if kind == "local":
-            _, status, payload = plan
-            return status, render_json(payload)
-        if kind == "forward":
-            shard = plan[1]
-            try:
-                # Raw relay both ways: the client's own target goes up
-                # unchanged and the shard's handler renders exactly the
-                # bytes an unsharded server would have.
-                if target is not None:
-                    return await self._pools[shard].request(target)
-                return await self._fetch(shard, path, params)
-            except (ConnectionError, OSError, asyncio.IncompleteReadError):
-                return 503, render_json(
-                    {
-                        "error": f"shard {shard} unavailable",
-                        "code": "shard_unavailable",
-                    }
-                )
-        _, subs, merge = plan
-        raw = await asyncio.gather(
-            *(self._fetch(shard, path, sub) for shard, sub in subs),
-            return_exceptions=True,
-        )
-        responses = []
-        for (shard, _), result in zip(subs, raw):
-            if isinstance(result, BaseException):
-                return 503, render_json(
-                    {
-                        "error": f"shard {shard} unavailable",
-                        "code": "shard_unavailable",
-                    }
-                )
-            status, body = result
-            responses.append((status, _loads(body)))
-        status, payload = merge(responses)
-        return status, render_json(payload)
-
-    async def _fetch(self, shard: int, path, params) -> Tuple[int, bytes]:
-        query = urlencode(params, doseq=True)
-        target = f"{path}?{query}" if query else path
-        return await self._pools[shard].request(target)
-
-    def close(self) -> None:
-        """Drop every pooled upstream connection (idempotent)."""
-        for pool in self._pools:
-            pool.close()
-
-
-def _loads(body: bytes) -> dict:
-    import json
-
-    return json.loads(body.decode("utf-8"))
-
-
 def registry_dispatch(registry: IndexRegistry, mutations=None) -> Dispatch:
-    """A dispatch answering from a local registry (unsharded replica).
+    """A dispatch answering from a local registry.
 
     Queries over a resident mmap index are microseconds of pure CPU, so
     running them inline on the event loop beats shipping them to a
@@ -519,9 +339,7 @@ def registry_dispatch(registry: IndexRegistry, mutations=None) -> Dispatch:
     ``asyncio.to_thread``.
     """
 
-    async def dispatch(
-        path, params, target=None, method="GET", body=b""
-    ) -> Tuple[int, bytes]:
+    async def dispatch(path, params, method="GET", body=b"") -> Tuple[int, bytes]:
         if method == "POST":
             status, payload = await asyncio.to_thread(
                 handle_mutation, registry, mutations, path, params, body

@@ -40,7 +40,7 @@ rollout.  The two new per-measure products and the cross-measure
 Parameter validation is declarative: every endpoint's schema lives in
 :data:`repro.service.schema.ENDPOINTS` and is decoded by
 :func:`repro.service.schema.validate`, so every endpoint validates and
-errors identically (the shard router plans from the same table).
+errors identically.
 Error bodies are ``{"error": <message>, "code": <stable code>}`` -
 see :data:`repro.service.schema.ERROR_CODES`.
 
@@ -366,8 +366,7 @@ def handle_mutation(
     """Execute one ``POST /v1/<ds>/edges`` batch; never raises.
 
     ``registry`` only needs membership tests for dataset names (the
-    full :class:`IndexRegistry` in a replica, a plain name set in the
-    sharded router); ``mutations`` is the
+    server passes its :class:`IndexRegistry`); ``mutations`` is the
     :class:`~repro.service.mutation.MutationManager` holding the
     updaters, or ``None`` when the deployment is read-only.  The body
     is JSON: ``{"mutations": [{"op": "insert"|"delete", "u": ...,

@@ -1,16 +1,13 @@
-"""Declarative request schemas shared by every serving routing table.
+"""Declarative request schemas for every serving endpoint.
 
 One :class:`EndpointSpec` per query endpoint replaces the ad-hoc
 ``_one`` / ``_k_param`` / ``_pairs_param`` helper calls that used to be
 scattered through :mod:`repro.service.handlers`: the spec says which
 parameters an endpoint takes (name, kind, required, repeatable, and
-the pair-batch alternative), :func:`validate` decodes a query-string
-multimap against it, and *both* routing tables consume the same table -
-the handler layer for validation and the shard router
-(:mod:`repro.service.router`) for planning, via each spec's ``route``
-kind.  Every endpoint therefore validates and errors identically on
-every serve path, and adding an endpoint is one table row plus its
-payload function.
+the pair-batch alternative), and :func:`validate` decodes a
+query-string multimap against it.  Every endpoint therefore validates
+and errors identically, under ``/v1`` and ``/v2`` alike, and adding an
+endpoint is one table row plus its payload function.
 
 Error discipline: every validation failure raises :class:`ApiError`
 carrying the HTTP status, a human-readable message (byte-identical to
@@ -42,7 +39,6 @@ ERROR_CODES = (
     "method_not_allowed",   # POST to a non-mutation endpoint
     "not_mutable",          # dataset has no source graph to update
     "dataset_unavailable",  # index file missing/corrupt (transient 503)
-    "shard_unavailable",    # a shard backend is down (router 503)
     "unsupported_method",   # HTTP method the server does not speak
     "internal_error",       # crashed endpoint (logged server-side)
 )
@@ -108,15 +104,6 @@ class EndpointSpec:
     wins, otherwise the ``scalar`` group (e.g. ``u`` and ``v``)
     validates - and an empty ``scalar`` group makes ``pair`` required.
 
-    ``route`` tells the shard router how to place the request:
-
-    ======================  ============================================
-    ``"batch-v"``           group repeated ``v`` by owning shard, merge
-    ``"single-v"``          forward to the shard owning ``v``
-    ``"u-or-pairs"``        pairs fan out by each ``u``; scalar forwards
-    ``"pairs"``             pair-only endpoint, fan out by each ``u``
-    ======================  ============================================
-
     ``v1=True`` marks the endpoint as part of the original v1 surface
     (served at ``/v1/<ds>/<name>`` and aliased to v2 ``measure=kvcc``).
     """
@@ -125,7 +112,6 @@ class EndpointSpec:
     params: Tuple[ParamSpec, ...] = ()
     scalar: Tuple[ParamSpec, ...] = ()
     pairs: bool = False
-    route: str = "single-v"
     v1: bool = False
 
 
@@ -135,34 +121,28 @@ _V_BATCH = ParamSpec("v", repeatable=True)
 _K = ParamSpec("k", kind="int")
 _R = ParamSpec("r", kind="int")
 
-#: Endpoint name -> request schema; the one table every tier consults.
+#: Endpoint name -> request schema; the one table the handlers consult.
 ENDPOINTS: Dict[str, EndpointSpec] = {
     spec.name: spec
     for spec in (
-        EndpointSpec(
-            "vcc-number", params=(_V_BATCH,), route="batch-v", v1=True
-        ),
+        EndpointSpec("vcc-number", params=(_V_BATCH,), v1=True),
         EndpointSpec(
             "same-kvcc",
             params=(_K,),
             scalar=(_U, _V),
             pairs=True,
-            route="u-or-pairs",
             v1=True,
         ),
-        EndpointSpec(
-            "components-of", params=(_K, _V), route="single-v", v1=True
-        ),
+        EndpointSpec("components-of", params=(_K, _V), v1=True),
         EndpointSpec(
             "max-shared-level",
             scalar=(_U, _V),
             pairs=True,
-            route="u-or-pairs",
             v1=True,
         ),
-        EndpointSpec("top-communities", params=(_V, _R), route="single-v"),
-        EndpointSpec("critical-vertices", params=(_V, _K), route="single-v"),
-        EndpointSpec("cohesion-strength", pairs=True, route="pairs"),
+        EndpointSpec("top-communities", params=(_V, _R)),
+        EndpointSpec("critical-vertices", params=(_V, _K)),
+        EndpointSpec("cohesion-strength", pairs=True),
     )
 }
 

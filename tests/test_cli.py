@@ -199,6 +199,25 @@ class TestLevelArguments:
         assert "max level: 1" in capsys.readouterr().out
 
 
+def run_fresh(code):
+    """Run ``code`` in a fresh interpreter over this tree's ``src`` and
+    return its stripped stdout (fails the test on a non-zero exit)."""
+    src = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "src",
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -213,14 +232,6 @@ class TestParser:
         # imports adds to the peak RSS of ``repro hierarchy`` too.  The
         # enumeration runs in this process, so no process-pool or
         # shared-memory module is loaded either.
-        src = os.path.join(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-            "src",
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [src, env.get("PYTHONPATH")])
-        )
         code = (
             "import sys\n"
             "from repro.cli import build_parser\n"
@@ -231,12 +242,20 @@ class TestParser:
             "             if m.split('.')[:2] == ['repro', 'service']\n"
             "             or m in pool))\n"
         )
-        done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True,
-            text=True, timeout=60,
+        assert run_fresh(code) == "[]"
+
+    def test_serving_imports_no_multiprocessing(self):
+        # ``repro serve`` is one process: neither the serving layer nor
+        # the CLI that boots it needs a process or process-pool module.
+        code = (
+            "import sys\n"
+            "import repro.service\n"
+            "import repro.cli\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] == 'multiprocessing'\n"
+            "             or m == 'concurrent.futures.process'))\n"
         )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
+        assert run_fresh(code) == "[]"
 
     def test_serve_help_shows_default_port(self, capsys):
         with pytest.raises(SystemExit):

@@ -4,7 +4,7 @@ Covers the container format (round trips, mmap loads, corruption
 rejection, sniffing), the per-measure forests against the offline
 :mod:`repro.baselines` enumerators (the acceptance bar: served k-ECC /
 k-core answers must equal the reference implementations), the derived
-query products, and shard partitioning of multi-measure files.
+and query products.
 """
 
 import json
@@ -21,7 +21,6 @@ from repro.index import (
     MEASURES,
     build_index,
     load_any_index,
-    shard_cohesion_index,
     sniff_measures,
 )
 from repro.index.cohesion import (
@@ -33,7 +32,6 @@ from repro.index.cohesion import (
     build_measure_hierarchy,
     load_cohesion_index,
 )
-from repro.index.shard import load_manifest, shard_paths, write_shards
 from repro.index.store import _MMAP_ZERO_COPY
 
 from helpers import random_connected_graph
@@ -380,36 +378,6 @@ class TestDerivedQueries:
         assert service.critical_vertices("missing", 2) == []
         with pytest.raises(ValueError, match="at least 1"):
             service.critical_vertices(0, 0)
-
-
-class TestShardCohesion:
-    def test_per_measure_answers_match_full(self, ring, cohesion):
-        shards = shard_cohesion_index(cohesion, 3)
-        assert len(shards) == 3
-        full = CohesionQueryService(cohesion)
-        for measure in MEASURES:
-            want = full.measure_service(measure)
-            for v in ring.vertices():
-                answered = [
-                    CohesionQueryService(shard)
-                    .measure_service(measure)
-                    .vcc_number(v)
-                    for shard in shards
-                    if shard.index_for(measure).id_of(v) is not None
-                ]
-                assert want.vcc_number(v) in answered
-
-    def test_write_shards_round_trip(self, cohesion, tmp_path):
-        manifest = write_shards(cohesion, str(tmp_path), 2)
-        assert manifest["measures"] == list(MEASURES)
-        reread = load_manifest(str(tmp_path))
-        assert reread["measures"] == list(MEASURES)
-        paths = shard_paths(reread, str(tmp_path))
-        assert all(path.endswith(".kvcccoh") for path in paths)
-        for path in paths:
-            shard = load_any_index(path, mmap=False)
-            assert isinstance(shard, CohesionIndex)
-            assert shard.measures == MEASURES
 
 
 class TestServedMatchesBaselines:

@@ -3,8 +3,8 @@
 The contract under test, straight from the redesign:
 
 * every v1 endpoint answers **byte-identically** through the v2
-  ``measure=kvcc`` alias - on the sync handler path, the async HTTP
-  front end, and a sharded router;
+  ``measure=kvcc`` alias - on the sync handler path and the async HTTP
+  front end;
 * the per-measure and cross-measure v2 products answer consistently
   with direct query-service calls;
 * every JSON error body carries a stable machine-readable ``code``
@@ -13,7 +13,6 @@ The contract under test, straight from the redesign:
 """
 
 import http.client
-import json
 
 import pytest
 
@@ -22,14 +21,11 @@ from repro.index import (
     MEASURES,
     build_cohesion_index,
     build_index,
-    ensure_shards,
-    ring_from_manifest,
 )
 from repro.service import (
     AsyncHTTPServer,
     IndexRegistry,
     ServerThread,
-    ShardRouter,
     handle_mutation,
     handle_request,
     registry_dispatch,
@@ -283,7 +279,7 @@ class TestSchemaValidation:
         assert decoded["v_tokens"] == ["5", "05", "x"]
 
 
-#: Paths exercising the v2 family end to end (HTTP + sharded tiers).
+#: Paths exercising the v2 family end to end over HTTP.
 V2_CATALOG = [
     ("/v2/g/kvcc/vcc-number", {"v": ["0"]}),
     ("/v2/g/kecc/vcc-number", {"v": [str(i) for i in range(20)]}),
@@ -336,95 +332,3 @@ class TestAsyncHTTPCohesion:
                     assert body == render_json(want_payload), target
             finally:
                 connection.close()
-
-
-class TestShardedCohesion:
-    @pytest.fixture
-    def setup(self, ring, tmp_path):
-        index_path = str(tmp_path / "g.kvcccoh")
-        build_cohesion_index(ring).save(index_path)
-        manifest, paths = ensure_shards(index_path, 2, str(tmp_path))
-        single = IndexRegistry()
-        single.register("g", index_path)
-        backends = []
-        for path in paths:
-            shard_registry = IndexRegistry()
-            shard_registry.register("g", path)
-            backends.append(
-                lambda p, q, _r=shard_registry: handle_request(_r, p, q)
-            )
-        router = ShardRouter(
-            {"g": ring_from_manifest(manifest)},
-            backends=backends,
-            measures={"g": manifest["measures"]},
-        )
-        return single, router
-
-    def test_manifest_records_measures(self, ring, tmp_path):
-        index_path = str(tmp_path / "g.kvcccoh")
-        build_cohesion_index(ring).save(index_path)
-        manifest, paths = ensure_shards(index_path, 2, str(tmp_path))
-        assert manifest["measures"] == list(MEASURES)
-        assert all(path.endswith(".kvcccoh") for path in paths)
-
-    def test_byte_parity_across_catalog(self, setup):
-        single, router = setup
-        for path, params in V2_CATALOG + [
-            (f"/v1/g/{endpoint}", params)
-            for endpoint, params in ALIAS_CATALOG
-        ]:
-            want_status, want_payload = handle_request(single, path, params)
-            got_status, got_payload = router.handle_request(path, params)
-            assert got_status == want_status, (path, params)
-            assert render_json(got_payload) == render_json(want_payload), (
-                path, params,
-            )
-
-    def test_router_datasets_advertise_measures(self, setup):
-        _, router = setup
-        status, payload = router.handle_request("/datasets", {})
-        assert status == 200
-        assert payload["datasets"][0]["measures"] == list(MEASURES)
-
-    @pytest.mark.slow
-    def test_end_to_end_two_process_cluster(self, ring, tmp_path):
-        """Real shard processes serving a cohesion index: the full
-        v1 + v2 catalog answers byte-identically to one unsharded
-        in-process registry."""
-        from repro.service import RouterDispatch, ShardCluster
-
-        index_path = str(tmp_path / "g.kvcccoh")
-        build_cohesion_index(ring).save(index_path)
-        manifest, paths = ensure_shards(index_path, 2, str(tmp_path))
-        single = IndexRegistry()
-        single.register("g", index_path)
-        with ShardCluster([[("g", p)] for p in paths]) as addresses:
-            router = ShardRouter(
-                {"g": ring_from_manifest(manifest)},
-                measures={"g": manifest["measures"]},
-            )
-            dispatch = RouterDispatch(router, addresses)
-            with ServerThread(AsyncHTTPServer(dispatch)) as (host, port):
-                connection = http.client.HTTPConnection(
-                    host, port, timeout=15
-                )
-                try:
-                    catalog = V2_CATALOG + [
-                        (f"/v1/g/{endpoint}", params)
-                        for endpoint, params in ALIAS_CATALOG
-                    ]
-                    for path, params in catalog:
-                        target = path
-                        if params:
-                            target += "?" + _query_string(params)
-                        connection.request("GET", target)
-                        response = connection.getresponse()
-                        body = response.read()
-                        want_status, want_payload = handle_request(
-                            single, path, params
-                        )
-                        assert response.status == want_status, target
-                        assert body == render_json(want_payload), target
-                finally:
-                    connection.close()
-            dispatch.close()

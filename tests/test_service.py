@@ -677,9 +677,7 @@ class TestServeProcess:
                 assert headers[b"connection"] == b"close"
                 assert json.loads(payload)["code"] == "bad_body"
 
-    @pytest.mark.parametrize(
-        "layout", [[], ["--shards", "2"]], ids=["replica", "shards"]
-    )
+    @pytest.mark.parametrize("layout", [[]], ids=["replica"])
     def test_sigint_drains_and_exits_cleanly(
         self, ring_path, tmp_path, layout
     ):
