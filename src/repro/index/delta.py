@@ -17,7 +17,11 @@ Let ``G`` be the old graph and ``G'`` the graph after one batch.
   only components containing a mutated endpoint can change, and the
   union of those components plus the mutated endpoints is edge-closed
   in ``G'`` - connected components of ``G'`` restricted to that region
-  are exact.
+  are exact.  The batch's CSR base therefore holds the region's rows
+  only, every other row empty: each region row is the vertex's whole
+  row in ``G'``, and every later level enumerates inside a component of
+  the region, so no view ever reads a row outside it.  A batch never
+  copies or boxes the rows of components it does not touch.
 * **Unchanged component, unchanged subtree.**  A component re-found
   with the same member set whose induced subgraph contains no applied
   edge is untouched: same members + same edges means the entire
@@ -45,7 +49,9 @@ counter), so a delta record is just ``removed`` / ``added`` /
 labels.  Updater state and disk replay share one deterministic
 linearization - nodes sorted by ``(k, uid)`` - so
 :func:`load_effective_index` reproduces the updater's in-memory index
-exactly, byte for byte.
+exactly, byte for byte.  Each node keeps its encoded runs, so a
+linearization only concatenates them, and the updater linearizes only
+when its :attr:`IndexUpdater.index` is read.
 
 Delta log format (``<index>.kvccidx.delta``)
 --------------------------------------------
@@ -172,15 +178,21 @@ def read_delta_log(
 class _Node:
     """One component in the mutable overlay forest."""
 
-    __slots__ = ("k", "parent", "members", "mset")
+    __slots__ = ("k", "parent", "members", "mset", "runs")
 
-    def __init__(self, k: int, parent: int, members) -> None:
+    def __init__(
+        self, k: int, parent: int, members, runs: Optional[List[int]] = None
+    ) -> None:
         self.k = k
         #: Parent *uid* (-1 for level-1 roots).
         self.parent = parent
         #: Sorted member ids (index id space).
         self.members: List[int] = sorted(members)
         self.mset: FrozenSet[int] = frozenset(self.members)
+        #: The members' flattened ``(start, length)`` run pairs, exactly
+        #: as the index stores them: taken from the loaded run table, or
+        #: encoded by the first :meth:`_Forest.to_index` that needs them.
+        self.runs: Optional[List[int]] = runs
 
 
 class _Forest:
@@ -195,32 +207,59 @@ class _Forest:
     makes the two byte-identical.
     """
 
-    __slots__ = ("labels", "nodes", "children", "next_uid")
+    __slots__ = (
+        "labels", "nodes", "children", "next_uid", "level_sizes", "root_of"
+    )
 
     def __init__(self) -> None:
         self.labels: List[Hashable] = []
         self.nodes: Dict[int, _Node] = {}
         self.children: Dict[int, Set[int]] = {}
         self.next_uid = 0
+        #: Node count per level, so :attr:`max_k` needs no linearization.
+        self.level_sizes: Dict[int, int] = {}
+        #: Vertex id -> uid of the level-1 component holding it (level-1
+        #: components are disjoint), so a batch finds its roots without
+        #: a scan of the forest.
+        self.root_of: Dict[int, int] = {}
 
     @classmethod
     def from_index(cls, index: HierarchyIndex) -> "_Forest":
         forest = cls()
         forest.labels = list(index.labels)
+        runs, offsets = index.runs, index.run_offsets
         for node in range(index.num_nodes):
-            parent = index.node_parent[node]
-            forest.nodes[node] = _Node(
-                index.node_k[node], parent, index.members(node)
+            forest._insert(
+                node,
+                _Node(
+                    index.node_k[node],
+                    index.node_parent[node],
+                    index.members(node),
+                    list(runs[2 * offsets[node] : 2 * offsets[node + 1]]),
+                ),
             )
-            forest.children[node] = set()
-            if parent >= 0:
-                forest.children[parent].add(node)
         forest.next_uid = index.num_nodes
         return forest
 
-    def roots(self) -> List[int]:
-        """Uids of the level-1 components."""
-        return [uid for uid, node in self.nodes.items() if node.k == 1]
+    @property
+    def max_k(self) -> int:
+        """The deepest level that holds a node (0 for an empty forest)."""
+        return max(self.level_sizes, default=0)
+
+    def roots_of(self, vertices) -> List[int]:
+        """Uids of the level-1 components holding any of ``vertices``,
+        ascending (the order a scan of :attr:`nodes` would give)."""
+        root_of = self.root_of
+        return sorted({root_of[v] for v in vertices if v in root_of})
+
+    def _insert(self, uid: int, node: _Node) -> None:
+        self.nodes[uid] = node
+        self.children[uid] = set()
+        if node.parent >= 0:
+            self.children[node.parent].add(uid)
+        if node.k == 1:
+            self.root_of.update(dict.fromkeys(node.members, uid))
+        self.level_sizes[node.k] = self.level_sizes.get(node.k, 0) + 1
 
     def apply_record(self, record: dict) -> None:
         """Replay one delta record (labels, removals, adds, reparents).
@@ -237,11 +276,16 @@ class _Forest:
             if parent >= 0 and parent in self.nodes:
                 self.children[parent].discard(uid)
             self.children.pop(uid, None)
+            if node.k == 1:
+                for vid in node.members:
+                    self.root_of.pop(vid, None)
+            left = self.level_sizes[node.k] - 1
+            if left:
+                self.level_sizes[node.k] = left
+            else:
+                del self.level_sizes[node.k]
         for uid, k, parent, members in record.get("added", []):
-            self.nodes[uid] = _Node(k, parent, members)
-            self.children[uid] = set()
-            if parent >= 0:
-                self.children[parent].add(uid)
+            self._insert(uid, _Node(k, parent, members))
             if uid >= self.next_uid:
                 self.next_uid = uid + 1
         for uid, parent in record.get("reparented", []):
@@ -254,30 +298,34 @@ class _Forest:
                 self.children[parent].add(uid)
 
     def to_index(self) -> HierarchyIndex:
-        """Linearize into a :class:`HierarchyIndex` by ``(k, uid)``."""
-        order = sorted(
-            self.nodes, key=lambda uid: (self.nodes[uid].k, uid)
-        )
+        """Linearize into a :class:`HierarchyIndex` by ``(k, uid)``.
+
+        Node runs are concatenated, each encoded at most once per node.
+        The same pass fills ``vcc_numbers``: levels ascend in this
+        order, so a vertex's last write is its deepest level.
+        """
+        nodes = self.nodes
+        order = sorted(nodes, key=lambda uid: (nodes[uid].k, uid))
         position = {uid: i for i, uid in enumerate(order)}
         node_k: List[int] = []
         node_parent: List[int] = []
         run_offsets: List[int] = [0]
         runs: List[int] = []
         vcc_numbers = [0] * len(self.labels)
-        max_k = 0
         for uid in order:
-            node = self.nodes[uid]
-            node_k.append(node.k)
+            node = nodes[uid]
+            k = node.k
+            node_k.append(k)
             node_parent.append(
                 -1 if node.parent < 0 else position[node.parent]
             )
-            _encode_runs(node.members, runs)
+            if node.runs is None:
+                node.runs = []
+                _encode_runs(node.members, node.runs)
+            runs.extend(node.runs)
             run_offsets.append(len(runs) // 2)
             for vid in node.members:
-                if vcc_numbers[vid] < node.k:
-                    vcc_numbers[vid] = node.k
-            if node.k > max_k:
-                max_k = node.k
+                vcc_numbers[vid] = k
         return HierarchyIndex(
             labels=list(self.labels),
             node_k=node_k,
@@ -285,7 +333,7 @@ class _Forest:
             run_offsets=run_offsets,
             runs=runs,
             vcc_numbers=vcc_numbers,
-            max_k=max_k,
+            max_k=node_k[-1] if node_k else 0,
         )
 
 
@@ -354,9 +402,10 @@ class IndexUpdater:
         to ``KVCCOptions()``, same as ``build_index``).
 
     ``apply`` classifies a batch of edge mutations, re-enumerates only
-    the affected mask views, appends one delta record, and refreshes
-    :attr:`index`; readers loading via :func:`load_effective_index`
-    (e.g. the serving registry) see the new state on their next stat.
+    the affected mask views, appends one delta record, and updates the
+    forest behind :attr:`index`; readers loading via
+    :func:`load_effective_index` (e.g. the serving registry) see the new
+    state on their next stat.
     """
 
     def __init__(
@@ -414,7 +463,7 @@ class IndexUpdater:
                 self._replay_graph(record)
                 self._forest.apply_record(record)
         self.last_stats: Optional[RunStats] = None
-        self._index = self._forest.to_index()
+        self._index: Optional[HierarchyIndex] = None
 
     def _check_graph_binding(self, records: List[dict]) -> None:
         """Fail loudly when the provided graph is not the one this
@@ -465,7 +514,15 @@ class IndexUpdater:
     # ------------------------------------------------------------------
     @property
     def index(self) -> HierarchyIndex:
-        """The current overlaid index (fresh object after each batch)."""
+        """The current overlaid index (a fresh object after each batch).
+
+        Linearized on the first read after a batch, not by
+        :meth:`apply`: serving readers reload from disk, so a write
+        that nobody reads through the updater never pays the O(graph)
+        :meth:`_Forest.to_index`.
+        """
+        if self._index is None:
+            self._index = self._forest.to_index()
         return self._index
 
     @property
@@ -511,7 +568,7 @@ class IndexUpdater:
             self._truncate_torn_tail()
             raise
         self._forest.apply_record(record)
-        self._index = self._forest.to_index()
+        self._index = None
         return self._summary(started, skipped, record)
 
     def _stage(self, mutations):
@@ -643,13 +700,13 @@ class IndexUpdater:
         loudly instead of silently classifying against a stale
         adjacency.
         """
-        self._index.save_atomic(self.path)
+        index = self.index
+        index.save_atomic(self.path)
         self._digest = _file_digest(self.path)
         self._graph_digest = self._adj_digest()
         self._graph_shape = (len(self._labels), self.num_edges)
         self._reset_log()
-        self._forest = _Forest.from_index(self._index)
-        self._index = self._forest.to_index()
+        self._forest = _Forest.from_index(index)
 
     # ------------------------------------------------------------------
     # Batch normalization / id space
@@ -704,20 +761,34 @@ class IndexUpdater:
                 self._adj[iu].discard(iv)
                 self._adj[iv].discard(iu)
 
-    def _build_csr(self) -> CSRGraph:
-        """Snapshot the current adjacency as an id-labeled CSR base."""
+    def _build_csr(self, region: List[int]) -> CSRGraph:
+        """Snapshot the adjacency of ``region`` (ascending ids) as an
+        id-labeled CSR base whose other rows are empty.
+
+        Only the region's rows are read and boxed (through
+        :meth:`CSRGraph.prepare_rows`); the gaps between region ids are
+        filled by slice, so the Python-level work is O(region) however
+        large the graph is.
+        """
         from array import array
 
         n = len(self._adj)
         indptr = array("l", [0]) * (n + 1)
-        for i in range(n):
-            indptr[i + 1] = indptr[i] + len(self._adj[i])
-        indices = array("l", [0]) * indptr[n] if n else array("l")
-        for i in range(n):
-            indices[indptr[i] : indptr[i + 1]] = array(
-                "l", sorted(self._adj[i])
-            )
-        return CSRGraph(n, indptr, indices, None)
+        indices = array("l")
+        filled = 0  # indptr[: filled + 1] holds its final values
+        for v in region:
+            if v > filled:
+                indptr[filled + 1 : v + 1] = array("l", [len(indices)]) * (
+                    v - filled
+                )
+            indices.extend(sorted(self._adj[v]))
+            indptr[v + 1] = len(indices)
+            filled = v + 1
+        if filled < n:
+            indptr[filled + 1 :] = array("l", [len(indices)]) * (n - filled)
+        base = CSRGraph(n, indptr, indices, None)
+        base.prepare_rows(region)
+        return base
 
     # ------------------------------------------------------------------
     # Localized re-enumeration
@@ -732,9 +803,19 @@ class IndexUpdater:
         Reads the (pre-batch) forest, never mutates it - the record it
         returns goes through :meth:`_Forest.apply_record`, the same
         code path disk replay uses.
+
+        The CSR base holds the level-1 region's rows only: the affected
+        old roots' members plus the mutated endpoints, every other row
+        empty.  That is exact because the region is edge-closed in the
+        new graph (a region vertex's new neighbours are old neighbours
+        in its component or inserted endpoints), so each region row is
+        the vertex's whole row, and every view this batch enumerates
+        lies inside the region: the level-1 task is the region itself
+        and each later task is a component found in, or an old
+        descendant of, an affected root.  Untouched components are
+        neither copied nor boxed.
         """
         forest = self._forest
-        base = self._build_csr()
         stats = RunStats(k=0)
         pairs = [(iu, iv) for _, iu, iv in applied]
         insert_pairs = [
@@ -762,17 +843,18 @@ class IndexUpdater:
         # region of affected old roots plus mutated endpoints.
         region: Set[int] = set(touched)
         pool: Dict[FrozenSet[int], int] = {}
-        for uid in forest.roots():
+        for uid in forest.roots_of(touched):
             node = forest.nodes[uid]
-            if not touched.isdisjoint(node.mset):
-                pool[node.mset] = uid
-                region.update(node.members)
+            pool[node.mset] = uid
+            region.update(node.members)
+        region_ids = sorted(region)
+        base = self._build_csr(region_ids)
         #: (parent uid or -1 for the virtual root, new member list,
         #: True when the parent is an old node whose children can use
         #: the delete-only refinement, the parent's connectivity floor
         #: proven by this batch's probes, 0 when none).
         dirty: List[Tuple[int, List[int], bool, int]] = [
-            (-1, sorted(region), False, 0)
+            (-1, region_ids, False, 0)
         ]
         k = 1
         while dirty or pool:
@@ -932,6 +1014,6 @@ class IndexUpdater:
             "nodes_reparented": (
                 len(record["reparented"]) if record else 0
             ),
-            "max_k": self._index.max_k,
+            "max_k": self._forest.max_k,
             "elapsed_seconds": perf_counter() - started,
         }

@@ -67,10 +67,10 @@ import json
 import logging
 from typing import Dict, List, Tuple
 
+from repro.index.cohesion import MEASURES
 from repro.service.registry import DatasetNotFound, IndexRegistry
 from repro.service.schema import (
     ENDPOINTS,
-    MEASURES,
     V1_ENDPOINTS,
     V2_MEASURE_ENDPOINTS,
     ApiError,

@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Tuple
 
-from repro.index.cohesion import MEASURES
-
 #: Query-parameter multimap, as ``urllib.parse.parse_qs`` produces.
 Params = Dict[str, List[str]]
 

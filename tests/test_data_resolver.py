@@ -6,7 +6,6 @@ import pytest
 
 from repro.data import resolver as resolver_mod
 from repro.data.resolver import (
-    Dataset,
     default_cache_dir,
     load_graph,
     load_graph_csr,

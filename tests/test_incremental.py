@@ -28,6 +28,7 @@ import json
 import os
 import random
 import tempfile
+from typing import List, Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -111,6 +112,21 @@ def fresh_updater(tmp_path, graph: Graph, name="g.kvccidx") -> IndexUpdater:
     return IndexUpdater(path, graph=graph)
 
 
+def disjoint_union(parts) -> Tuple[Graph, List[List[int]]]:
+    """The graphs in ``parts`` relabeled side by side, with each one's
+    vertex list (part ``i`` occupies ``[offset, offset + n_i)``)."""
+    merged = Graph()
+    tenants = []
+    offset = 0
+    for part in parts:
+        for u, v in part.edges():
+            merged.add_edge(u + offset, v + offset)
+        size = max(part.vertices()) + 1
+        tenants.append(list(range(offset, offset + size)))
+        offset += size
+    return merged, tenants
+
+
 # ----------------------------------------------------------------------
 # Property-based harness
 # ----------------------------------------------------------------------
@@ -165,6 +181,95 @@ class TestPropertyEquivalence:
                 apply_mutations(mirror, batch)
                 updater.apply(batch)
                 assert_equivalent(updater, mirror)
+
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        sizes=st.lists(
+            st.integers(min_value=4, max_value=9), min_size=2, max_size=4
+        ),
+        p=st.floats(min_value=0.3, max_value=0.8),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_disjoint_tenants_match_rebuild(self, sizes, p, seed):
+        """Disjoint tenants, so a batch's region is a strict subset of
+        the graph: batches mostly stay inside one tenant, with some
+        deletes and an occasional insert across two tenants."""
+        graph, tenants = disjoint_union(
+            random_connected_graph(n, p, seed + i)
+            for i, n in enumerate(sizes)
+        )
+        with tempfile.TemporaryDirectory() as workdir:
+            updater = fresh_updater(workdir, graph, f"t{seed}.kvccidx")
+            mirror = graph.copy()
+            rng = random.Random(seed)
+            for _ in range(4):
+                home = rng.randrange(len(tenants))
+                batch = []
+                for _ in range(3):
+                    roll = rng.random()
+                    if roll < 0.15:
+                        other = rng.choice(
+                            [t for t in range(len(tenants)) if t != home]
+                        )
+                        u = rng.choice(tenants[home])
+                        v = rng.choice(tenants[other])
+                    else:
+                        u, v = rng.sample(tenants[home], 2)
+                    if roll >= 0.6 and mirror.has_edge(u, v):
+                        batch.append({"op": "delete", "u": u, "v": v})
+                    elif roll >= 0.6:
+                        inside = sorted(
+                            tuple(sorted(edge))
+                            for edge in mirror.edges()
+                            if edge[0] in tenants[home]
+                            and edge[1] in tenants[home]
+                        )
+                        if inside:
+                            u, v = inside[rng.randrange(len(inside))]
+                            batch.append({"op": "delete", "u": u, "v": v})
+                    elif not mirror.has_edge(u, v):
+                        batch.append({"op": "insert", "u": u, "v": v})
+                apply_mutations(mirror, batch)
+                summary = updater.apply(batch)
+                assert_equivalent(updater, mirror)
+                assert summary["max_k"] == updater.index.max_k
+
+
+class _UntouchableRow(set):
+    """An adjacency row that fails the test if it is walked or sized."""
+
+    def __iter__(self):
+        raise AssertionError("an untouched tenant's row was iterated")
+
+    def __len__(self):
+        raise AssertionError("an untouched tenant's row was sized")
+
+
+class TestRegionScopedRecompute:
+    def test_batch_reads_only_its_own_tenant(self, tmp_path):
+        """A batch inside one tenant never walks another tenant's rows,
+        so its cost does not grow with the rest of the graph."""
+        graph, (home, idle) = disjoint_union(
+            [ring_of_cliques(3, 5), ring_of_cliques(3, 5)]
+        )
+        updater = fresh_updater(tmp_path, graph)
+        mirror = graph.copy()
+        saved = {}
+        for label in idle:
+            vid = updater._resolve(label)
+            saved[vid] = updater._adj[vid]
+            updater._adj[vid] = _UntouchableRow(saved[vid])
+        batch = [
+            {"op": "insert", "u": home[0], "v": home[7]},
+            {"op": "delete", "u": home[5], "v": home[6]},
+        ]
+        apply_mutations(mirror, batch)
+        summary = updater.apply(batch)
+        for vid, row in saved.items():
+            updater._adj[vid] = row
+        assert summary["applied"] == 2
+        assert_equivalent(updater, mirror)
 
 
 # ----------------------------------------------------------------------
