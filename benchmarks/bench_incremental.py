@@ -170,6 +170,11 @@ def scaling_row(workdir: str, communities: int, batches: int) -> Tuple[
 
 
 def bench(args) -> int:
+    with tempfile.TemporaryDirectory(prefix="bench-incremental-") as workdir:
+        return run_bench(args, workdir)
+
+
+def run_bench(args, workdir: str) -> int:
     communities = 12 if args.smoke else 96
     batches = 4 if args.smoke else 24
     rebuild_samples = 2 if args.smoke else 4
@@ -180,7 +185,6 @@ def bench(args) -> int:
         f"vertices, {num_edges} edges"
     )
 
-    workdir = tempfile.mkdtemp(prefix="bench-incremental-")
     index_path = os.path.join(workdir, "communities.kvccidx")
     build_index(graph).save_atomic(index_path)
     updater = IndexUpdater(index_path, graph=graph)

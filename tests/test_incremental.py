@@ -182,7 +182,6 @@ class TestPropertyEquivalence:
                 updater.apply(batch)
                 assert_equivalent(updater, mirror)
 
-
     @settings(max_examples=20, deadline=None)
     @given(
         sizes=st.lists(
@@ -204,31 +203,27 @@ class TestPropertyEquivalence:
             mirror = graph.copy()
             rng = random.Random(seed)
             for _ in range(4):
-                home = rng.randrange(len(tenants))
+                home = tenants[rng.randrange(len(tenants))]
                 batch = []
                 for _ in range(3):
                     roll = rng.random()
                     if roll < 0.15:
-                        other = rng.choice(
-                            [t for t in range(len(tenants)) if t != home]
-                        )
-                        u = rng.choice(tenants[home])
-                        v = rng.choice(tenants[other])
+                        other = rng.choice([t for t in tenants if t is not home])
+                        u, v = rng.choice(home), rng.choice(other)
+                    elif roll < 0.6:
+                        u, v = rng.sample(home, 2)
                     else:
-                        u, v = rng.sample(tenants[home], 2)
-                    if roll >= 0.6 and mirror.has_edge(u, v):
-                        batch.append({"op": "delete", "u": u, "v": v})
-                    elif roll >= 0.6:
                         inside = sorted(
                             tuple(sorted(edge))
                             for edge in mirror.edges()
-                            if edge[0] in tenants[home]
-                            and edge[1] in tenants[home]
+                            if edge[0] in home and edge[1] in home
                         )
-                        if inside:
-                            u, v = inside[rng.randrange(len(inside))]
-                            batch.append({"op": "delete", "u": u, "v": v})
-                    elif not mirror.has_edge(u, v):
+                        if not inside:
+                            continue
+                        u, v = inside[rng.randrange(len(inside))]
+                        batch.append({"op": "delete", "u": u, "v": v})
+                        continue
+                    if not mirror.has_edge(u, v):
                         batch.append({"op": "insert", "u": u, "v": v})
                 apply_mutations(mirror, batch)
                 summary = updater.apply(batch)
