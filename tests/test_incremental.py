@@ -266,6 +266,26 @@ class TestRegionScopedRecompute:
         assert summary["applied"] == 2
         assert_equivalent(updater, mirror)
 
+    @pytest.mark.parametrize(
+        "region",
+        [[], [0], [14], [0, 1, 2], [3, 9, 14], list(range(15))],
+        ids=["empty", "first", "last", "prefix", "gaps", "all"],
+    )
+    def test_region_base_rows(self, tmp_path, region):
+        """The batch base holds each region vertex's whole row, in id
+        order, and an empty row for every other vertex."""
+        updater = fresh_updater(tmp_path, ring_of_cliques(3, 5))
+        base = updater._build_csr(region)
+        assert base.n == 15 and len(base.indptr) == 16
+        for v in range(base.n):
+            row = list(base.indices[base.indptr[v] : base.indptr[v + 1]])
+            if v in region:
+                assert row == sorted(updater._adj[v])
+                assert base.rows[v] == row
+            else:
+                assert row == []
+                assert base.rows[v] is None
+
 
 # ----------------------------------------------------------------------
 # Deterministic structure changes
