@@ -45,6 +45,7 @@ BENCHES = [
     ("bench_incremental.py", ["--smoke"], []),
     ("bench_ingest.py", ["--smoke"], []),
     ("bench_outofcore.py", ["--smoke"], []),
+    ("bench_cohesion.py", ["--smoke"], []),
 ]
 
 

@@ -35,14 +35,27 @@ into the shared mapping via :meth:`HierarchyIndex.from_buffer` - a cold
 multi-measure process is query-ready in O(header), same as the
 single-measure path.
 
-Build once with :func:`build_cohesion_index` (k-VCC via the CSR
-hierarchy engine, k-ECC/k-core by iterating the
-:mod:`repro.baselines` reference enumerators level by level); query
-through :class:`CohesionQueryService`, which exposes one
+Build once with :func:`build_cohesion_index`; query through
+:class:`CohesionQueryService`, which exposes one
 :class:`~repro.index.query.HierarchyQueryService` per measure behind
 the same ``measures`` / ``measure_service`` protocol the plain service
 speaks - plus attribute delegation to the k-VCC service, so everything
 that worked against a single-measure dataset keeps working unchanged.
+
+**All three forests are built level by level on one CSR base.**  The
+k-VCC forest runs the hierarchy engine
+(:func:`~repro.core.hierarchy.build_hierarchy_csr`);
+:func:`build_measure_hierarchy` builds the other two the same way:
+level k runs only inside the level-(k-1) components, through mask
+views of the shared base, and a component whose floor reaches a level
+is its own child there with no work.  The floor of a k-core component
+is its minimum degree; that of a k-ECC is its exact edge connectivity,
+from one global minimum cut (:mod:`repro.index.mincut`), and one level
+above it the component splits along that cut.  Both rules are exact:
+every (k+1)-level component lies inside one k-level component, and no
+k-ECC straddles an edge cut of fewer than k edges, so splitting along
+such a cut loses none.  The :mod:`repro.baselines` enumerators stay
+the independent oracle the tests compare these forests with.
 
 Examples
 --------
@@ -65,16 +78,15 @@ import mmap as _mmap
 import struct
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.baselines.kecc import k_ecc_components
-from repro.baselines.kcore_cc import k_core_components
 from repro.core.hierarchy import (
     HierarchyNode,
     KVCCHierarchy,
     build_hierarchy_csr,
 )
 from repro.core.options import KVCCOptions
+from repro.graph.connectivity import connected_components
 from repro.graph.csr import CSRGraph
-from repro.graph.graph import Graph
+from repro.index.mincut import min_edge_cut
 from repro.index.query import HierarchyQueryService
 from repro.index.store import _MMAP_ZERO_COPY, HierarchyIndex
 
@@ -89,56 +101,180 @@ MEASURES = ("kvcc", "kecc", "kcore")
 _DIR_LEN = struct.Struct("<I")
 
 
-def _measure_components(measure: str, graph: Graph, k: int):
-    """The offline enumerator behind one non-kvcc measure at level k."""
-    if measure == "kecc":
-        return k_ecc_components(graph, k)
-    if measure == "kcore":
-        return k_core_components(graph, k)
-    raise ValueError(f"unknown cohesion measure {measure!r}")
+class _Component:
+    """One component of a measure forest, reused across the levels it
+    survives unchanged.
+
+    ``members`` are ascending base ids and ``key`` the ascending string
+    forms of their labels, the within-level sort key.  ``floor`` is
+    the last level at which the component is its own child: its edge
+    connectivity for k-ECCs, its minimum degree for k-core components.
+    ``side`` is one side of a minimum edge cut (k-ECCs only).
+    """
+
+    __slots__ = ("members", "labels", "key", "floor", "side")
+
+    def __init__(
+        self,
+        base: CSRGraph,
+        members: List[int],
+        floor: int,
+        side: Optional[List[int]] = None,
+    ) -> None:
+        self.members = members
+        if base.interner is None:
+            self.labels = members
+        else:
+            names = base.interner.labels
+            self.labels = [names[v] for v in members]
+        self.key = sorted(str(label) for label in self.labels)
+        self.floor = floor
+        self.side = side
+
+
+def _kecc_component(base: CSRGraph, members: List[int]) -> _Component:
+    """A connected piece whose floor is its edge connectivity, with a
+    minimum cut that realizes it."""
+    return _Component(base, members, *min_edge_cut(base.rows, members))
+
+
+def _peeled_components(view, k: int) -> List[Tuple[List[int], int]]:
+    """The components of ``view``'s k-core, with their minimum degrees.
+
+    Peels ``view`` in place and returns ``(ascending members, minimum
+    degree)`` per component.  Every survivor keeps at least ``k >= 1``
+    neighbors, so every component has at least two vertices, and its
+    members' active degrees are their degrees inside the component.
+    """
+    view.peel(k)
+    deg = view.deg
+    out = []
+    for component in connected_components(view):
+        members = sorted(component)
+        out.append((members, min(deg[v] for v in members)))
+    return out
+
+
+def _kcore_children(base: CSRGraph, parent: _Component, k: int):
+    """The level-k core components inside one level-(k-1) component.
+
+    A component whose minimum degree reaches k lies in the k-core whole
+    and is still connected, so it is its own child; any other is peeled
+    at k and split into components.
+    """
+    if parent.floor >= k:
+        return [parent]
+    view = base.view_from_members(parent.members)
+    return [
+        _Component(base, members, degree)
+        for members, degree in _peeled_components(view, k)
+    ]
+
+
+def _kecc_children(base: CSRGraph, parent: _Component, k: int):
+    """The k-ECCs inside one (k-1)-ECC.
+
+    A component whose edge connectivity reaches k is its own child.
+    Any other has a minimum cut of k - 1 edges, which no k-ECC
+    straddles: it splits along it, each side is peeled at k and split
+    into components, and each piece gets its own minimum cut, which
+    either proves it a k-ECC or splits it again.
+    """
+    if parent.floor >= k:
+        return [parent]
+    children = []
+    stack = [parent]
+    while stack:
+        component = stack.pop()
+        on_side = set(component.side)
+        rest = [v for v in component.members if v not in on_side]
+        for part in (component.side, rest):
+            view = base.view_from_members(part)
+            for members, _ in _peeled_components(view, k):
+                piece = _kecc_component(base, members)
+                if piece.floor >= k:
+                    children.append(piece)
+                else:
+                    stack.append(piece)
+    return children
 
 
 def build_measure_hierarchy(
-    graph: Graph, measure: str, max_k: Optional[int] = None
+    graph, measure: str, max_k: Optional[int] = None
 ) -> KVCCHierarchy:
     """Level-by-level containment forest of a non-kvcc measure.
 
-    Runs the measure's reference enumerator (:mod:`repro.baselines`)
-    for k = 1, 2, ... until a level comes back empty (or ``max_k`` is
-    reached), linking each component to the unique previous-level
-    component containing it.  Components of these measures are disjoint
-    within a level, so a single member probe determines the parent.
-    Components within a level are stored sorted by member labels, so
-    the forest - and everything serialized from it - is deterministic.
-    ``max_k`` must be at least 1 (``ValueError`` otherwise).
+    ``measure`` is ``"kecc"`` or ``"kcore"``; ``graph`` is a dict
+    :class:`~repro.graph.graph.Graph` (interned once) or a
+    :class:`~repro.graph.csr.CSRGraph` base.  Level 1 holds the
+    connected components of at least two vertices, and level k is
+    built inside each level-(k-1) component only, until a level comes
+    back empty (or ``max_k``, at least 1, is reached; ``ValueError``
+    otherwise).  This is exact because both measures nest: every
+    (k+1)-level component lies inside one k-level component (a
+    (k+1)-edge-connected subgraph is k-edge-connected, and the
+    (k+1)-core lies in the k-core), and the k-level components of the
+    graph inside a component C are those of C's induced subgraph.
+
+    Each component carries a floor, the last level at which it is its
+    own child with no further work, as a k-VCC carries its proven
+    connectivity in :meth:`~repro.core.engine.SerialEngine.run_level`:
+
+    * k-core: the component's minimum degree.  Above it the component
+      is peeled at k and split into components.
+    * k-ECC: the component's edge connectivity, from one exact global
+      minimum cut (:func:`repro.index.mincut.min_edge_cut`).  One level
+      above it the component splits along that cut, which has fewer
+      edges than the level, so no k-ECC straddles it; each side is
+      peeled at k and split into components, and each piece gets its
+      own minimum cut.
+
+    Components within a level are stored sorted by member labels as
+    strings, and each links to the unique previous-level component
+    containing it, so the forest - and everything serialized from it -
+    is deterministic.
     """
+    if measure == "kecc":
+        children_of = _kecc_children
+    elif measure == "kcore":
+        children_of = _kcore_children
+    else:
+        raise ValueError(f"unknown cohesion measure {measure!r}")
     if max_k is not None and max_k < 1:
         raise ValueError(f"max_k must be at least 1, got {max_k}")
+    base = graph if isinstance(graph, CSRGraph) else graph.to_csr()
     hierarchy = KVCCHierarchy()
-    parent_of: Dict[Hashable, int] = {}
+    # (component, parent node index) per component of the level being
+    # stored; level 1 holds the components of the 1-core.
+    level = []
+    for members, degree in _peeled_components(base.full_view(), 1):
+        if measure == "kecc":
+            level.append((_kecc_component(base, members), None))
+        else:
+            level.append((_Component(base, members, degree), None))
     k = 1
-    while max_k is None or k <= max_k:
-        components = _measure_components(measure, graph, k)
-        if not components:
-            break
-        ordered = sorted(
-            (sorted(component, key=str) for component in components),
-            key=lambda members: [str(label) for label in members],
-        )
-        level_parent_of: Dict[Hashable, int] = {}
-        for members in ordered:
-            parent = None if k == 1 else parent_of[members[0]]
+    while level:
+        level.sort(key=lambda entry: entry[0].key)
+        stored = []
+        for component, parent in level:
             node = len(hierarchy.nodes)
             hierarchy.nodes.append(
-                HierarchyNode(k=k, vertices=set(members), parent=parent)
+                HierarchyNode(
+                    k=k, vertices=set(component.labels), parent=parent
+                )
             )
             if parent is not None:
                 hierarchy.nodes[parent].children.append(node)
-            for label in members:
-                level_parent_of[label] = node
+            stored.append((component, node))
         hierarchy.max_k = k
-        parent_of = level_parent_of
+        if max_k is not None and k >= max_k:
+            break
         k += 1
+        level = [
+            (child, node)
+            for component, node in stored
+            for child in children_of(base, component, k)
+        ]
     return hierarchy
 
 
@@ -388,23 +524,21 @@ def build_cohesion_index(
 ) -> CohesionIndex:
     """Graph in, multi-measure cohesion index out.
 
-    The k-VCC forest runs on the CSR hierarchy engine, exactly as
-    :func:`~repro.index.store.build_index`; the k-ECC and k-core
-    forests iterate the reference enumerators level by level via
-    :func:`build_measure_hierarchy`.
-    All three flatten under the *same* CSR interner, so every measure
-    indexes every graph vertex under identical dense ids and the
-    container shares one label universe.
-
-    Accepts a dict :class:`~repro.graph.graph.Graph` or a
-    :class:`~repro.graph.csr.CSRGraph` base.
+    Accepts a dict :class:`~repro.graph.graph.Graph`, interned once, or
+    a :class:`~repro.graph.csr.CSRGraph` base, which is used as it is:
+    no dict graph is built.  The k-VCC forest runs on the CSR hierarchy
+    engine, exactly as :func:`~repro.index.store.build_index`; the
+    k-ECC and k-core forests come from :func:`build_measure_hierarchy`
+    on the same base, nested level by level with the floor rule (a
+    component whose minimum cut, or minimum degree, reaches a level is
+    its own child there).  The nesting is exact because every
+    (k+1)-level component lies inside one k-level component, and a
+    k-ECC never straddles an edge cut of fewer than k edges.  All three
+    flatten under the *same* CSR interner, so every measure indexes
+    every graph vertex under identical dense ids and the container
+    shares one label universe.
     """
-    if isinstance(graph, CSRGraph):
-        base = graph
-        dict_graph = base.to_graph()
-    else:
-        base = graph.to_csr()
-        dict_graph = graph
+    base = graph if isinstance(graph, CSRGraph) else graph.to_csr()
     indexes = {
         "kvcc": HierarchyIndex.from_hierarchy(
             build_hierarchy_csr(base, max_k=max_k, options=options),
@@ -413,7 +547,7 @@ def build_cohesion_index(
     }
     for measure in ("kecc", "kcore"):
         indexes[measure] = HierarchyIndex.from_hierarchy(
-            build_measure_hierarchy(dict_graph, measure, max_k=max_k),
+            build_measure_hierarchy(base, measure, max_k=max_k),
             base.interner,
         )
     return CohesionIndex(indexes)

@@ -26,12 +26,16 @@ Examples
 >>> from repro.index import build_index
 >>> from repro.service import IndexRegistry
 >>> from repro.service.handlers import handle_request
->>> path = os.path.join(tempfile.mkdtemp(), "ring.kvccidx")
+>>> workdir = tempfile.TemporaryDirectory()
+>>> path = os.path.join(workdir.name, "ring.kvccidx")
 >>> build_index(ring_of_cliques(3, 5)).save(path)
 >>> registry = IndexRegistry()
 >>> registry.register("ring", path)
 >>> handle_request(registry, "/v1/ring/vcc-number", {"v": ["0"]})
 (200, {'v': '0', 'vcc_number': 4})
+>>> registry.evict_all()
+1
+>>> workdir.cleanup()
 """
 
 from repro.service.aserver import (

@@ -32,7 +32,8 @@ Examples
 >>> import tempfile, os
 >>> from repro.graph.generators import ring_of_cliques
 >>> from repro.index import build_index
->>> path = os.path.join(tempfile.mkdtemp(), "ring.kvccidx")
+>>> workdir = tempfile.TemporaryDirectory()
+>>> path = os.path.join(workdir.name, "ring.kvccidx")
 >>> build_index(ring_of_cliques(3, 5)).save(path)
 >>> registry = IndexRegistry(capacity=4)
 >>> registry.register("ring", path)
@@ -40,6 +41,9 @@ Examples
 4
 >>> [d["name"] for d in registry.datasets()]
 ['ring']
+>>> registry.evict_all()
+1
+>>> workdir.cleanup()
 """
 
 from __future__ import annotations

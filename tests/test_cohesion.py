@@ -9,13 +9,16 @@ and query products.
 
 import json
 import os
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines.kcore_cc import k_core_components
 from repro.baselines.kecc import k_ecc_components
+from repro.baselines.stoer_wagner import global_min_edge_cut
 from repro.graph.generators import ring_of_cliques
+from repro.graph.graph import Graph
 from repro.index import (
     HierarchyQueryService,
     MEASURES,
@@ -32,6 +35,7 @@ from repro.index.cohesion import (
     build_measure_hierarchy,
     load_cohesion_index,
 )
+from repro.index.mincut import min_edge_cut
 from repro.index.store import _MMAP_ZERO_COPY
 
 from helpers import random_connected_graph
@@ -421,3 +425,168 @@ class TestServedMatchesBaselines:
                     assert per.max_shared_level(u, v) == want, (
                         measure, u, v, seed,
                     )
+
+
+@st.composite
+def tenant_unions(draw):
+    """Graphs of 30-80 vertices: 2-4 disjoint random tenants, 1-2 dense
+    blocks each joined to the rest by fewer edges than its own edge
+    connectivity, and 0-2 isolated vertices; labels are ints or
+    strings (whose string order differs from their numeric order)."""
+    graph = Graph()
+    named = draw(st.booleans())
+
+    def label(i):
+        return f"v{i}" if named else i
+
+    offset = 0
+    for _ in range(draw(st.integers(2, 4))):
+        size = draw(st.integers(12, 16))
+        tenant = random_connected_graph(
+            size, draw(st.floats(0.15, 0.7)), seed=draw(st.integers(0, 9999))
+        )
+        for u, v in tenant.edges():
+            graph.add_edge(label(u + offset), label(v + offset))
+        offset += size
+    for _ in range(draw(st.integers(1, 2))):
+        size = draw(st.integers(6, 7))
+        block = range(offset, offset + size)
+        for i in block:
+            for j in block:
+                if i < j:
+                    graph.add_edge(label(i), label(j))
+        # Fewer than size - 1 edges, the block's edge connectivity, so
+        # the block is a k-ECC of its own from some level on.
+        for _ in range(draw(st.integers(1, size - 2))):
+            inside = draw(st.sampled_from(list(block)))
+            outside = draw(st.integers(0, offset - 1))
+            graph.add_edge(label(inside), label(outside))
+        offset += size
+    for i in range(draw(st.integers(0, 2))):
+        graph.add_vertex(label(offset + i))
+    return graph
+
+
+class TestNestedForests:
+    """The nested CSR forests against the baselines on bigger graphs."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(graph=tenant_unions())
+    def test_levels_match_baselines(self, graph):
+        assert 30 <= graph.num_vertices <= 80
+        cohesion = build_cohesion_index(graph)
+        for measure in ("kecc", "kcore"):
+            index = cohesion.index_for(measure)
+            for k in range(1, index.max_k + 1):
+                assert level_components(index, k) == baseline_components(
+                    measure, graph, k
+                ), (measure, k)
+            assert baseline_components(measure, graph, index.max_k + 1) == (
+                set()
+            ), measure
+            for node in range(index.num_nodes):
+                parent = index.node_parent[node]
+                if parent >= 0:
+                    assert index.node_k[parent] == index.node_k[node] - 1
+                    assert set(index.member_labels(node)) <= set(
+                        index.member_labels(parent)
+                    )
+
+    @pytest.mark.parametrize("measure", ["kecc", "kcore"])
+    def test_csr_base_and_graph_give_the_same_forest(self, ring, measure):
+        from_graph = build_measure_hierarchy(ring, measure)
+        from_base = build_measure_hierarchy(ring.to_csr(), measure)
+        assert [(n.k, n.vertices, n.parent) for n in from_graph.nodes] == [
+            (n.k, n.vertices, n.parent) for n in from_base.nodes
+        ]
+        assert from_graph.max_k == from_base.max_k
+
+    def test_builds_without_the_baselines_or_a_dict_graph(self, monkeypatch):
+        """The cohesion build never materializes the base as a dict
+        ``Graph`` and never runs the baseline enumerators."""
+        import repro.baselines.kcore_cc
+        import repro.baselines.kecc
+        import repro.baselines.stoer_wagner
+        from repro.graph.csr import CSRGraph
+
+        graph = ring_of_cliques(4, 6)
+        graph.add_edge(0, 12)  # a second edge between two cliques
+        base = graph.to_csr()
+        expected = build_cohesion_index(base).to_bytes()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the cohesion build ran a baseline path")
+
+        monkeypatch.setattr(CSRGraph, "to_graph", forbidden)
+        monkeypatch.setattr(
+            repro.baselines.stoer_wagner, "_stoer_wagner", forbidden
+        )
+        monkeypatch.setattr(repro.baselines.kecc, "k_ecc_components", forbidden)
+        monkeypatch.setattr(
+            repro.baselines.kcore_cc, "k_core_components", forbidden
+        )
+        assert build_cohesion_index(base).to_bytes() == expected
+
+
+def _crossing_edges(graph, side):
+    side = set(side)
+    return sum(1 for u, v in graph.edges() if (u in side) != (v in side))
+
+
+class TestMinEdgeCut:
+    """``min_edge_cut`` against the Stoer-Wagner oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        p=st.floats(0.05, 0.9),
+        seed=st.integers(0, 10_000),
+    )
+    def test_matches_stoer_wagner(self, n, p, seed):
+        graph = random_connected_graph(n, p, seed=seed)
+        base = graph.to_csr()
+        weight, side = min_edge_cut(base.rows, range(base.n))
+        assert weight == global_min_edge_cut(graph)[0]
+        assert side == sorted(side) and 0 < len(side) < base.n
+        labels = {base.interner.label(v) for v in side}
+        assert _crossing_edges(graph, labels) == weight
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(2, 12), min_size=2, max_size=4),
+        bridges=st.integers(1, 4),
+        seed=st.integers(0, 10_000),
+    )
+    def test_members_of_a_larger_base(self, sizes, bridges, seed):
+        """The cut is of the subgraph the members induce, not the base:
+        joined tenants form the members, and a further tenant attached
+        by many edges lies outside them."""
+        rng = random.Random(seed)
+        graph = Graph()
+        offset = 0
+        for t, size in enumerate(sizes):
+            tenant = random_connected_graph(size, 0.6, seed=seed + t)
+            for u, v in tenant.edges():
+                graph.add_edge(u + offset, v + offset)
+            if offset:
+                for _ in range(bridges):
+                    graph.add_edge(
+                        rng.randrange(offset), offset + rng.randrange(size)
+                    )
+            offset += size
+        inside = list(range(offset))
+        for v in range(offset, offset + 5):
+            for u in rng.sample(inside, min(6, offset)):
+                graph.add_edge(u, v)
+        base = graph.to_csr()
+        members = sorted(base.interner[v] for v in inside)
+        weight, side = min_edge_cut(base.rows, members)
+        induced = graph.induced_subgraph(inside)
+        assert weight == global_min_edge_cut(induced)[0]
+        assert set(side) < set(members) and side
+        labels = {base.interner.label(v) for v in side}
+        assert _crossing_edges(induced, labels) == weight
+
+    def test_needs_two_vertices(self):
+        with pytest.raises(ValueError, match="two vertices"):
+            min_edge_cut([[]], [0])

@@ -8,7 +8,10 @@ modules cannot silently skip doctest coverage).
 
 import doctest
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -66,3 +69,20 @@ def test_index_package_is_collected():
         "repro.data.ingest",
         "repro.data.resolver",
     } <= names
+
+
+def test_service_examples_leave_no_temp_files(tmp_path):
+    """The serving examples save an index into a temp dir; they must
+    remove it, or every run of this suite leaves one behind.  Run in a
+    fresh interpreter so ``tempfile`` picks up the empty ``TMPDIR``."""
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    script = (
+        "import doctest, repro.service, repro.service.registry\n"
+        "for module in (repro.service, repro.service.registry):\n"
+        "    assert doctest.testmod(module).failed == 0, module\n"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, TMPDIR=str(scratch), PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", script], env=env, check=True)
+    assert os.listdir(scratch) == []

@@ -76,3 +76,34 @@ def test_golden_index_bytes(dataset, tmp_path, capsys):
     assert f"wrote {path}" in capsys.readouterr().out
     digest = hashlib.sha256(path.read_bytes()).hexdigest()[:12]
     assert digest == GOLDEN_INDEX_SHA256[dataset]
+
+
+#: dataset -> first 12 hex digits of the sha256 of the container that
+#: ``repro build-cohesion name:<dataset> --out`` writes.  Recorded in
+#: ``benchmarks/BENCH_19.json`` (``cli_outputs``), when the k-ECC and
+#: k-core forests still came from the baseline enumerators run on the
+#: whole graph at every level; the nested build must not move a byte.
+GOLDEN_COHESION_SHA256 = {
+    "cit": "2ab2d3266fa1",
+    "cnr": "881702862b30",
+    "dblp": "600cbc689d20",
+    "google": "b07e1ef1fc77",
+    "nd": "c32b4bf415e7",
+    "stanford": "ae5c715971dd",
+    "youtube": "a320a417c6d8",
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("dataset", sorted(GOLDEN_COHESION_SHA256))
+def test_golden_cohesion_bytes(dataset, tmp_path, capsys):
+    """``build-cohesion`` end to end: resolver, interner order, the
+    three forests and the container write give byte-identical files."""
+    path = tmp_path / f"{dataset}.kvcccoh"
+    assert main([
+        "build-cohesion", f"name:{dataset}", "--out", str(path),
+        "--cache-dir", str(tmp_path / "cache"),
+    ]) == 0
+    assert f"wrote {path}" in capsys.readouterr().out
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()[:12]
+    assert digest == GOLDEN_COHESION_SHA256[dataset]
