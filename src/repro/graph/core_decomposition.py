@@ -7,11 +7,11 @@ k-VCC is contained in a k-core.  This module provides:
 * :func:`k_core` - the subgraph remaining after iterative peeling, which
   is exactly what Algorithm 1 needs;
 * :func:`core_number` - the full core decomposition (the largest k such
-  that the vertex belongs to the k-core), implemented with the O(m)
-  bucket algorithm of Batagelj and Zaversnik, used by the experiment
-  drivers to choose sensible k ranges per dataset (the paper sweeps
-  k = 20..40 on graphs whose degeneracy supports it; our stand-ins are
-  smaller, so we scale k to each stand-in's degeneracy);
+  that the vertex belongs to the k-core), by min-degree peeling with a
+  lazy heap in O(m log n), used by the experiment drivers to choose
+  sensible k ranges per dataset (the paper sweeps k = 20..40 on graphs
+  whose degeneracy supports it; our stand-ins are smaller, so we scale
+  k to each stand-in's degeneracy);
 * :func:`degeneracy` - ``max(core_number)``, the largest k for which the
   k-core is non-empty.
 """
