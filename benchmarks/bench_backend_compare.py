@@ -10,12 +10,14 @@ Times the enumeration pipeline on mid-size generator graphs:
   query and peel call of one enumerate pass over perfbench's seven
   stand-ins at their ``scaled_k_values`` and of one hierarchy build over
   perfbench's ``build`` tenants, recorded under the python kernel and
-  replayed under both kernels, alternating.  It prints flow time per
-  network arc-count bucket and peel time per active-vertex bucket, and
-  the first bucket edge from which numpy's array Dinic wins on both
-  passes - the value ``numpy_impl._SCALAR_ARCS`` is set from.  It exits
-  non-zero if the kernels return a different flow or cut for any query
-  (``--smoke`` replays once, as CI does; there is no timing gate).
+  replayed under every kernel that loads (python, numpy, c), in an
+  order that rotates from call to call.  It prints flow time per
+  network arc-count bucket and peel time per active-vertex bucket, one
+  column per kernel, and the first bucket edge from which numpy's array
+  Dinic wins on both passes - the value ``numpy_impl._SCALAR_ARCS`` is
+  set from.  It exits non-zero if any kernel returns a different flow
+  or cut from the python reference for any query (``--smoke`` replays
+  once, as CI does; there is no timing gate).
 
 Run directly (not under pytest-benchmark; this is a plain script so CI
 can execute it without extra plugins)::
@@ -240,24 +242,27 @@ def _flow_query(net, u: int, v: int, k: int):
     return flow, cut
 
 
-def _replay(calls: list, run, repeats: int):
-    """Best time of ``run(call)`` per call and kernel, alternating.
+def _replay(calls: list, run, names, repeats: int):
+    """Best time of ``run(call)`` per call and kernel, rotating.
 
-    The kernel that goes first flips from call to call and repeat to
+    The kernel that goes first rotates from call to call and repeat to
     repeat.  Returns ``(best, mismatches)``: per-kernel lists of best
-    seconds, and the number of calls whose answers differ.
+    seconds, and the number of calls on which some kernel's answer
+    differs from the python kernel's.
     """
-    names = ("python", "numpy")
     best = {name: [float("inf")] * len(calls) for name in names}
     mismatches = 0
     for rep in range(repeats):
         for i, call in enumerate(calls):
             answers = {}
-            for name in names[::1 if (rep + i) % 2 else -1]:
+            turn = (rep + i) % len(names)
+            for name in names[turn:] + names[:turn]:
                 with _pinned(name):
                     seconds, answers[name] = run(call)
                 best[name][i] = min(best[name][i], seconds)
-            mismatches += answers["python"] != answers["numpy"]
+            mismatches += any(
+                answers[name] != answers["python"] for name in names
+            )
     return best, mismatches
 
 
@@ -286,32 +291,45 @@ def _bucket_rows(pass_name, sizes, counts, best, edges):
         idx = [i for i, size in enumerate(sizes)
                if size >= lo and (hi is None or size < hi)]
         if idx:
-            rows.append({
+            row = {
                 "pass": pass_name, "lo": lo, "hi": hi, "calls": len(idx),
                 "tests": sum(counts[i] for i in idx),
-                "python_s": sum(best["python"][i] for i in idx),
-                "numpy_s": sum(best["numpy"][i] for i in idx),
-            })
+            }
+            for name, times in best.items():
+                row[f"{name}_s"] = sum(times[i] for i in idx)
+            rows.append(row)
     return rows
 
 
-def _print_rows(title: str, unit: str, rows) -> None:
+#: Ratio column labels.
+_SHORT = {"numpy": "np"}
+
+
+def _print_rows(title: str, unit: str, rows, names) -> None:
     print(title)
+    others = [name for name in names if name != "python"]
     print(f"  {'pass':10s} {unit:>15s} {'calls':>6s} {'tests':>6s} "
-          f"{'python s':>9s} {'numpy s':>9s} {'np/py':>6s}")
+          + " ".join(f"{name + ' s':>9s}" for name in names) + " "
+          + " ".join(f"{_SHORT.get(name, name) + '/py':>6s}"
+                     for name in others))
     for r in rows:
         span = f"[{r['lo']}, {r['hi'] if r['hi'] is not None else 'inf'})"
+        py = max(r["python_s"], 1e-9)
         print(f"  {r['pass']:10s} {span:>15s} {r['calls']:6d} "
-              f"{r['tests']:6d} {r['python_s']:9.4f} {r['numpy_s']:9.4f} "
-              f"{r['numpy_s'] / max(r['python_s'], 1e-9):6.2f}")
+              f"{r['tests']:6d} "
+              + " ".join(f"{r[name + '_s']:9.4f}" for name in names) + " "
+              + " ".join(f"{r[name + '_s'] / py:6.2f}" for name in others))
 
 
 def _crossover_edge(rows):
     """The first bucket edge from which numpy wins every bucket above it.
 
     Buckets are compared within each pass, so the edge holds on both
-    passes; ``None`` when numpy loses the largest bucket.
+    passes; ``None`` when numpy loses the largest bucket or is not
+    installed.
     """
+    if not rows or "numpy_s" not in rows[0]:
+        return None
     for lo in sorted({r["lo"] for r in rows}):
         if all(r["numpy_s"] < r["python_s"] for r in rows if r["lo"] >= lo):
             return lo
@@ -320,8 +338,10 @@ def _crossover_edge(rows):
 
 def run_crossover(smoke: bool, json_path: str) -> int:
     """The ``--crossover`` mode (see the module docstring)."""
-    if "numpy" not in kernels.available():
-        print("crossover: numpy not installed - nothing to compare")
+    names = kernels.available()
+    if names == ("python",):
+        print("crossover: neither numpy nor the c kernel loads - nothing "
+              "to compare")
         return 0
     repeats = 1 if smoke else 3
     flow_rows, peel_rows, mismatches = [], [], 0
@@ -329,7 +349,7 @@ def run_crossover(smoke: bool, json_path: str) -> int:
         networks, peels = [], []
         with kernels.use("python"), _recording(networks, peels):
             run()
-        best, bad = _replay(networks, _time_network, repeats)
+        best, bad = _replay(networks, _time_network, names, repeats)
         mismatches += bad
         print(f"{pass_name}: {len(networks)} flow networks, "
               f"{sum(len(e[3]) for e in networks)} LOC-CUT queries, "
@@ -338,30 +358,35 @@ def run_crossover(smoke: bool, json_path: str) -> int:
             pass_name, [e[2] for e in networks],
             [len(e[3]) for e in networks], best, ARC_EDGES,
         )
-        best, bad = _replay(peels, _time_peel, repeats)
+        best, bad = _replay(peels, _time_peel, names, repeats)
         mismatches += bad
         peel_rows += _bucket_rows(
             pass_name, [p[3] for p in peels], [1] * len(peels), best,
             PEEL_EDGES,
         )
-    print(f"best of {repeats}, kernels alternating per call")
+    print(f"best of {repeats}, kernel order rotating per call")
     _print_rows("LOC-CUT flow time by network arcs (layout set-up "
-                "included):", "arcs", flow_rows)
-    _print_rows("peel time by active vertices:", "active", peel_rows)
-    edge = _crossover_edge(flow_rows)
-    from repro.kernels import numpy_impl
+                "included):", "arcs", flow_rows, names)
+    _print_rows("peel time by active vertices:", "active", peel_rows, names)
+    edge = configured = None
+    if "numpy" in names:
+        from repro.kernels import numpy_impl
 
-    configured = numpy_impl._SCALAR_ARCS
-    print(f"crossover: numpy's Dinic wins every bucket from {edge} arcs "
-          f"up on both passes; numpy_impl._SCALAR_ARCS = {configured}")
+        edge = _crossover_edge(flow_rows)
+        configured = numpy_impl._SCALAR_ARCS
+        print(f"crossover: numpy's Dinic wins every bucket from {edge} "
+              f"arcs up on both passes; numpy_impl._SCALAR_ARCS = "
+              f"{configured}")
     if json_path:
         with open(json_path, "w", encoding="utf-8") as handle:
-            json.dump({"repeats": repeats, "flow": flow_rows,
-                       "peel": peel_rows, "crossover_arcs": edge,
-                       "scalar_arcs": configured}, handle, indent=2)
+            json.dump({"repeats": repeats, "kernels": list(names),
+                       "flow": flow_rows, "peel": peel_rows,
+                       "crossover_arcs": edge, "scalar_arcs": configured},
+                      handle, indent=2)
         print(f"wrote the crossover table to {json_path}")
     if mismatches:
-        print(f"FAIL: the kernels disagree on {mismatches} replayed call(s)")
+        print(f"FAIL: the kernels disagree on {mismatches} replayed "
+              f"call(s)")
         return 1
     return 0
 
@@ -379,8 +404,8 @@ def main() -> int:
     )
     parser.add_argument(
         "--crossover", action="store_true",
-        help="replay recorded flow and peel calls under both kernels "
-        "and print the per-size crossover table",
+        help="replay recorded flow and peel calls under every kernel "
+        "that loads and print the per-size crossover table",
     )
     args = parser.parse_args()
     if args.crossover:

@@ -1,4 +1,4 @@
-"""Hot-loop kernels: one seam, two interchangeable implementations.
+"""Hot-loop kernels: one seam, three interchangeable implementations.
 
 The KVCC-ENUM inner loops - k-core peeling, Dinic BFS/DFS over the flow
 arc arena, active-degree recounts, connected components, and scan-first
@@ -6,28 +6,40 @@ forest extraction - all operate on flat integer arrays (the CSR base's
 ``indptr``/``indices``, a view's byte ``mask`` and int32 ``deg``, a
 :class:`~repro.flow.flow_network.FlowNetwork`'s ``head``/``cap``/``tails``
 arc arrays).  This package routes every one of those loops through a
-selected *kernel module* so the same arrays can be driven either by
+selected *kernel module* so the same arrays can be driven by
 
 * :mod:`repro.kernels.python_impl` - the pure-stdlib reference
   implementation (always available, byte-for-byte the library's
-  semantics), or
+  semantics);
 * :mod:`repro.kernels.numpy_impl` - an optional fast path that runs
   some loops as numpy array programs over zero-copy views of the very
   same buffers (arc-arena construction, degree recounts, scan-first
   forests, and Dinic's BFS on networks of a few thousand arcs or more),
   each only at the input sizes where it measured faster, and shares
   the reference's code everywhere else (peeling, components, small
-  flow networks).
+  flow networks); or
+* :mod:`repro.kernels.c_impl` - Dinic's max flow and the residual BFS
+  of LOC-CUT compiled from C (``dinic.c``, built with the system ``cc``
+  into ``default_cache_dir()/kernels/`` on first use and loaded through
+  ``ctypes``), with every other function taken from numpy, or from the
+  reference when numpy is absent.
 
 Selection
 ---------
 :func:`select` resolves once and caches:
 
 1. an explicit :func:`set_kernel`/:func:`use` override (tests, benches);
-2. the ``REPRO_KERNELS`` environment variable (``python`` or ``numpy``);
-3. ``numpy`` if it imports, else ``python``.
+2. the ``REPRO_KERNELS`` environment variable (``python``, ``numpy`` or
+   ``c``);
+3. ``c`` if it builds and loads, else ``numpy`` if it imports, else
+   ``python``.
 
-Both kernels produce *identical observable results* - identical max-flow
+Nothing is imported, compiled or loaded before the first :func:`select`
+(a read-only ``repro serve`` never calls it).  An explicit request for
+a kernel that cannot load raises ``ImportError``; a failed load is
+remembered, so each kernel is tried at most once per process.
+
+All kernels produce *identical observable results* - identical max-flow
 values, residual states, min-cut sets, peel survivor masks and degrees,
 and scan-first forests - which the property-based parity suite
 (``tests/test_kernel_parity.py``) asserts directly, with numpy's array
@@ -50,47 +62,58 @@ import os
 from typing import Iterator, Optional, Tuple
 
 _ENV_VAR = "REPRO_KERNELS"
-_VALID = ("python", "numpy")
+_VALID = ("python", "numpy", "c")
 
 #: Explicit override installed by :func:`set_kernel` (None = auto).
 _forced: Optional[str] = None
 #: Cached selected module (invalidated by :func:`set_kernel`).
 _selected = None
+#: Kernel name -> the ImportError its load raised (never retried).
+_failed: dict = {}
 
 
 def available() -> Tuple[str, ...]:
-    """The kernel names importable in this environment."""
-    names = ["python"]
-    try:
-        import numpy  # noqa: F401
+    """The kernel names that load in this environment.
 
-        names.append("numpy")
-    except ImportError:  # pragma: no cover - depends on environment
-        pass
+    Asking about ``c`` builds it if no cached build exists.
+    """
+    names = []
+    for name in _VALID:
+        try:
+            _load(name)
+        except ImportError:
+            continue
+        names.append(name)
     return tuple(names)
 
 
 def _load(name: str):
-    if name == "python":
-        from repro.kernels import python_impl
-
-        return python_impl
-    if name == "numpy":
-        from repro.kernels import numpy_impl
-
-        return numpy_impl
-    raise ValueError(
-        f"unknown kernel {name!r}; expected one of {_VALID}"
-    )
+    if name not in _VALID:
+        raise ValueError(
+            f"unknown kernel {name!r}; expected one of {_VALID}"
+        )
+    if name in _failed:
+        raise ImportError(str(_failed[name]))
+    try:
+        if name == "python":
+            from repro.kernels import python_impl as module
+        elif name == "numpy":
+            from repro.kernels import numpy_impl as module
+        else:
+            from repro.kernels import c_impl as module
+    except ImportError as exc:
+        _failed[name] = exc
+        raise
+    return module
 
 
 def select():
     """The active kernel module (resolved once, then cached).
 
     Resolution order: :func:`set_kernel` override, then the
-    ``REPRO_KERNELS`` environment variable, then numpy-if-importable,
-    then the pure-python reference.  Asking explicitly for ``numpy``
-    (override or environment) when numpy is not installed raises
+    ``REPRO_KERNELS`` environment variable, then the first of ``c``,
+    ``numpy`` and ``python`` that loads.  Asking explicitly for ``c`` or
+    ``numpy`` (override or environment) when it cannot load raises
     ``ImportError`` instead of silently degrading.
     """
     global _selected
@@ -106,13 +129,16 @@ def select():
                     f"expected one of {_VALID}"
                 )
             name = env
-    if name is None:
-        try:
-            _selected = _load("numpy")
-        except ImportError:
-            _selected = _load("python")
-    else:
+    if name is not None:
         _selected = _load(name)  # explicit request: let ImportError out
+        return _selected
+    for name in ("c", "numpy"):
+        try:
+            _selected = _load(name)
+            return _selected
+        except ImportError:
+            pass
+    _selected = _load("python")
     return _selected
 
 

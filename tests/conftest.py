@@ -17,6 +17,8 @@ because ``conftest`` is not a uniquely importable module name.
 from __future__ import annotations
 
 import os
+import shutil
+import tempfile
 
 import pytest
 
@@ -28,24 +30,32 @@ from repro.graph.generators import (
 from repro.graph.graph import Graph
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _isolated_repro_cache(tmp_path_factory):
-    """Pin the repro.data graph cache to a per-session temp directory.
+def pytest_configure(config):
+    """Pin the repro cache to a per-session temp directory.
 
     ``registry.load_dataset`` (and anything else going through
-    ``repro.data``) writes content-addressed cache files; without this
-    the suite would populate the user's real ``~/.cache/repro`` and
-    golden tests would depend on mutable state outside the checkout.
-    Individual tests still override via monkeypatch / ``cache_dir``.
+    ``repro.data``) writes content-addressed cache files, and the c
+    kernel compiles into the same root; without this the suite would
+    populate the user's real ``~/.cache/repro`` and golden tests would
+    depend on mutable state outside the checkout.  It runs before
+    collection, because collecting some modules already selects a
+    kernel.  Individual tests still override via monkeypatch /
+    ``cache_dir``.
     """
-    path = tmp_path_factory.mktemp("repro-cache")
-    previous = os.environ.get("REPRO_CACHE_DIR")
-    os.environ["REPRO_CACHE_DIR"] = str(path)
-    yield
+    config._repro_cache = (
+        tempfile.mkdtemp(prefix="repro-cache-"),
+        os.environ.get("REPRO_CACHE_DIR"),
+    )
+    os.environ["REPRO_CACHE_DIR"] = config._repro_cache[0]
+
+
+def pytest_unconfigure(config):
+    path, previous = config._repro_cache
     if previous is None:
         os.environ.pop("REPRO_CACHE_DIR", None)
     else:
         os.environ["REPRO_CACHE_DIR"] = previous
+    shutil.rmtree(path, ignore_errors=True)
 
 
 @pytest.fixture

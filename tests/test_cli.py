@@ -257,6 +257,51 @@ class TestParser:
         )
         assert run_fresh(code) == "[]"
 
+    def test_read_path_loads_no_kernel(self, graph_file, tmp_path):
+        # A read-only ``repro serve`` answers from mmap indexes: no read
+        # may select a kernel, which would load numpy, or ctypes and a
+        # compiled library, into the server.  Every read kind runs once.
+        idx = str(tmp_path / "figure1.kvccidx")
+        coh = str(tmp_path / "figure1.kvcccoh")
+        assert main(["hierarchy", graph_file, "--save-index", idx]) == 0
+        assert main(["build-cohesion", graph_file, "--out", coh]) == 0
+        reads = [("/healthz", {}), ("/datasets", {})]
+        for prefix in ("/v1/idx", "/v2/coh/kvcc", "/v2/coh/kecc",
+                       "/v2/coh/kcore"):
+            reads += [
+                (f"{prefix}/vcc-number", {"v": ["0"]}),
+                (f"{prefix}/vcc-number", {"v": ["0", "1", "2"]}),
+                (f"{prefix}/same-kvcc", {"u": ["0"], "v": ["1"], "k": ["2"]}),
+                (f"{prefix}/same-kvcc", {"pair": ["0:1", "1:2"], "k": ["2"]}),
+                (f"{prefix}/components-of", {"v": ["0"], "k": ["2"]}),
+                (f"{prefix}/max-shared-level", {"u": ["0"], "v": ["1"]}),
+                (f"{prefix}/max-shared-level", {"pair": ["0:1", "1:2"]}),
+            ]
+            if prefix.startswith("/v2"):
+                reads += [
+                    (f"{prefix}/top-communities", {"v": ["0"], "r": ["2"]}),
+                    (f"{prefix}/critical-vertices", {"v": ["0"], "k": ["1"]}),
+                ]
+        reads.append(("/v2/coh/cohesion-strength", {"pair": ["0:1", "1:2"]}))
+        code = (
+            "import asyncio, sys\n"
+            "import repro.cli\n"
+            "import repro.service\n"
+            "from repro.service import IndexRegistry, registry_dispatch\n"
+            "registry = IndexRegistry()\n"
+            f"registry.register('idx', {idx!r})\n"
+            f"registry.register('coh', {coh!r})\n"
+            "registry.get('idx'), registry.get('coh')\n"
+            "dispatch = registry_dispatch(registry)\n"
+            f"for path, params in {reads!r}:\n"
+            "    status, body = asyncio.run(dispatch(path, params))\n"
+            "    assert status == 200, (path, params, status, body)\n"
+            "print(sorted(m for m in sys.modules if m == 'ctypes'\n"
+            "             or m.startswith('repro.kernels.')\n"
+            "             and m.endswith('_impl')))\n"
+        )
+        assert run_fresh(code) == "[]"
+
     def test_serve_help_shows_default_port(self, capsys):
         with pytest.raises(SystemExit):
             main(["serve", "--help"])

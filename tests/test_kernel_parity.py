@@ -1,13 +1,14 @@
-"""Property-based parity: the numpy kernels must equal the reference.
+"""Property-based parity: the numpy and c kernels must equal the reference.
 
 The kernel seam (``repro.kernels``) promises *identical observable
-results* from both implementations - only wall-clock may differ.  This
+results* from every implementation - only wall-clock may differ.  This
 suite drives random graphs through every kernel entry point under each
-implementation and asserts exact agreement: max-flow values and the
-full residual capacity state, min vertex cut sets, peel survivor masks
-and active degrees, scan-first forests edge-for-edge, segment sorts,
-certificate adjacency fills, and the end-to-end enumeration with its
-deterministic counters.
+implementation and asserts exact agreement with the python reference:
+max-flow values and the full residual capacity state with the order of
+pushed arcs, min vertex cut sets, peel survivor masks and active
+degrees, scan-first forests edge-for-edge, segment sorts, certificate
+adjacency fills, and the end-to-end enumeration with its deterministic
+counters.
 
 The numpy kernel hands inputs below its ``_SCALAR_*`` size crossovers
 to the python reference, and hypothesis inputs are small, so an
@@ -15,8 +16,9 @@ autouse fixture sets every crossover to 0: each case compares numpy's
 array code, at every size, with the reference.  (The production
 crossovers are checked in ``tests/test_flow.py``.)
 
-The numpy half of every comparison is skipped when numpy is not
-installed (CI runs the tier-1 suite both ways).
+The numpy comparisons are skipped when numpy is not installed, and the
+c comparisons when the c kernel cannot be built (no ``cc`` on ``PATH``);
+CI runs the tier-1 suite under each kernel.
 """
 
 from __future__ import annotations
@@ -39,8 +41,11 @@ from repro.graph.graph import Graph
 
 from helpers import random_connected_graph, vertex_set_family
 
-requires_numpy = pytest.mark.skipif(
-    "numpy" not in kernels.available(), reason="numpy not installed"
+#: The kernels compared with the python reference here.
+OTHER_KERNELS = tuple(n for n in kernels.available() if n != "python")
+
+requires_other = pytest.mark.skipif(
+    not OTHER_KERNELS, reason="neither numpy nor a C compiler available"
 )
 
 #: Hypothesis inputs shared by most parity cases.
@@ -96,15 +101,18 @@ def flow_states(g, k: int, pairs, reset: bool = True):
 
 
 def per_kernel(fn):
-    """Run ``fn(kernel_name)`` under each kernel; returns its results."""
-    out = {}
-    for name in ("python", "numpy"):
+    """Run ``fn(kernel_name)`` under the reference, then under every
+    other kernel that loads; each result must equal the reference's,
+    which is returned."""
+    with kernels.use("python"):
+        expected = fn("python")
+    for name in OTHER_KERNELS:
         with kernels.use(name):
-            out[name] = fn(name)
-    return out["python"], out["numpy"]
+            assert fn(name) == expected, f"{name} differs from python"
+    return expected
 
 
-@requires_numpy
+@requires_other
 class TestFlowParity:
     @settings(max_examples=25, deadline=None)
     @given(**GRAPH_ARGS)
@@ -126,15 +134,14 @@ class TestFlowParity:
                 flow = max_flow_min_k(
                     net, net.node_out(u), net.node_in(v), k
                 )
-                states.append((flow, list(net.cap)))
+                states.append((flow, list(net.cap), list(net._touched)))
                 net.reset()
             return states
 
-        py, np_ = per_kernel(run)
-        assert py == np_
+        per_kernel(run)
 
     def check_interleaved_sources(self, n, p, seed, k):
-        """Both kernels agree on every query, and the flow is kappa.
+        """Every kernel agrees on every query, and the flow is kappa.
 
         Three sources take turns over three sinks with a reset between
         queries, so each source's cached first phase is reused.
@@ -147,8 +154,7 @@ class TestFlowParity:
             for u in verts[:3]
             if not g.has_edge(u, v)
         ]
-        py, np_ = per_kernel(lambda _name: flow_states(g, k, pairs))
-        assert py == np_
+        py = per_kernel(lambda _name: flow_states(g, k, pairs))
         nxg = g.to_networkx()
         for (u, v), (flow, _cap, _touched) in zip(pairs, py):
             assert flow == min(k, local_node_connectivity(nxg, u, v))
@@ -188,16 +194,37 @@ class TestFlowParity:
             if not g.has_edge(u, v)
         ]
         pairs += pairs[::-1]
-        py, np_ = per_kernel(
-            lambda _name: flow_states(g, k, pairs, reset=False)
+        per_kernel(lambda _name: flow_states(g, k, pairs, reset=False))
+
+    def test_flow_of_k_n_minus_1_on_a_dense_graph(self):
+        # K_12 minus two edges, at k = n - 1: ten three-arc paths per
+        # query, more pushes than the c kernel's first push log holds,
+        # so the log has to grow mid-call.  (The missing edges keep
+        # first-seen order, so CSR ids equal the labels.)
+        n = 12
+        missing = {(0, n - 1), (1, n - 2)}
+        g = Graph(
+            (u, v) for u in range(n) for v in range(u + 1, n)
+            if (u, v) not in missing
         )
-        assert py == np_
+        pairs = [(0, n - 1), (1, n - 2), (n - 1, 0)]
+        for reset in (True, False):
+            states = per_kernel(
+                lambda _name: flow_states(g, n - 1, pairs, reset=reset)
+            )
+            assert states[0][0] == n - 2
+        if "c" in OTHER_KERNELS:
+            with kernels.use("c"):
+                view = CSRGraph.from_graph(g).full_view()
+                net = build_flow_network(view, n - 1)
+                cut = local_vertex_cut(view, net, 0, n - 1, n - 1)
+                assert cut == set(range(1, n - 1))
+                assert len(net._kern_state["c"]["log"]) > net.num_nodes
 
     def test_disconnected_pair_has_zero_flow(self):
         g = Graph([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
         pairs = [(0, 3), (3, 0), (0, 5)]
-        py, np_ = per_kernel(lambda _name: flow_states(g, 2, pairs))
-        assert py == np_
+        py = per_kernel(lambda _name: flow_states(g, 2, pairs))
         assert [flow for flow, _cap, _touched in py] == [0, 0, 0]
 
     @settings(max_examples=25, deadline=None)
@@ -214,11 +241,10 @@ class TestFlowParity:
                 local_vertex_cut(view, net, u, v, k) for u, v in pairs
             ]
 
-        py, np_ = per_kernel(run)
-        assert py == np_
+        per_kernel(run)
 
 
-@requires_numpy
+@requires_other
 class TestViewKernelParity:
     @settings(max_examples=25, deadline=None)
     @given(**VIEW_ARGS)
@@ -245,8 +271,7 @@ class TestViewKernelParity:
                 ),
             )
 
-        py, np_ = per_kernel(run)
-        assert py == np_
+        per_kernel(run)
 
     @settings(max_examples=25, deadline=None)
     @given(**VIEW_ARGS)
@@ -257,8 +282,7 @@ class TestViewKernelParity:
             view = strided_view(g, stride)
             return kernels.select().scan_first_forests(view, k)
 
-        py, np_ = per_kernel(run)
-        assert py == np_
+        per_kernel(run)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -285,8 +309,7 @@ class TestViewKernelParity:
                 array("l", indptr), list(flat)
             )
 
-        py, np_ = per_kernel(run)
-        assert list(py) == list(np_)
+        per_kernel(run)
 
     @settings(max_examples=25, deadline=None)
     @given(**VIEW_ARGS)
@@ -306,11 +329,10 @@ class TestViewKernelParity:
                 (net.head, net.cap, net.tails, net.to_index),
             )
 
-        py, np_ = per_kernel(run)
-        assert py == np_
+        per_kernel(run)
 
 
-@requires_numpy
+@requires_other
 class TestEndToEndParity:
     @settings(max_examples=20, deadline=None)
     @given(**GRAPH_ARGS)
@@ -324,5 +346,4 @@ class TestEndToEndParity:
             )
             return fam, stats.counters()
 
-        py, np_ = per_kernel(run)
-        assert py == np_
+        per_kernel(run)
