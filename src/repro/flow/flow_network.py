@@ -26,30 +26,34 @@ A flat arc *arena*: parallel arrays ``head`` / ``cap`` /
 reverse of arc ``2i``.  There is deliberately no adjacency structure on
 the network itself: per-node arc indexes (linked per-tail lists for the
 pure-python kernel, a positional ``arc_indptr`` CSR for the numpy
-kernel) are *derived* state that the selected
-:mod:`repro.kernels` implementation builds once per network and caches
-in ``_kern_state``.  Beside it the python kernel keeps one reusable
-``level`` / ``iter_idx`` scratch pair per network; the numpy kernel
-keeps, per source node, the level arrays of the first BFS over
-``initial_cap``, which every later query from that source on a reset
-network reuses.  The numpy kernel builds its layout only for networks
-of at least ``numpy_impl._SCALAR_ARCS`` arcs; smaller ones run the
-python kernel's Dinic and hold only the python state.  LOC-CUT runs
+kernel, an int32 CSR over arc ids for the c kernel) are *derived*
+state that the selected :mod:`repro.kernels` implementation builds once
+per network and caches in ``_kern_state``.  Beside it the python kernel
+keeps one reusable ``level`` / ``iter_idx`` scratch pair per network;
+the numpy kernel keeps, per source node, the level arrays of the first
+BFS over ``initial_cap``, which every later query from that source on a
+reset network reuses.  The numpy kernel builds its layout only for
+networks of at least ``numpy_impl._SCALAR_ARCS`` arcs; smaller ones run
+the python kernel's Dinic and hold only the python state.  LOC-CUT runs
 many max-flow queries on the *same* network (one per tested vertex
 pair), so :meth:`FlowNetwork.reset` restores all capacities in O(arcs
 touched) using a dirty list instead of rebuilding, and the cached
 state survives across queries.
 
 Bulk construction (:func:`build_flow_network` on a view or certificate)
-is also a kernel call: the numpy kernel emits every arc quad with
-vectorized gathers; the python kernel appends element by element.  Both
-produce the identical arc-id layout, and both leave plain lists in the
-arena - scalar DFS indexing dominates the flow phase, and CPython lists
-index measurably faster than ``array('i')`` buffers.  On networks at
-or above its arc-count rule the numpy kernel keeps its own int32 mirror
-of ``cap`` for vectorized BFS sweeps, synced from the ``_touched``
-dirty list; :attr:`FlowNetwork._version` ticks on every
-:meth:`FlowNetwork.reset` so the mirror can detect resets.
+is also a kernel call: the numpy kernel (and the c kernel, which uses
+numpy's builder when numpy is installed) emits every arc quad with
+vectorized gathers; the python kernel appends element by element.  All
+produce the identical arc-id layout, and all leave plain lists in the
+arena - the python kernel's scalar DFS indexes them directly, and
+CPython lists index measurably faster than ``array('i')`` buffers.
+The numpy kernel (on networks at or above its arc-count rule) and the
+c kernel (on every network) keep their own int32 mirrors of the arena,
+syncing the ``cap`` mirror from the ``_touched`` dirty list;
+:attr:`FlowNetwork._version` ticks on every :meth:`FlowNetwork.reset`
+so a mirror can detect resets.  The c kernel appends the arcs it
+pushes to ``_touched`` and writes their capacities back into ``cap``,
+so the lists always hold the residual state.
 """
 
 from __future__ import annotations
@@ -70,7 +74,9 @@ class FlowNetwork:
     head / cap / initial_cap / tails:
         The flat arc arrays (arc id -> target node / residual capacity /
         original capacity / source node), always plain lists - the
-        scalar DFS walks dominate access and lists index fastest.
+        python kernel's scalar DFS indexes them directly and lists
+        index fastest; the numpy and c kernels work on int32 mirrors
+        kept in ``_kern_state`` and keep ``cap`` current.
     to_index / to_vertex:
         Bijection between base vertex ids and dense indices:
         ``to_index`` is a dense list keyed by base id (``-1`` for ids

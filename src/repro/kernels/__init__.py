@@ -101,6 +101,8 @@ def _load(name: str):
             from repro.kernels import numpy_impl as module
         else:
             from repro.kernels import c_impl as module
+
+            module.load()
     except ImportError as exc:
         _failed[name] = exc
         raise

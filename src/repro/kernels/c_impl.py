@@ -14,13 +14,17 @@ Storage
 Per network, ``net._kern_state["c"]`` holds int32 mirrors of the arc
 arena (``head``, ``initial_cap`` and a working ``cap``), the arc-by-tail
 layout, the BFS/DFS scratch and the push log, all in ``array('i')``
-buffers whose addresses a :class:`_Net` struct hands to C.  The working
-``cap`` is synced with the list ``net.cap`` the way numpy's
-``_sync_caps`` syncs its mirror: restarted from ``initial_cap`` after a
-reset (``net._version``), then the not-yet-applied suffix of
-``net._touched`` replayed.  Each :func:`max_flow` call returns the arcs
-it pushed in its log; the wrapper appends them to ``_touched`` and
-writes their final capacities back into ``net.cap``, so
+buffers whose addresses a :class:`_Net` struct hands to C.  Where
+numpy's arc builder made int32 arrays of the arena (the networks numpy
+would run as arrays), the builder wrappers copy them in one memcpy each
+and drop numpy's stash; other networks convert the lists on their first
+flow call.  The working ``cap`` is synced with the list ``net.cap`` the
+way numpy's ``_sync_caps`` syncs its mirror: restarted from
+``initial_cap`` after a reset (``net._version``), then the
+not-yet-applied suffix of ``net._touched`` replayed.  Each
+:func:`max_flow` call returns the arcs it pushed in its log; the
+wrapper appends them to ``_touched`` and writes their final capacities
+back into ``net.cap``, so
 :meth:`~repro.flow.flow_network.FlowNetwork.reset` is unchanged.  The
 log grows (doubling) whenever the next augmenting path would not fit,
 so no ``k`` is too large.  ``ctypes`` releases the GIL for the length
@@ -28,13 +32,13 @@ of each call.
 
 Build
 -----
-Importing this module compiles ``dinic.c`` with ``cc -O2 -shared
--fPIC`` into ``default_cache_dir()/kernels/<hash>.so`` unless that file
-exists; the hash covers the source, the flags, ``sys.platform`` and
+:func:`load` (called by :func:`repro.kernels.select`) compiles
+``dinic.c`` with ``cc -O2 -shared -fPIC`` into
+``default_cache_dir()/kernels/<hash>.so`` unless that file exists; the hash covers the source, the flags, ``sys.platform`` and
 ``platform.machine()``.  The compiler writes a temp file in the same
 directory, published with ``os.replace``, so concurrent first uses
 leave one ``.so`` and no temp files.  With no ``cc`` on ``PATH`` (and
-no cached build), or when the compiler fails, the import raises
+no cached build), or when the compiler fails, :func:`load` raises
 ``ImportError`` and :func:`repro.kernels.select` falls back; a failing
 compiler's stderr is also reported once as a ``RuntimeWarning``.
 """
@@ -134,15 +138,32 @@ class _Net(ctypes.Structure):
     ]
 
 
-def _load():
-    """Compile (unless cached) and load the shared library."""
+#: The loaded ``dinic.c`` library (set by :func:`load`).
+_lib = None
+
+
+def load() -> None:
+    """Compile (unless cached) and load the shared library, once.
+
+    :func:`repro.kernels.select` calls this before handing out the
+    module; it raises ``ImportError`` when the kernel cannot be built.
+    """
+    global _lib
+    if _lib is None:
+        _lib = _open_library()
+
+
+def _open_library():
     path = library_path()
     if not path.exists():
         try:
             _compile(path)
         except OSError as exc:
             raise ImportError(f"cannot build the c kernel: {exc}") from exc
-    lib = ctypes.CDLL(str(path))
+    try:
+        lib = ctypes.CDLL(str(path))
+    except OSError as exc:  # e.g. a damaged file in the cache
+        raise ImportError(f"cannot load the c kernel {path}: {exc}") from exc
     lib.kvcc_layout.argtypes = [
         ctypes.c_int, ctypes.c_int, ctypes.c_void_p, ctypes.c_void_p,
         ctypes.c_void_p,
@@ -158,9 +179,6 @@ def _load():
     lib.kvcc_reachable.argtypes = [net_p, ctypes.c_int, ctypes.c_void_p]
     lib.kvcc_reachable.restype = None
     return lib
-
-
-_lib = _load()
 
 
 def _zeros(n: int) -> array:
@@ -266,6 +284,13 @@ def _sync_caps(net, st) -> None:
         sync[1] = len(touched)
 
 
+def _check_nodes(net, *nodes: int) -> None:
+    """C indexes its arrays with these ids unchecked."""
+    for node in nodes:
+        if not 0 <= node < net.num_nodes:
+            raise IndexError(f"node {node} is not in the flow network")
+
+
 def _grow_log(st) -> None:
     """Double the push log, keeping the entries of the current call."""
     ctl = st["ctl"]
@@ -279,6 +304,7 @@ def _grow_log(st) -> None:
 def max_flow(net, source: int, sink: int, k: int) -> int:
     """Dinic capped at ``k`` in C; same flow and residual state as the
     python kernel, pushed arcs appended to ``net._touched``."""
+    _check_nodes(net, source, sink)
     st = prepare_network(net)
     _sync_caps(net, st)
     ctl = st["ctl"]
@@ -303,6 +329,7 @@ def max_flow(net, source: int, sink: int, k: int) -> int:
 
 def residual_reachable(net, source: int) -> bytearray:
     """Byte mask of nodes reachable from ``source`` via residual arcs."""
+    _check_nodes(net, source)
     st = prepare_network(net)
     _sync_caps(net, st)
     seen = bytearray(net.num_nodes)

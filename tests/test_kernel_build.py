@@ -154,3 +154,17 @@ def test_concurrent_first_use_leaves_one_library(cache):
         assert out.strip() == "c"
     [library] = kernel_files(cache)
     assert library.endswith(".so")
+
+
+def test_damaged_cached_library_falls_back(cache):
+    code = (
+        "from repro.kernels import c_impl\n"
+        "path = c_impl.library_path()\n"
+        "path.parent.mkdir(parents=True, exist_ok=True)\n"
+        "path.write_bytes(b'not a shared library')\n"
+        "import repro.kernels as kernels\n"
+        "print(kernels.active_name())\n"
+    )
+    assert run_python(code).stdout.strip() == FALLBACK
+    done = run_python(code, kernel="c", check=False)
+    assert "ImportError: cannot load the c kernel" in done.stderr
