@@ -34,7 +34,8 @@ Build
 -----
 :func:`load` (called by :func:`repro.kernels.select`) compiles
 ``dinic.c`` with ``cc -O2 -shared -fPIC`` into
-``default_cache_dir()/kernels/<hash>.so`` unless that file exists; the hash covers the source, the flags, ``sys.platform`` and
+``default_cache_dir()/kernels/<hash>.so`` unless that file exists;
+the hash covers the source, the flags, ``sys.platform`` and
 ``platform.machine()``.  The compiler writes a temp file in the same
 directory, published with ``os.replace``, so concurrent first uses
 leave one ``.so`` and no temp files.  With no ``cc`` on ``PATH`` (and
