@@ -301,35 +301,27 @@ def _bucket_rows(pass_name, sizes, counts, best, edges):
     return rows
 
 
-#: Ratio column labels.
-_SHORT = {"numpy": "np"}
-
-
 def _print_rows(title: str, unit: str, rows, names) -> None:
     print(title)
     others = [name for name in names if name != "python"]
     print(f"  {'pass':10s} {unit:>15s} {'calls':>6s} {'tests':>6s} "
           + " ".join(f"{name + ' s':>9s}" for name in names) + " "
-          + " ".join(f"{_SHORT.get(name, name) + '/py':>6s}"
-                     for name in others))
+          + " ".join(f"{name + '/py':>8s}" for name in others))
     for r in rows:
         span = f"[{r['lo']}, {r['hi'] if r['hi'] is not None else 'inf'})"
         py = max(r["python_s"], 1e-9)
         print(f"  {r['pass']:10s} {span:>15s} {r['calls']:6d} "
               f"{r['tests']:6d} "
               + " ".join(f"{r[name + '_s']:9.4f}" for name in names) + " "
-              + " ".join(f"{r[name + '_s'] / py:6.2f}" for name in others))
+              + " ".join(f"{r[name + '_s'] / py:8.2f}" for name in others))
 
 
 def _crossover_edge(rows):
     """The first bucket edge from which numpy wins every bucket above it.
 
     Buckets are compared within each pass, so the edge holds on both
-    passes; ``None`` when numpy loses the largest bucket or is not
-    installed.
+    passes; ``None`` when numpy loses the largest bucket.
     """
-    if not rows or "numpy_s" not in rows[0]:
-        return None
     for lo in sorted({r["lo"] for r in rows}):
         if all(r["numpy_s"] < r["python_s"] for r in rows if r["lo"] >= lo):
             return lo
