@@ -6,25 +6,25 @@ Times the enumeration pipeline on mid-size generator graphs:
   a shared CSR base);
 * **enumerate** - the full ``enumerate_kvccs`` pipeline, with the
   per-stage breakdown of its fastest run and one row per kernel;
-* **crossover** (``--crossover``, a mode of its own) - every LOC-CUT
-  query and peel call of one enumerate pass over perfbench's seven
-  stand-ins at their ``scaled_k_values`` and of one hierarchy build over
-  perfbench's ``build`` tenants, recorded under the python kernel and
-  replayed under every kernel that loads (python, numpy, c), in an
-  order that rotates from call to call.  It prints flow time per
-  network arc-count bucket and peel time per active-vertex bucket, one
-  column per kernel, and the first bucket edge from which numpy's array
-  Dinic wins on both passes - the value ``numpy_impl._SCALAR_ARCS`` is
-  set from.  It exits non-zero if any kernel returns a different flow
-  or cut from the python reference for any query (``--smoke`` replays
-  once, as CI does; there is no timing gate).
+* **replay** (``--replay``, a mode of its own) - every kernel call
+  of one enumerate pass over perfbench's seven stand-ins at their
+  ``scaled_k_values`` and of one hierarchy build over perfbench's
+  ``build`` tenants (seed 1), recorded under the python kernel and
+  replayed under both kernels at full size, in an order that rotates
+  from call to call: each sparse certificate, ``components`` and
+  ``active_degrees`` call, strong side-vertex scan, flow arc build
+  (from a view and from certificate rows), phase-1 order, LOC-CUT
+  network's queries and peel.  It prints one time column per kernel
+  for each function, and exits non-zero if the c kernel returns
+  anything different from the python reference for any call
+  (``--smoke`` replays once, as CI does; there is no timing gate).
 
 Run directly (not under pytest-benchmark; this is a plain script so CI
 can execute it without extra plugins)::
 
     PYTHONPATH=src python benchmarks/bench_backend_compare.py
     PYTHONPATH=src python benchmarks/bench_backend_compare.py --quick
-    PYTHONPATH=src python benchmarks/bench_backend_compare.py --crossover
+    PYTHONPATH=src python benchmarks/bench_backend_compare.py --replay
 
 The kernel bar compares against the committed ``BENCH_baseline.json``
 snapshot (see ``main``).  Measured numbers are recorded in CHANGES.md.
@@ -39,16 +39,20 @@ import json
 import os
 import sys
 import time
+from array import array
 
 import repro.kernels as kernels
+from repro.certificate.side_groups import side_groups_from_forest
+from repro.certificate.sparse_certificate import sparse_certificate
 from repro.core.hierarchy import build_hierarchy_csr
 from repro.core.kvcc import enumerate_kvccs, enumerate_kvccs_csr
 from repro.core.options import KVCCOptions
+from repro.core.side_vertex import strong_side_vertices
 from repro.core.stats import STAGES, RunStats
 from repro.flow.dinic import max_flow_min_k
 from repro.flow.flow_network import build_flow_network
 from repro.flow.min_cut import minimum_vertex_cut_from_residual
-from repro.graph.csr import CSRGraph, SubgraphView
+from repro.graph.csr import CSRGraph
 from repro.graph.generators import web_graph
 from repro.graph.graph import Graph
 
@@ -57,20 +61,14 @@ BASELINE_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "BENCH_baseline.json"
 )
 
-#: The module whose flow-network calls the crossover records (the
+#: The module whose flow-network calls the replay records (the
 #: package re-exports a function of the same name).
 global_cut = importlib.import_module("repro.core.global_cut")
 
-#: perfbench's input generators, imported read-only for the crossover.
+#: perfbench's input generators, imported read-only for the replay.
 PERFBENCH_DIR = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"
 )
-
-#: Crossover buckets: flow networks by ``len(net.head)`` (reverse arcs
-#: included, the count ``numpy_impl._SCALAR_ARCS`` is compared with),
-#: peel calls by active vertices before the peel.
-ARC_EDGES = (0, 512, 1024, 1536, 2048, 2560, 3072, 3584, 4096, 8192, 16384)
-PEEL_EDGES = (0, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
 
 
 def _mid_size_graph(quick: bool) -> Graph:
@@ -153,9 +151,9 @@ def load_baseline() -> dict:
 
 
 # ----------------------------------------------------------------------
-# --crossover: replay recorded kernel calls under both kernels
+# --replay: every recorded kernel call, under both kernels
 # ----------------------------------------------------------------------
-def _crossover_passes(smoke: bool):
+def _replay_passes(smoke: bool):
     """``(name, run)`` for the two recorded passes, on perfbench inputs.
 
     The enumerate pass is perfbench ``enumerate``'s grid (every cell at
@@ -182,55 +180,80 @@ def _crossover_passes(smoke: bool):
     ]
 
 
-@contextlib.contextmanager
-def _recording(networks: list, peels: list):
-    """Record every LOC-CUT network + query and every view peel.
-
-    ``networks`` gets ``[graph, k, arcs, queries]`` per flow network
-    GLOBAL-CUT builds (``graph`` is its sparse certificate, which nothing
-    mutates after the build), and ``peels`` gets ``(base, mask, k,
-    active)`` per peel.
-    """
-    by_net = {}
-    build, loc_cut, peel = (
-        global_cut.build_flow_network, global_cut.local_vertex_cut,
-        SubgraphView.peel,
-    )
-
-    def record_build(graph, k):
-        net = build(graph, k)
-        by_net[id(net)] = entry = [graph, k, len(net.head), []]
-        networks.append(entry)
-        return net
-
-    def record_query(graph, net, u, v, k):
-        by_net[id(net)][3].append((u, v))
-        return loc_cut(graph, net, u, v, k)
-
-    def record_peel(view, k):
-        peels.append((view.base, bytes(view.mask), k, view.num_vertices))
-        return peel(view, k)
-
-    global_cut.build_flow_network = record_build
-    global_cut.local_vertex_cut = record_query
-    SubgraphView.peel = record_peel
-    try:
-        yield
-    finally:
-        global_cut.build_flow_network = build
-        global_cut.local_vertex_cut = loc_cut
-        SubgraphView.peel = peel
+def _snapshot(view):
+    """What rebuilds ``view`` later: its base and active ids."""
+    return view.base, array("i", view.active_list())
 
 
-@contextlib.contextmanager
-def _pinned(name: str):
-    """Pin a kernel; numpy runs its array programs at every size."""
-    with kernels.use(name), contextlib.ExitStack() as stack:
-        module = kernels.select()
-        for attr in [a for a in vars(module) if a.startswith("_SCALAR_")]:
-            stack.callback(setattr, module, attr, getattr(module, attr))
-            setattr(module, attr, 0)
-        yield
+def _rebuild(snapshot):
+    base, members = snapshot
+    return base.view_from_members(members)
+
+
+def _as_lists(sets):
+    """Sets as lists, so the comparison sees their iteration order."""
+    return [list(s) for s in sets]
+
+
+def _timed(fn, *args):
+    start = time.perf_counter()
+    out = fn(*args)
+    return time.perf_counter() - start, out
+
+
+#: How each recorded function is replayed: ``replay(call)`` prepares
+#: its inputs untimed and returns ``(seconds, comparable answer)``.
+def _replay_certificate(call):
+    view, k = _rebuild(call[0]), call[1]
+    seconds, cert = _timed(sparse_certificate, view, k)
+    return seconds, (cert.forests,
+                     [cert.graph.neighbors(v) for v in cert.graph.verts],
+                     _as_lists(side_groups_from_forest(cert, k)))
+
+
+def _replay_components(call):
+    view, removed = _rebuild(call[0]), call[1]
+    seconds, comps = _timed(kernels.select().components, view, removed)
+    return seconds, _as_lists(comps)
+
+
+def _replay_degrees(call):
+    base, members = call
+    mask = bytearray(base.n)  # the callers' masks hold exactly members
+    for v in members:
+        mask[v] = 1
+    return _timed(kernels.select().active_degrees, base, mask, members)
+
+
+def _replay_strong(call):
+    view, k, candidates = _rebuild(call[0]), call[1], call[2]
+    seconds, strong = _timed(strong_side_vertices, view, k, candidates)
+    return seconds, list(strong)
+
+
+def _arena(net):
+    return list(net.head), list(net.cap), net.to_index
+
+
+def _replay_view_arcs(call):
+    view, k = _rebuild(call[0]), call[1]
+    seconds, net = _timed(build_flow_network, view, k)
+    return seconds, _arena(net)
+
+
+def _certificate_of(call):
+    return sparse_certificate(_rebuild(call[0]), call[1]).graph
+
+
+def _replay_rows_arcs(call):
+    graph = _certificate_of(call)
+    seconds, net = _timed(build_flow_network, graph, call[1])
+    return seconds, _arena(net)
+
+
+def _replay_order(call):
+    graph, source = _certificate_of(call), call[2]
+    return _timed(kernels.select().farthest_first, graph, source)
 
 
 def _flow_query(net, u: int, v: int, k: int):
@@ -242,13 +265,153 @@ def _flow_query(net, u: int, v: int, k: int):
     return flow, cut
 
 
-def _replay(calls: list, run, names, repeats: int):
-    """Best time of ``run(call)`` per call and kernel, rotating.
+def _replay_loc_cut(call):
+    """Build the call's network (untimed), then time its queries."""
+    net = build_flow_network(_certificate_of(call), call[1])
+    start = time.perf_counter()
+    out = [_flow_query(net, u, v, call[1]) for u, v in call[2]]
+    return time.perf_counter() - start, out
+
+
+def _replay_peel(call):
+    view, k = _rebuild(call[0]), call[1]
+    seconds, removed = _timed(kernels.select().peel, view, k)
+    return seconds, (removed, bytes(view.mask))
+
+
+REPLAYS = {
+    "certificate": _replay_certificate,
+    "components": _replay_components,
+    "active_degrees": _replay_degrees,
+    "strong_side_vertices": _replay_strong,
+    "arcs_from_view": _replay_view_arcs,
+    "arcs_from_rows": _replay_rows_arcs,
+    "farthest_first": _replay_order,
+    "loc_cut": _replay_loc_cut,
+    "peel": _replay_peel,
+}
+
+
+@contextlib.contextmanager
+def _recording(calls: dict):
+    """Record every kernel call of the python kernel into ``calls``.
+
+    Views are recorded as (base, active ids) at call time, since peels
+    mutate them later; certificate-row calls as the certificate's view
+    and ``k``, so each kernel replays them on its own certificate.
+    """
+    from repro.kernels import python_impl as py
+
+    cert_of = {}  # id(certificate graph) -> (view snapshot, k)
+    originals = {}
+
+    def patch(owner, name, wrapper):
+        originals[(owner, name)] = getattr(owner, name)
+        setattr(owner, name, wrapper(getattr(owner, name)))
+
+    def certificate(fn):
+        def record(view, k):
+            out = fn(view, k)
+            snap = _snapshot(view)
+            calls["certificate"].append((snap, k))
+            cert_of[id(out[0])] = (snap, k)
+            return out
+        return record
+
+    def components(fn):
+        def record(view, removed):
+            calls["components"].append(
+                (_snapshot(view), sorted(removed) if removed else None))
+            return fn(view, removed)
+        return record
+
+    def degrees(fn):
+        def record(base, mask, members):
+            members = array("i", members)
+            calls["active_degrees"].append((base, members))
+            return fn(base, mask, members)
+        return record
+
+    def strong(fn):
+        def record(view, k, candidates=None):
+            if candidates is not None:
+                candidates = list(candidates)
+            calls["strong_side_vertices"].append(
+                (_snapshot(view), k, candidates))
+            return fn(view, k, candidates)
+        return record
+
+    def view_arcs(fn):
+        def record(net, view, k):
+            calls["arcs_from_view"].append((_snapshot(view), k))
+            return fn(net, view, k)
+        return record
+
+    def rows_arcs(fn):
+        def record(net, graph, k):
+            origin = cert_of.get(id(graph))
+            if origin is not None:
+                calls["arcs_from_rows"].append(origin)
+            return fn(net, graph, k)
+        return record
+
+    def order(fn):
+        def record(work, source):
+            origin = cert_of.get(id(work))
+            if origin is not None:
+                calls["farthest_first"].append(origin + (source,))
+            return fn(work, source)
+        return record
+
+    by_net = {}
+
+    def build(fn):
+        def record(graph, k):
+            net = fn(graph, k)
+            origin = cert_of.get(id(graph))
+            if origin is not None:
+                by_net[id(net)] = entry = origin + ([],)
+                calls["loc_cut"].append(entry)
+            return net
+        return record
+
+    def loc_cut(fn):
+        def record(graph, net, u, v, k):
+            entry = by_net.get(id(net))
+            if entry is not None:
+                entry[2].append((u, v))
+            return fn(graph, net, u, v, k)
+        return record
+
+    def peel(fn):
+        def record(view, k):
+            calls["peel"].append((_snapshot(view), k))
+            return fn(view, k)
+        return record
+
+    for name, wrapper in (
+        ("certificate", certificate), ("components", components),
+        ("active_degrees", degrees), ("strong_side_vertices", strong),
+        ("flow_arcs_from_view", view_arcs), ("flow_arcs_from_rows", rows_arcs),
+        ("farthest_first", order), ("peel", peel),
+    ):
+        patch(py, name, wrapper)
+    patch(global_cut, "build_flow_network", build)
+    patch(global_cut, "local_vertex_cut", loc_cut)
+    try:
+        yield
+    finally:
+        for (owner, name), fn in originals.items():
+            setattr(owner, name, fn)
+
+
+def _replay(calls: list, replay, names, repeats: int):
+    """Best time of ``replay(call)`` per kernel, summed over the calls.
 
     The kernel that goes first rotates from call to call and repeat to
-    repeat.  Returns ``(best, mismatches)``: per-kernel lists of best
-    seconds, and the number of calls on which some kernel's answer
-    differs from the python kernel's.
+    repeat.  Returns ``(seconds, mismatches)``: per-kernel total of the
+    per-call best times, and the number of calls on which some kernel's
+    answer differs from the python kernel's.
     """
     best = {name: [float("inf")] * len(calls) for name in names}
     mismatches = 0
@@ -257,129 +420,57 @@ def _replay(calls: list, run, names, repeats: int):
             answers = {}
             turn = (rep + i) % len(names)
             for name in names[turn:] + names[:turn]:
-                with _pinned(name):
-                    seconds, answers[name] = run(call)
+                with kernels.use(name):
+                    seconds, answers[name] = replay(call)
                 best[name][i] = min(best[name][i], seconds)
             mismatches += any(
                 answers[name] != answers["python"] for name in names
             )
-    return best, mismatches
+    return {name: sum(times) for name, times in best.items()}, mismatches
 
 
-def _time_network(entry):
-    """Build ``entry``'s network (untimed), then time its queries."""
-    graph, k, _arcs, queries = entry
-    net = build_flow_network(graph, k)
-    start = time.perf_counter()
-    out = [_flow_query(net, u, v, k) for u, v in queries]
-    return time.perf_counter() - start, out
-
-
-def _time_peel(call):
-    """Rebuild the view (untimed), then time its peel."""
-    base, mask, k, _active = call
-    view = base.view_from_mask(mask)
-    start = time.perf_counter()
-    removed = kernels.select().peel(view, k)
-    return time.perf_counter() - start, (removed, bytes(view.mask))
-
-
-def _bucket_rows(pass_name, sizes, counts, best, edges):
-    """Sum calls, counts and best times per ``[lo, hi)`` size bucket."""
-    rows = []
-    for lo, hi in zip(edges, edges[1:] + (None,)):
-        idx = [i for i, size in enumerate(sizes)
-               if size >= lo and (hi is None or size < hi)]
-        if idx:
-            row = {
-                "pass": pass_name, "lo": lo, "hi": hi, "calls": len(idx),
-                "tests": sum(counts[i] for i in idx),
-            }
-            for name, times in best.items():
-                row[f"{name}_s"] = sum(times[i] for i in idx)
-            rows.append(row)
-    return rows
-
-
-def _print_rows(title: str, unit: str, rows, names) -> None:
-    print(title)
-    others = [name for name in names if name != "python"]
-    print(f"  {'pass':10s} {unit:>15s} {'calls':>6s} {'tests':>6s} "
-          + " ".join(f"{name + ' s':>9s}" for name in names) + " "
-          + " ".join(f"{name + '/py':>8s}" for name in others))
-    for r in rows:
-        span = f"[{r['lo']}, {r['hi'] if r['hi'] is not None else 'inf'})"
-        py = max(r["python_s"], 1e-9)
-        print(f"  {r['pass']:10s} {span:>15s} {r['calls']:6d} "
-              f"{r['tests']:6d} "
-              + " ".join(f"{r[name + '_s']:9.4f}" for name in names) + " "
-              + " ".join(f"{r[name + '_s'] / py:8.2f}" for name in others))
-
-
-def _crossover_edge(rows):
-    """The first bucket edge from which numpy wins every bucket above it.
-
-    Buckets are compared within each pass, so the edge holds on both
-    passes; ``None`` when numpy loses the largest bucket.
-    """
-    for lo in sorted({r["lo"] for r in rows}):
-        if all(r["numpy_s"] < r["python_s"] for r in rows if r["lo"] >= lo):
-            return lo
-    return None
-
-
-def run_crossover(smoke: bool, json_path: str) -> int:
-    """The ``--crossover`` mode (see the module docstring)."""
+def run_replay(smoke: bool, json_path: str) -> int:
+    """The ``--replay`` mode (see the module docstring)."""
     names = kernels.available()
     if names == ("python",):
-        print("crossover: neither numpy nor the c kernel loads - nothing "
-              "to compare")
+        print("replay: the c kernel does not load - nothing to compare")
         return 0
     repeats = 1 if smoke else 3
-    flow_rows, peel_rows, mismatches = [], [], 0
-    for pass_name, run in _crossover_passes(smoke):
-        networks, peels = [], []
-        with kernels.use("python"), _recording(networks, peels):
+    rows, mismatches = [], 0
+    for pass_name, run in _replay_passes(smoke):
+        calls = {name: [] for name in REPLAYS}
+        with kernels.use("python"), _recording(calls):
             run()
-        best, bad = _replay(networks, _time_network, names, repeats)
-        mismatches += bad
-        print(f"{pass_name}: {len(networks)} flow networks, "
-              f"{sum(len(e[3]) for e in networks)} LOC-CUT queries, "
-              f"{len(peels)} peels; {bad} flow/cut mismatch(es)")
-        flow_rows += _bucket_rows(
-            pass_name, [e[2] for e in networks],
-            [len(e[3]) for e in networks], best, ARC_EDGES,
-        )
-        best, bad = _replay(peels, _time_peel, names, repeats)
-        mismatches += bad
-        peel_rows += _bucket_rows(
-            pass_name, [p[3] for p in peels], [1] * len(peels), best,
-            PEEL_EDGES,
-        )
-    print(f"best of {repeats}, kernel order rotating per call")
-    _print_rows("LOC-CUT flow time by network arcs (layout set-up "
-                "included):", "arcs", flow_rows, names)
-    _print_rows("peel time by active vertices:", "active", peel_rows, names)
-    edge = configured = None
-    if "numpy" in names:
-        from repro.kernels import numpy_impl
-
-        edge = _crossover_edge(flow_rows)
-        configured = numpy_impl._SCALAR_ARCS
-        print(f"crossover: numpy's Dinic wins every bucket from {edge} "
-              f"arcs up on both passes; numpy_impl._SCALAR_ARCS = "
-              f"{configured}")
+        for function, replay in REPLAYS.items():
+            if not calls[function]:
+                continue
+            seconds, bad = _replay(calls[function], replay, names, repeats)
+            mismatches += bad
+            rows.append(dict(
+                {"pass": pass_name, "function": function,
+                 "calls": len(calls[function]), "mismatches": bad},
+                **{f"{name}_s": seconds[name] for name in names},
+            ))
+    print(f"best of {repeats} per call, kernel order rotating per call")
+    print(f"  {'pass':10s} {'function':22s} {'calls':>6s} "
+          + " ".join(f"{name + ' s':>9s}" for name in names)
+          + f" {'c/py':>6s} {'diffs':>5s}")
+    for r in rows:
+        print(f"  {r['pass']:10s} {r['function']:22s} {r['calls']:6d} "
+              + " ".join(f"{r[name + '_s']:9.4f}" for name in names)
+              + f" {r['c_s'] / max(r['python_s'], 1e-9):6.2f}"
+              f" {r['mismatches']:5d}")
     if json_path:
         with open(json_path, "w", encoding="utf-8") as handle:
             json.dump({"repeats": repeats, "kernels": list(names),
-                       "flow": flow_rows, "peel": peel_rows,
-                       "crossover_arcs": edge, "scalar_arcs": configured},
+                       "rows": rows, "mismatches": mismatches},
                       handle, indent=2)
-        print(f"wrote the crossover table to {json_path}")
+        print(f"wrote the replay table to {json_path}")
     if mismatches:
         print(f"FAIL: the kernels disagree on {mismatches} replayed "
               f"call(s)")
         return 1
+    print("replay: 0 differences")
     return 0
 
 
@@ -395,13 +486,13 @@ def main() -> int:
         help="also write the measured metrics as machine-readable JSON",
     )
     parser.add_argument(
-        "--crossover", action="store_true",
-        help="replay recorded flow and peel calls under every kernel "
-        "that loads and print the per-size crossover table",
+        "--replay", action="store_true",
+        help="replay every recorded kernel call under both kernels, "
+        "print per-function times, and fail on any difference",
     )
     args = parser.parse_args()
-    if args.crossover:
-        return run_crossover(args.quick, args.json)
+    if args.replay:
+        return run_replay(args.quick, args.json)
 
     k = args.k if args.k is not None else 5
     repeats = 1 if args.quick else 3
@@ -467,28 +558,29 @@ def main() -> int:
         print(f"wrote {len(metrics)} metric(s) to {args.json}")
 
     failed = False
-    # Kernel gate against the committed PR-5 snapshot: the numpy
-    # kernels must beat the pre-kernel serial CSR enumerate by >= 1.5x
-    # on the same workload, and the pure-python path must not regress
-    # past it (small tolerance for machine noise on the equality bar).
+    # Kernel gate against the committed PR-5 snapshot: the c kernel
+    # must beat the pre-kernel serial CSR enumerate by >= 1.5x on the
+    # same workload, and the pure-python path must not regress past it
+    # (small tolerance for machine noise on the equality bar).
     baseline = load_baseline()
     base_entry = baseline.get("backend.enumerate_csr_ms")
     if not args.quick and base_entry and base_entry.get("k") == k:
         base_ms = base_entry["value"]
-        if "numpy" in kernel_best:
-            ratio = base_ms / (kernel_best["numpy"] * 1e3)
+        if "c" in kernel_best:
+            ratio = base_ms / (kernel_best["c"] * 1e3)
             print(
-                f"kernel gate: numpy {kernel_best['numpy'] * 1e3:.1f} ms "
+                f"kernel gate: c {kernel_best['c'] * 1e3:.1f} ms "
                 f"vs PR-5 baseline {base_ms:.1f} ms = {ratio:.2f}x"
             )
             if ratio < 1.5:
                 print(
-                    "WARNING: numpy-kernel enumerate below the 1.5x "
-                    "bar over the PR-5 baseline"
+                    "WARNING: c-kernel enumerate below the 1.5x bar "
+                    "over the PR-5 baseline"
                 )
                 failed = True
         else:
-            print("kernel gate: numpy unavailable - 1.5x bar skipped")
+            print("kernel gate: the c kernel does not load - 1.5x bar "
+                  "skipped")
         py_ms = kernel_best["python"] * 1e3
         if py_ms > base_ms * 1.10:
             print(

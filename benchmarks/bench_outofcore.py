@@ -15,8 +15,9 @@ marks, so a parent that already peaked cannot measure itself honestly):
   before the first peel; the component driver only ever holds one
   component's rows.
 
-Children pin ``REPRO_KERNELS=python``: the numpy kernels vectorize over
-whole base arrays, which is exactly the residency this bench isolates.
+Children pin ``REPRO_KERNELS=python``, whose boxed CSR rows are the
+residency this bench isolates (the c kernel reads the same rows' pages
+in place, and only for the views it is handed).
 Peak-RSS deltas prefer the precise route (reset the kernel's high-water
 counter via ``/proc/self/clear_refs``, then read ``VmHWM``) and degrade
 to plain before/after ``ru_maxrss`` deltas elsewhere.

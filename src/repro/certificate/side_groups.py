@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Set
 
+from repro.certificate.scan_first_search import forest_components
 from repro.certificate.sparse_certificate import SparseCertificate
 from repro.graph.graph import Vertex
 
@@ -24,12 +25,16 @@ def side_groups_from_forest(
 ) -> List[Set[Vertex]]:
     """Side-groups of size > k derived from the certificate's ``F_k``.
 
-    Returns a list of vertex sets; a vertex belongs to at most one group
-    (forest components are disjoint).
+    Returns a list of vertex sets, ordered by smallest member; a vertex
+    belongs to at most one group (forest components are disjoint).
+    The c kernel computes them with the certificate (``cert.groups``).
     """
+    if cert.groups is not None and k == cert.k:
+        return list(cert.groups)
+    last = cert.forests[-1] if cert.forests else []
     return [
         component
-        for component in cert.side_group_components()
+        for component in forest_components(cert.graph.vertices(), last)
         if len(component) > k
     ]
 

@@ -16,15 +16,15 @@ Properties guaranteed by Cheriyan-Kao-Thurimella and exercised by tests:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Set
+from typing import Callable, List, Optional, Set, Union
 
 import repro.kernels as kernels
-from repro.certificate.scan_first_search import ForestEdge, forest_components
+from repro.certificate.scan_first_search import ForestEdge
 from repro.graph.csr import IntAdjacency, SubgraphView
 
+Forests = List[List[ForestEdge]]
 
-@dataclass
+
 class SparseCertificate:
     """The output of the certificate construction.
 
@@ -36,27 +36,38 @@ class SparseCertificate:
         members, keyed by base id.
     forests:
         The k scan-first forests, in extraction order (``forests[-1]`` is
-        ``F_k``).
+        ``F_k``).  A kernel may hand them over as a zero-argument
+        function instead (the c kernel decodes its flat edge buffer only
+        when a caller asks).
     k:
         The connectivity threshold the certificate was built for.
+    groups:
+        ``F_k``'s components with more than ``k`` vertices (the
+        side-groups of Section 5.3), when the kernel computed them along
+        with the forests; ``None`` to derive them from ``F_k`` on
+        demand.
     """
 
-    graph: IntAdjacency
-    forests: List[List[ForestEdge]] = field(default_factory=list)
-    k: int = 1
+    __slots__ = ("graph", "_forests", "k", "groups")
+
+    def __init__(
+        self,
+        graph: IntAdjacency,
+        forests: Union[Forests, Callable[[], Forests], None] = None,
+        k: int = 1,
+        groups: Optional[List[Set[int]]] = None,
+    ) -> None:
+        self.graph = graph
+        self._forests = [] if forests is None else forests
+        self.k = k
+        self.groups = groups
 
     @property
-    def last_forest(self) -> List[ForestEdge]:
-        """``F_k``, whose components are side-group candidates."""
-        return self.forests[-1] if self.forests else []
-
-    def side_group_components(self) -> List[Set[int]]:
-        """Connected components of ``F_k`` (Theorem 10 side-groups).
-
-        Includes singleton components; the caller filters by size (the
-        sweep machinery only keeps groups larger than k, per Section 5.3).
-        """
-        return forest_components(self.graph.vertices(), self.last_forest)
+    def forests(self) -> Forests:
+        forests = self._forests
+        if callable(forests):
+            forests = self._forests = forests()
+        return forests
 
 
 def sparse_certificate(view: SubgraphView, k: int) -> SparseCertificate:
@@ -65,27 +76,20 @@ def sparse_certificate(view: SubgraphView, k: int) -> SparseCertificate:
     Runs k scan-first searches, each excluding all previously extracted
     forest edges, and unions the forests (Theorem 5) in O(k (n + m))
     time, where ``n`` and ``m`` count the view's *active* vertices and
-    edges: no step creates a Python object per base vertex (only
-    C-level base-length fills such as a ``bytearray`` mask), so a small
-    view of a large base costs what the same view would cost alone.
-    For graphs that are already sparse (``m <= k (n - 1)``) the
-    construction still runs - the forests are needed for side-groups -
-    but the certificate may equal the input graph.
+    edges: no step does work per base vertex, so a small view of a
+    large base costs what the same view would cost alone.  For graphs
+    that are already sparse (``m <= k (n - 1)``) the construction still
+    runs - the forests are needed for side-groups - but the certificate
+    may equal the input graph.
 
-    Forest extraction and the adjacency union are kernel calls
-    (:mod:`repro.kernels`): the python kernel runs the compacted-slot
-    FIFO scan of :mod:`repro.certificate.scan_first_search`, the numpy
-    kernel a level-synchronous vectorized equivalent; both return
-    identical forests, edge for edge, and identical adjacency rows,
-    in identical order.  The certificate comes back as an
+    The whole construction is one kernel call (:mod:`repro.kernels`);
+    both kernels give identical forests, edge for edge, and identical
+    rows in identical fill order, and the c kernel also returns
+    ``F_k``'s side-groups.  The certificate comes back as an
     :class:`IntAdjacency` with rows for the view's members only, in
-    base ids, ready for the integer flow-network builder and the sweep
-    machinery.
+    base ids.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    kern = kernels.select()
-    forests: List[List[ForestEdge]] = kern.scan_first_forests(view, k)
-    cert = IntAdjacency(view.base.n, view.active_list())
-    kern.fill_forest_adjacency(cert, forests)
-    return SparseCertificate(graph=cert, forests=forests, k=k)
+    graph, forests, groups = kernels.select().certificate(view, k)
+    return SparseCertificate(graph, forests, k, groups)

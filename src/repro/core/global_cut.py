@@ -33,6 +33,7 @@ import random
 import time
 from typing import List, Optional, Set
 
+import repro.kernels as kernels
 from repro.certificate.side_groups import side_groups_from_forest
 from repro.certificate.sparse_certificate import sparse_certificate
 from repro.core.options import KVCCOptions
@@ -41,7 +42,7 @@ from repro.core.stats import RunStats, TESTED
 from repro.core.sweep import SweepState
 from repro.flow.flow_network import build_flow_network
 from repro.flow.min_cut import local_vertex_cut
-from repro.graph.connectivity import bfs_distances, is_vertex_cut
+from repro.graph.connectivity import is_vertex_cut
 from repro.graph.csr import SubgraphView
 
 
@@ -219,14 +220,16 @@ def _loc_cut(
 
 
 def _phase1_order(work, source: int, options: KVCCOptions):
-    """Phase-1 vertex order: farthest-first (line 11) or natural."""
+    """Phase-1 vertex order: farthest-first (line 11) or natural.
+
+    Farthest-first is a kernel call: BFS distance from ``source``
+    descending, ties in vertex order, unreachable vertices (disconnected
+    input) in front - their flow test immediately yields the empty cut,
+    splitting the graph.
+    """
     if not options.farthest_first:
         return list(work.vertices())
-    dist = bfs_distances(work, source)
-    far = 1 + (max(dist.values()) if dist else 0)
-    # Unreachable vertices (disconnected input) sort in front: their flow
-    # test immediately yields the empty cut, splitting the graph.
-    return sorted(work.vertices(), key=lambda v: -dist.get(v, far))
+    return kernels.select().farthest_first(work, source)
 
 
 def _pick_strong_source(

@@ -28,8 +28,9 @@ items and speak base ids.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set
+from typing import Iterable, Optional, Set
 
+import repro.kernels as kernels
 from repro.graph.csr import SubgraphView
 
 
@@ -45,69 +46,12 @@ def strong_side_vertices(
     :func:`split_inheritance`.  Ids that are not active in ``view`` are
     skipped.
 
-    A vertex's active neighbor set and its pair verdicts depend only on
-    the subgraph, not on which vertex ``u`` is being certified, so one
-    scan shares both caches across all checks instead of rebuilding
-    them per vertex (the Lemma 14 cost is per *scan* here, not per scan
-    times average degree).
+    The scan is a kernel call: the python kernel shares each
+    neighbor's active set and each pair verdict across the whole scan;
+    the c kernel tests each pair by merging sorted CSR rows.  Both
+    return the same set, filled in the same order.
     """
-    rows, mask = view.base.rows, view.mask
-    active = mask.__getitem__
-    n = len(mask)
-    if candidates is None:
-        pool: Iterable[int] = view.vertices()
-    else:
-        pool = (v for v in candidates if 0 <= v < n and mask[v])
-
-    nbr_sets: Dict[int, Set[int]] = {}
-    pair_ok: Dict[tuple, bool] = {}
-    strong: Set[int] = set()
-    for u in pool:
-        nbrs = list(filter(active, rows[u]))
-        if len(nbrs) < 2:
-            strong.add(u)  # no pairs to violate the condition
-            continue
-        ok = True
-        # Pair testing via set algebra: ``remaining`` holds the
-        # not-yet-anchored neighbors, so each unordered pair is examined
-        # exactly once, and the adjacent screen is one C-level subset
-        # probe instead of a Python pair loop.
-        remaining = set(nbrs)
-        for v in nbrs:
-            remaining.discard(v)
-            if not remaining:
-                break
-            v_nbrs = nbr_sets.get(v)
-            if v_nbrs is None:
-                v_nbrs = set(filter(active, rows[v]))
-                nbr_sets[v] = v_nbrs
-            if remaining.issubset(v_nbrs):
-                continue
-            # Non-adjacent leftovers are rare and few, so counting
-            # |N(v) ∩ N(w)| directly with an early exit at k beats
-            # materializing v's whole k-common-partner set (a Lemma-13
-            # walk over every 2-hop neighbor); verdicts are cached per
-            # unordered pair since anchors share neighbors.
-            for w in remaining - v_nbrs:
-                key = (v, w) if v < w else (w, v)
-                verdict = pair_ok.get(key)
-                if verdict is None:
-                    count = 0
-                    for x in rows[w]:
-                        if x in v_nbrs:
-                            count += 1
-                            if count >= k:
-                                break
-                    verdict = count >= k
-                    pair_ok[key] = verdict
-                if not verdict:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            strong.add(u)
-    return strong
+    return kernels.select().strong_side_vertices(view, k, candidates)
 
 
 def split_inheritance(

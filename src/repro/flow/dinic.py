@@ -9,20 +9,11 @@ the paper's ``O(min(n^1/2, k) * m)`` bound once the flow is capped at
 before early exit.
 
 The BFS/DFS loops themselves live in :mod:`repro.kernels` (the
-pure-python reference, the optional numpy fast path, and the c kernel
-compiled from ``dinic.c``; all produce identical flows, residual states
-and therefore identical min cuts).  The python kernel keeps one
-reusable ``level`` / ``iter_idx`` scratch pair cached per network.  On
-networks of a few thousand arcs or more (the numpy kernel's
-``_SCALAR_ARCS``; smaller ones run the python Dinic) the numpy kernel
-walks a level graph pruned to the arcs that reach the sink, and caches
-per source the level arrays of the first phase (the BFS over the
-initial capacities), so a query on a reset network from an
-already-seen source skips that BFS.  The c kernel runs the python
-kernel's Dinic in C on int32 mirrors of the arena at every size, and
-hands the arcs it pushed back to the network.  Either way the
-``FlowNetwork``'s dirty-arc tracking means repeated queries on the same
-network cost only a
+pure-python reference and the c kernel compiled from ``kernel.c``; both
+produce identical flows, residual states and therefore identical min
+cuts).  Each keeps its arc-by-tail index and ``level`` / ``iter``
+scratch cached per network, and the ``FlowNetwork``'s dirty-arc
+tracking means repeated queries on the same network cost only a
 :meth:`~repro.flow.flow_network.FlowNetwork.reset`.
 """
 

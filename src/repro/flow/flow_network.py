@@ -22,38 +22,26 @@ construction.
 Representation
 --------------
 A flat arc *arena*: parallel arrays ``head`` / ``cap`` /
-``initial_cap`` / ``tails`` indexed by arc id, with arc ``2i+1`` the
-reverse of arc ``2i``.  There is deliberately no adjacency structure on
-the network itself: per-node arc indexes (linked per-tail lists for the
-pure-python kernel, a positional ``arc_indptr`` CSR for the numpy
-kernel, an int32 CSR over arc ids for the c kernel) are *derived*
-state that the selected :mod:`repro.kernels` implementation builds once
-per network and caches in ``_kern_state``.  Beside it the python kernel
-keeps one reusable ``level`` / ``iter_idx`` scratch pair per network;
-the numpy kernel keeps, per source node, the level arrays of the first
-BFS over ``initial_cap``, which every later query from that source on a
-reset network reuses.  The numpy kernel builds its layout only for
-networks of at least ``numpy_impl._SCALAR_ARCS`` arcs; smaller ones run
-the python kernel's Dinic and hold only the python state.  LOC-CUT runs
+``initial_cap`` indexed by arc id, with arc ``2i+1`` the reverse of arc
+``2i`` (so the tail of arc ``a`` is ``head[a ^ 1]``).  There is
+deliberately no adjacency structure on the network itself: per-node arc
+indexes (per-tail lists for the python kernel, an int32 CSR over arc
+ids for the c kernel) are *derived* state that the selected
+:mod:`repro.kernels` implementation builds once per network and caches
+in ``_kern_state``, beside its reusable BFS/DFS scratch.  LOC-CUT runs
 many max-flow queries on the *same* network (one per tested vertex
 pair), so :meth:`FlowNetwork.reset` restores all capacities in O(arcs
 touched) using a dirty list instead of rebuilding, and the cached
 state survives across queries.
 
 Bulk construction (:func:`build_flow_network` on a view or certificate)
-is also a kernel call: the numpy kernel (and the c kernel, which uses
-numpy's builder when numpy is installed) emits every arc quad with
-vectorized gathers; the python kernel appends element by element.  All
-produce the identical arc-id layout, and all leave plain lists in the
-arena - the python kernel's scalar DFS indexes them directly, and
-CPython lists index measurably faster than ``array('i')`` buffers.
-The numpy kernel (on networks at or above its arc-count rule) and the
-c kernel (on every network) keep their own int32 mirrors of the arena,
-syncing the ``cap`` mirror from the ``_touched`` dirty list;
-:attr:`FlowNetwork._version` ticks on every :meth:`FlowNetwork.reset`
-so a mirror can detect resets.  The c kernel appends the arcs it
-pushes to ``_touched`` and writes their capacities back into ``cap``,
-so the lists always hold the residual state.
+is also a kernel call, and both kernels produce the identical arc-id
+layout.  The python kernel fills plain lists (its scalar DFS indexes
+them directly, and CPython lists index fastest); the c kernel writes
+``array('i')`` buffers that its compiled Dinic then updates in place.
+Either way every push appends its arc to ``_touched``, so ``cap``
+always holds the residual state and :meth:`FlowNetwork.reset` works on
+both.
 """
 
 from __future__ import annotations
@@ -71,12 +59,10 @@ class FlowNetwork:
     ----------
     num_nodes:
         ``2n``: in/out node per original vertex.
-    head / cap / initial_cap / tails:
+    head / cap / initial_cap:
         The flat arc arrays (arc id -> target node / residual capacity /
-        original capacity / source node), always plain lists - the
-        python kernel's scalar DFS indexes them directly and lists
-        index fastest; the numpy and c kernels work on int32 mirrors
-        kept in ``_kern_state`` and keep ``cap`` current.
+        original capacity): plain lists from the python kernel's
+        builders, ``array('i')`` buffers from the c kernel's.
     to_index / to_vertex:
         Bijection between base vertex ids and dense indices:
         ``to_index`` is a dense list keyed by base id (``-1`` for ids
@@ -88,11 +74,9 @@ class FlowNetwork:
         "head",
         "cap",
         "initial_cap",
-        "tails",
         "to_index",
         "to_vertex",
         "_touched",
-        "_version",
         "_kern_state",
     )
 
@@ -101,17 +85,12 @@ class FlowNetwork:
         self.head: List[int] = []         # arc id -> target node
         self.cap: List[int] = []          # arc id -> residual capacity
         self.initial_cap: List[int] = []  # arc id -> original capacity
-        self.tails: List[int] = []        # arc id -> source node
         self.to_index: List[int] = []
         self.to_vertex: List[int] = []
         self._touched: List[int] = []
-        #: Reset epoch: bumped by reset() so kernels that mirror ``cap``
-        #: into their own buffers know when to restart from initial.
-        self._version: int = 0
         #: Kernel-owned derived state (adjacency indexes, scratch
-        #: buffers, per-source level arrays), keyed by kernel name;
-        #: built on first use, after :func:`build_flow_network` has
-        #: filled the arena.
+        #: buffers), keyed by kernel name; built on first use, after
+        #: :func:`build_flow_network` has filled the arena.
         self._kern_state: dict = {}
 
     # ------------------------------------------------------------------
@@ -127,7 +106,6 @@ class FlowNetwork:
             self.cap[arc_id] = self.initial_cap[arc_id]
             self.cap[arc_id ^ 1] = self.initial_cap[arc_id ^ 1]
         self._touched.clear()
-        self._version += 1
 
     # ------------------------------------------------------------------
     # Node naming helpers
@@ -183,7 +161,7 @@ def build_flow_network(
         return net
     verts = list(graph.verts)
     net = _dense_skeleton(verts, graph.n)
-    kernels.select().flow_arcs_from_lists(net, graph.adj, verts, k)
+    kernels.select().flow_arcs_from_rows(net, graph, k)
     return net
 
 

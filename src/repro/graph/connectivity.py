@@ -172,9 +172,9 @@ def _components_view(
 ) -> List[Set[int]]:
     """Components of the view (minus ``removed``); a kernel call.
 
-    Both kernels run the python kernel's list-queue BFS: discovery
-    follows ``active_list`` order, and each component comes back as a
-    set.
+    Both kernels run a list-queue BFS (the c kernel's compiled):
+    discovery follows ``active_list`` order, expansion row order, and
+    each component comes back as a set filled in BFS order.
     """
     return kernels.select().components(view, removed)
 

@@ -25,7 +25,7 @@ the compact alternative every interior layer runs on:
 
 Cost rule: a view or certificate creates Python objects in proportion
 to its *active* vertices and edges, never to the base.  Only C-level
-fills (``bytearray(n)``, ``[0] * n``, ``np.full(n, -1)``) scale with
+fills (``bytearray(n)``, ``[0] * n``, ``[-1] * n``) scale with
 ``base.n``: they cost microseconds and create no per-element objects.
 The recursion pushes many small views over one large base, so a
 per-base-vertex object in any step would dominate it.
@@ -126,6 +126,14 @@ class VertexInterner:
         return f"VertexInterner(n={len(self._labels)})"
 
 
+def _int_buffer(values: Sequence[int]):
+    """``values`` if it is an ``array`` or ``memoryview``, else an
+    ``array('l')`` copy."""
+    if isinstance(values, (array, memoryview)):
+        return values
+    return array("l", values)
+
+
 class CSRGraph:
     """Immutable undirected graph in compressed-sparse-row form.
 
@@ -145,7 +153,7 @@ class CSRGraph:
     """
 
     __slots__ = (
-        "n", "indptr", "indices", "_rows", "_rows_partial", "_np",
+        "n", "indptr", "indices", "_rows", "_rows_partial", "_ids",
         "interner", "_mm",
     )
 
@@ -158,18 +166,21 @@ class CSRGraph:
     ) -> None:
         self.n = n
         #: ``indptr``/``indices`` are ``array('l')`` for graphs built in
-        #: process, or zero-copy ``memoryview.cast("i")`` sections over a
-        #: file mapping for graphs opened with ``load(path, mmap=True)``.
-        self.indptr = indptr
-        self.indices = indices
+        #: process (other sequences are converted), or zero-copy
+        #: ``memoryview.cast("i")`` sections over a file mapping for
+        #: graphs opened with ``load(path, mmap=True)``: int buffers the
+        #: c kernel reads in place.
+        self.indptr = _int_buffer(indptr)
+        self.indices = _int_buffer(indices)
         self._rows: Optional[List[List[int]]] = None
         #: True when ``_rows`` holds only the vertices a
         #: :meth:`prepare_rows` call asked for (out-of-core mode);
         #: un-prepared entries are ``None`` and must not be touched.
         self._rows_partial = False
-        #: Cached zero-copy numpy views of indptr/indices, populated by
-        #: the numpy kernel on first use (stays None under pure python).
-        self._np = None
+        #: ``list(range(n))``, made by the first :meth:`full_view`: every
+        #: root view, and every member list the enumeration derives from
+        #: one, shares these int objects instead of boxing its own.
+        self._ids: Optional[List[int]] = None
         #: Optional labels for the ids; ``None`` means ids are the labels.
         self.interner = interner
         #: ``(mmap, indices_byte_offset)`` when backed by a file mapping
@@ -294,8 +305,7 @@ class CSRGraph:
         """Convert a labeled :class:`Graph`, interning its labels.
 
         Rows are translated to ids in one flat pass; the per-row
-        ascending sort runs through the kernel seam (the numpy kernel
-        sorts all segments with one composite-key argsort).
+        ascending sort runs through the kernel seam.
         """
         interner = VertexInterner(graph.vertices())
         n = graph.num_vertices
@@ -392,7 +402,9 @@ class CSRGraph:
         mask = bytearray(b"\x01") * self.n
         indptr = self.indptr
         deg = [indptr[i + 1] - indptr[i] for i in range(self.n)]
-        return SubgraphView(self, mask, deg, self.n, list(range(self.n)))
+        if self._ids is None:
+            self._ids = list(range(self.n))
+        return SubgraphView(self, mask, deg, self.n, list(self._ids))
 
     def view_from_mask(self, mask: bytes) -> "SubgraphView":
         """A view whose active set is the 1-bytes of ``mask``.
@@ -731,13 +743,26 @@ class IntAdjacency:
     contained.
     """
 
-    __slots__ = ("n", "adj", "verts", "_m")
+    __slots__ = ("n", "adj", "verts", "_m", "_kern_rows")
 
-    def __init__(self, n: int, verts: List[int]) -> None:
+    def __init__(
+        self,
+        n: int,
+        verts: List[int],
+        adj: Optional[Dict[int, List[int]]] = None,
+        m: int = 0,
+    ) -> None:
+        """Empty rows for ``verts``, or the given rows (``adj`` maps each
+        member to its row, in member order) holding ``m`` edges."""
         self.n = n
-        self.adj: Dict[int, List[int]] = {v: [] for v in verts}
+        self.adj = {v: [] for v in verts} if adj is None else adj
         self.verts = verts
-        self._m = 0
+        self._m = m
+        #: The rows as int32 arrays ``(member ids, row offsets, entries
+        #: as member positions)`` when the c kernel's certificate built
+        #: them; its arc builder and farthest-first order read them in
+        #: place.  Adding edges drops them.
+        self._kern_rows = None
 
     @property
     def num_vertices(self) -> int:
@@ -760,6 +785,7 @@ class IntAdjacency:
             adj[u].append(v)
             adj[v].append(u)
         self._m += len(edges)
+        self._kern_rows = None
 
     def vertices(self) -> Iterator[int]:
         """The member ids, in construction order."""

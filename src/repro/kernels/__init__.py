@@ -1,49 +1,42 @@
-"""Hot-loop kernels: one seam, three interchangeable implementations.
+"""Hot-loop kernels: one seam, two interchangeable implementations.
 
-The KVCC-ENUM inner loops - k-core peeling, Dinic BFS/DFS over the flow
-arc arena, active-degree recounts, connected components, and scan-first
-forest extraction - all operate on flat integer arrays (the CSR base's
-``indptr``/``indices``, a view's byte ``mask`` and int32 ``deg``, a
-:class:`~repro.flow.flow_network.FlowNetwork`'s ``head``/``cap``/``tails``
-arc arrays).  This package routes every one of those loops through a
-selected *kernel module* so the same arrays can be driven by
+The KVCC-ENUM inner loops - k-core peeling, the sparse certificate's
+scan-first forests and side-groups, connected components, active-degree
+recounts, the strong side-vertex scan, the phase-1 farthest-first
+order, and the flow arc builders and Dinic BFS/DFS of LOC-CUT - all
+operate on flat integer arrays (the CSR base's ``indptr``/``indices``,
+a view's byte ``mask``, a :class:`~repro.flow.flow_network.FlowNetwork`'s
+``head``/``cap`` arc arrays).  This package routes every one of those
+loops through a selected *kernel module*, either
 
 * :mod:`repro.kernels.python_impl` - the pure-stdlib reference
   implementation (always available, byte-for-byte the library's
-  semantics);
-* :mod:`repro.kernels.numpy_impl` - an optional fast path that runs
-  some loops as numpy array programs over zero-copy views of the very
-  same buffers (arc-arena construction, degree recounts, scan-first
-  forests, and Dinic's BFS on networks of a few thousand arcs or more),
-  each only at the input sizes where it measured faster, and shares
-  the reference's code everywhere else (peeling, components, small
-  flow networks); or
-* :mod:`repro.kernels.c_impl` - Dinic's max flow and the residual BFS
-  of LOC-CUT compiled from C (``dinic.c``, built with the system ``cc``
-  into ``default_cache_dir()/kernels/`` on first use and loaded through
-  ``ctypes``), with every other function taken from numpy, or from the
-  reference when numpy is absent.
+  semantics); or
+* :mod:`repro.kernels.c_impl` - the same loops compiled from C
+  (``kernel.c``, built with the system ``cc`` into
+  ``default_cache_dir()/kernels/`` on first use and loaded through
+  ``ctypes``), except peeling and the segment sort, which are the
+  reference's own functions.
 
 Selection
 ---------
 :func:`select` resolves once and caches:
 
 1. an explicit :func:`set_kernel`/:func:`use` override (tests, benches);
-2. the ``REPRO_KERNELS`` environment variable (``python``, ``numpy`` or
-   ``c``);
-3. ``c`` if it builds and loads, else ``numpy`` if it imports, else
-   ``python``.
+2. the ``REPRO_KERNELS`` environment variable (``python`` or ``c``);
+3. ``c`` if it builds and loads, else ``python``.
 
 Nothing is imported, compiled or loaded before the first :func:`select`
 (a read-only ``repro serve`` never calls it).  An explicit request for
 a kernel that cannot load raises ``ImportError``; a failed load is
 remembered, so each kernel is tried at most once per process.
 
-All kernels produce *identical observable results* - identical max-flow
-values, residual states, min-cut sets, peel survivor masks and degrees,
-and scan-first forests - which the property-based parity suite
-(``tests/test_kernel_parity.py``) asserts directly, with numpy's array
-programs forced on at every input size.  Only wall-clock differs.
+Both kernels produce *identical observable results* - identical
+max-flow values, residual states, min-cut sets, peel survivor masks and
+degrees, certificates (forests, rows and side-groups), components and
+orders - which the property-based parity suite
+(``tests/test_kernel_parity.py``) asserts directly.  Only wall-clock
+differs.
 
 Examples
 --------
@@ -62,7 +55,7 @@ import os
 from typing import Iterator, Optional, Tuple
 
 _ENV_VAR = "REPRO_KERNELS"
-_VALID = ("python", "numpy", "c")
+_VALID = ("python", "c")
 
 #: Explicit override installed by :func:`set_kernel` (None = auto).
 _forced: Optional[str] = None
@@ -97,8 +90,6 @@ def _load(name: str):
     try:
         if name == "python":
             from repro.kernels import python_impl as module
-        elif name == "numpy":
-            from repro.kernels import numpy_impl as module
         else:
             from repro.kernels import c_impl as module
 
@@ -113,10 +104,10 @@ def select():
     """The active kernel module (resolved once, then cached).
 
     Resolution order: :func:`set_kernel` override, then the
-    ``REPRO_KERNELS`` environment variable, then the first of ``c``,
-    ``numpy`` and ``python`` that loads.  Asking explicitly for ``c`` or
-    ``numpy`` (override or environment) when it cannot load raises
-    ``ImportError`` instead of silently degrading.
+    ``REPRO_KERNELS`` environment variable, then ``c`` if it loads,
+    else ``python``.  Asking explicitly for ``c`` (override or
+    environment) when it cannot load raises ``ImportError`` instead of
+    silently degrading.
     """
     global _selected
     if _selected is not None:
@@ -134,13 +125,10 @@ def select():
     if name is not None:
         _selected = _load(name)  # explicit request: let ImportError out
         return _selected
-    for name in ("c", "numpy"):
-        try:
-            _selected = _load(name)
-            return _selected
-        except ImportError:
-            pass
-    _selected = _load("python")
+    try:
+        _selected = _load("c")
+    except ImportError:
+        _selected = _load("python")
     return _selected
 
 

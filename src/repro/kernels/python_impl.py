@@ -4,27 +4,28 @@ This module is the semantic ground truth: every loop here is the
 library's original hot-loop code, reorganized onto the flat arc arena of
 :class:`~repro.flow.flow_network.FlowNetwork` and micro-optimized
 (scratch buffers cleared by slice assignment instead of Python loops,
-inner-loop bounds hoisted into locals, inlined pushes).  The numpy
-kernel (:mod:`repro.kernels.numpy_impl`) must match it result-for-result.
+inner-loop bounds hoisted into locals, inlined pushes).  The c kernel
+(:mod:`repro.kernels.c_impl`) must match it result for result, in the
+same order.
 
 Flow-network layout
 -------------------
-The arena stores arcs as parallel flat arrays ``head`` / ``cap`` /
-``initial_cap`` / ``tails`` indexed by arc id (reverse arc = ``id ^ 1``).
-Adjacency is *derived* kernel state: this kernel groups arc ids into
-per-tail lists (``adj``), built once per network and cached on
-``net._kern_state["python"]`` together with the reusable ``level`` /
-``iter_idx`` scratch buffers (one pair per network, not per query).
-Because ``adj[t]`` collects arc ids in creation order, each node's arcs
-are visited in ascending id order - the same order the numpy kernel's
-positional layout produces via a stable sort, which is what keeps the
-two kernels' cut choices byte-identical.
+The arena stores arcs as parallel flat lists ``head`` / ``cap`` /
+``initial_cap`` indexed by arc id (reverse arc = ``id ^ 1``, so the
+tail of arc ``a`` is ``head[a ^ 1]``).  Adjacency is *derived* kernel
+state: this kernel groups arc ids into per-tail lists (``adj``), built
+once per network and cached on ``net._kern_state["python"]`` together
+with the reusable ``level`` / ``iter_idx`` scratch buffers (one pair per
+network, not per query).  Because ``adj[t]`` collects arc ids in
+creation order, each node's arcs are visited in ascending id order -
+the order the c kernel's counting sort by tail produces, which is what
+keeps the two kernels' cut choices byte-identical.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import List, Set
+from typing import Dict, List, Set
 
 NAME = "python"
 
@@ -37,9 +38,10 @@ def prepare_network(net) -> dict:
     st = net._kern_state.get(NAME)
     if st is None:
         n = net.num_nodes
+        head = net.head
         adj: List[List[int]] = [[] for _ in range(n)]
-        for aid, tail in enumerate(net.tails):
-            adj[tail].append(aid)
+        for aid in range(len(head)):
+            adj[head[aid ^ 1]].append(aid)
         st = {
             "adj": adj,
             "level": [-1] * n,
@@ -56,9 +58,9 @@ def flow_arcs_from_view(net, view, k: int) -> None:
     _fill_arcs(net, view.base.rows, view.active_list(), k, masked=True)
 
 
-def flow_arcs_from_lists(net, rows, verts, k: int) -> None:
-    """Fill ``net``'s arc arena from integer adjacency lists (certificate)."""
-    _fill_arcs(net, rows, verts, k, masked=False)
+def flow_arcs_from_rows(net, graph, k: int) -> None:
+    """Fill ``net``'s arc arena from an ``IntAdjacency`` (certificate)."""
+    _fill_arcs(net, graph.adj, graph.verts, k, masked=False)
 
 
 def _fill_arcs(net, rows, verts, k: int, masked: bool) -> None:
@@ -73,11 +75,9 @@ def _fill_arcs(net, rows, verts, k: int, masked: bool) -> None:
     head = net.head
     cap = net.cap
     initial_cap = net.initial_cap
-    tails = net.tails
     for i in range(len(verts)):
         ii = 2 * i
         head.extend((ii + 1, ii))
-        tails.extend((ii, ii + 1))
         cap.extend((1, 0))
         initial_cap.extend((1, 0))
     caps4 = (k, 0, k, 0)
@@ -89,7 +89,6 @@ def _fill_arcs(net, rows, verts, k: int, masked: bool) -> None:
                 # Arc quad per undirected edge: v_out -> w_in and
                 # w_out -> v_in, each followed by its zero-cap reverse.
                 head.extend((in_w, out_v, out_v - 1, in_w + 1))
-                tails.extend((out_v, in_w, in_w + 1, out_v - 1))
                 cap.extend(caps4)
                 initial_cap.extend(caps4)
 
@@ -263,35 +262,6 @@ def active_degrees(base, mask, members) -> List[int]:
     return deg
 
 
-def scan_first_forests(view, k: int):
-    """``k`` successive scan-first forests of a CSR view (Theorem 5).
-
-    Each forest is extracted on the view minus all earlier forests'
-    edges; extraction stops early once a forest comes back empty (no
-    edges remain for later forests either).  Delegates to the
-    compacted-adjacency machinery in
-    :mod:`repro.certificate.scan_first_search`, which is the reference
-    implementation the numpy kernel's level-synchronous variant must
-    reproduce edge-for-edge, in order.
-    """
-    # Local import: the certificate package type-imports the CSR module,
-    # which imports the kernel seam at load time.
-    from repro.certificate.scan_first_search import (
-        compact_view_adjacency,
-        scan_first_forest_csr,
-    )
-
-    verts, arows, aptr, total = compact_view_adjacency(view)
-    used = bytearray(total)
-    forests = []
-    for _ in range(k):
-        forest = scan_first_forest_csr(verts, arows, aptr, used, view.base.n)
-        forests.append(forest)
-        if not forest:
-            break
-    return forests
-
-
 def components(view, removed) -> List[Set[int]]:
     """Components of a CSR view minus ``removed``, list-queue BFS.
 
@@ -324,16 +294,126 @@ def components(view, removed) -> List[Set[int]]:
     return out
 
 
-def fill_forest_adjacency(cert, forests) -> None:
-    """Union the forests' edges into an :class:`IntAdjacency` certificate.
+def certificate(view, k: int):
+    """The sparse certificate of a CSR view (Theorem 5), in pieces.
 
-    Row order is the observable contract (rows feed the flow-network arc
-    builder, whose arc order decides cut choices): each edge appends to
-    both endpoint rows at the moment it streams by, so ``adj[x]`` lists
-    x's forest partners in global edge-stream order.
+    Returns ``(graph, forests, None)``: up to ``k`` scan-first forests
+    (the compacted-slot FIFO scan of
+    :mod:`repro.certificate.scan_first_search`, each on the view minus
+    the earlier forests' edges, stopping after the first empty one),
+    their union as an :class:`~repro.graph.csr.IntAdjacency`, and no
+    side-groups (:mod:`repro.certificate` derives them from ``F_k``).
+    Row order is the observable contract, since rows fix arc ids and
+    arc ids fix cut choices: each edge appends to both endpoint rows as
+    it streams by.
     """
+    # Local imports: the certificate package type-imports the CSR
+    # module, which imports the kernel seam at load time.
+    from repro.certificate.scan_first_search import (
+        compact_view_adjacency,
+        scan_first_forest_csr,
+    )
+    from repro.graph.csr import IntAdjacency
+
+    verts, arows, aptr, total = compact_view_adjacency(view)
+    used = bytearray(total)
+    forests = []
+    for _ in range(k):
+        forest = scan_first_forest_csr(verts, arows, aptr, used, view.base.n)
+        forests.append(forest)
+        if not forest:
+            break
+    graph = IntAdjacency(view.base.n, verts)
     for forest in forests:
-        cert.add_edges(forest)
+        graph.add_edges(forest)
+    return graph, forests, None
+
+
+def farthest_first(work, source: int) -> List[int]:
+    """Phase-1 vertex order of GLOBAL-CUT* (Algorithm 3, line 11).
+
+    ``work``'s vertices by BFS distance from ``source``, farthest first
+    (a stable sort, so ties keep ``work.vertices()`` order).
+    Unreachable vertices (disconnected input) sort in front: their flow
+    test immediately yields the empty cut, splitting the graph.
+    """
+    from repro.graph.connectivity import bfs_distances
+
+    dist = bfs_distances(work, source)
+    far = 1 + (max(dist.values()) if dist else 0)
+    return sorted(work.vertices(), key=lambda v: -dist.get(v, far))
+
+
+def strong_side_vertices(view, k: int, candidates=None) -> Set[int]:
+    """All strong side-vertices of ``view`` (restricted to ``candidates``).
+
+    ``candidates=None`` scans every active vertex; otherwise the
+    candidates that are active in ``view`` are scanned in their
+    iteration order, and the set is filled in scan order.
+
+    A vertex's active neighbor set and its pair verdicts depend only on
+    the subgraph, not on which vertex ``u`` is being certified, so one
+    scan shares both caches across all checks instead of rebuilding
+    them per vertex (the Lemma 14 cost is per *scan* here, not per scan
+    times average degree).
+    """
+    rows, mask = view.base.rows, view.mask
+    active = mask.__getitem__
+    n = len(mask)
+    if candidates is None:
+        pool = view.vertices()
+    else:
+        pool = (v for v in candidates if 0 <= v < n and mask[v])
+
+    nbr_sets: Dict[int, Set[int]] = {}
+    pair_ok: Dict[tuple, bool] = {}
+    strong: Set[int] = set()
+    for u in pool:
+        nbrs = list(filter(active, rows[u]))
+        if len(nbrs) < 2:
+            strong.add(u)  # no pairs to violate the condition
+            continue
+        ok = True
+        # Pair testing via set algebra: ``remaining`` holds the
+        # not-yet-anchored neighbors, so each unordered pair is examined
+        # exactly once, and the adjacent screen is one C-level subset
+        # probe instead of a Python pair loop.
+        remaining = set(nbrs)
+        for v in nbrs:
+            remaining.discard(v)
+            if not remaining:
+                break
+            v_nbrs = nbr_sets.get(v)
+            if v_nbrs is None:
+                v_nbrs = set(filter(active, rows[v]))
+                nbr_sets[v] = v_nbrs
+            if remaining.issubset(v_nbrs):
+                continue
+            # Non-adjacent leftovers are rare and few, so counting
+            # |N(v) ∩ N(w)| directly with an early exit at k beats
+            # materializing v's whole k-common-partner set (a Lemma-13
+            # walk over every 2-hop neighbor); verdicts are cached per
+            # unordered pair since anchors share neighbors.
+            for w in remaining - v_nbrs:
+                key = (v, w) if v < w else (w, v)
+                verdict = pair_ok.get(key)
+                if verdict is None:
+                    count = 0
+                    for x in rows[w]:
+                        if x in v_nbrs:
+                            count += 1
+                            if count >= k:
+                                break
+                    verdict = count >= k
+                    pair_ok[key] = verdict
+                if not verdict:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            strong.add(u)
+    return strong
 
 
 def sort_segments(indptr, flat) -> array:

@@ -6,7 +6,6 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.kernels as kernels
 from repro.certificate.scan_first_search import forest_components
 from repro.certificate.side_groups import group_index, side_groups_from_forest
 from repro.certificate.sparse_certificate import sparse_certificate
@@ -19,7 +18,7 @@ from helpers import as_view, random_connected_graph
 
 def forests(graph, k):
     """The selected kernel's ``k`` successive scan-first forests."""
-    return kernels.select().scan_first_forests(as_view(graph), k)
+    return sparse_certificate(as_view(graph), k).forests
 
 
 def cert_graph(cert) -> Graph:

@@ -259,8 +259,8 @@ class TestParser:
 
     def test_read_path_loads_no_kernel(self, graph_file, tmp_path):
         # A read-only ``repro serve`` answers from mmap indexes: no read
-        # may select a kernel, which would load numpy, or ctypes and a
-        # compiled library, into the server.  Every read kind runs once.
+        # may select a kernel, which would load ctypes and a compiled
+        # library into the server.  Every read kind runs once.
         idx = str(tmp_path / "figure1.kvccidx")
         coh = str(tmp_path / "figure1.kvcccoh")
         assert main(["hierarchy", graph_file, "--save-index", idx]) == 0

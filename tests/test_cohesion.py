@@ -130,7 +130,7 @@ class TestCohesionIndexContainer:
         assert loaded == cohesion
         assert not loaded.is_mmap
 
-    @pytest.mark.skipif(not _MMAP_ZERO_COPY, reason="needs numpy mmap")
+    @pytest.mark.skipif(not _MMAP_ZERO_COPY, reason="needs a little-endian 4-byte int")
     def test_round_trip_mmap(self, cohesion, tmp_path):
         path = str(tmp_path / "g.kvcccoh")
         cohesion.save_atomic(path)

@@ -5,7 +5,6 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.kernels as kernels
 from repro.core.connectivity_api import local_connectivity
 from repro.flow.dinic import max_flow_min_k
 from repro.flow.flow_network import build_flow_network
@@ -169,46 +168,6 @@ class TestCutExtraction:
         flow saturates at the cap instead of exposing a cut."""
         net = build_flow_network(as_view(Graph([(0, 1)])), 4)
         assert max_flow_min_k(net, net.node_out(0), net.node_in(1), 4) == 4
-
-
-@pytest.mark.skipif(
-    "numpy" not in kernels.available(), reason="numpy not installed"
-)
-class TestNumpyArcRule:
-    """numpy's Dinic runs only at or above its production arc count.
-
-    A cycle of ``n`` vertices has ``6n`` arcs, so ``n`` picks a network
-    just below or at ``_SCALAR_ARCS``.  A LOC-CUT query at k = 3 runs
-    both the max flow (2) and the residual BFS of the cut extraction.
-    """
-
-    @pytest.fixture
-    def rule(self):
-        from repro.kernels import numpy_impl
-
-        return numpy_impl._SCALAR_ARCS
-
-    @staticmethod
-    def query(n, kernel):
-        """``(arcs, kernel-state keys, cut)`` after one query on C_n."""
-        view = as_view(cycle_graph(n))
-        with kernels.use(kernel):
-            net = build_flow_network(view, 3)
-            cut = local_vertex_cut(view, net, 0, n // 2, 3)
-        return len(net.head), set(net._kern_state), cut
-
-    def check(self, n, rule, state):
-        _, _, expected = self.query(n, "python")
-        arcs, states, cut = self.query(n, "numpy")
-        assert (arcs >= rule) == (state == "numpy")
-        assert states == {state}
-        assert cut == expected and len(cut) == 2
-
-    def test_network_below_the_rule_keeps_no_numpy_state(self, rule):
-        self.check((rule - 1) // 6, rule, "python")
-
-    def test_network_at_the_rule_builds_numpy_state(self, rule):
-        self.check(-(-rule // 6), rule, "numpy")
 
 
 @settings(max_examples=30, deadline=None)

@@ -135,9 +135,9 @@ CLIQUE = 12
 SMALL_PAD, LARGE_PAD = 20_000, 200_000
 
 #: Allowed growth of one call's tracemalloc peak per extra base vertex.
-#: Base-length C-level fills (byte masks, ``[-1] * n`` lists, int64
-#: ``np.full`` lookups) may scale with the base: a few of them alive at
-#: once stay under 32 bytes per vertex.  Any per-base-vertex Python
+#: Base-length C-level fills (byte masks, ``[-1] * n`` lists) may scale
+#: with the base: a few of them alive at once stay under 32 bytes per
+#: vertex.  Any per-base-vertex Python
 #: object breaks it - an empty certificate row alone is a 56-byte list
 #: plus its 8-byte slot.
 BYTES_PER_BASE_VERTEX = 32

@@ -14,8 +14,6 @@ import sys
 
 import pytest
 
-import repro.kernels as kernels
-
 SRC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
 )
@@ -25,7 +23,7 @@ requires_cc = pytest.mark.skipif(
 )
 
 #: What auto-selection picks when the c kernel cannot load.
-FALLBACK = "numpy" if "numpy" in kernels.available() else "python"
+FALLBACK = "python"
 
 SELECT = (
     "import repro.kernels as kernels\n"
@@ -168,3 +166,42 @@ def test_damaged_cached_library_falls_back(cache):
     assert run_python(code).stdout.strip() == FALLBACK
     done = run_python(code, kernel="c", check=False)
     assert "ImportError: cannot load the c kernel" in done.stderr
+
+
+def test_unknown_kernel_names_the_two_kernels():
+    done = run_python(SELECT, kernel="numpy", check=False)
+    assert done.returncode != 0
+    last = done.stderr.strip().splitlines()[-1]
+    assert last.startswith("ValueError: REPRO_KERNELS='numpy' is not a "
+                           "kernel")
+    assert "'python'" in last and "'c'" in last
+
+
+@requires_cc
+def test_workloads_under_c_load_no_numpy(cache, tmp_path):
+    """An enumeration pass, a hierarchy build and a served write batch
+    run without numpy in the process."""
+    code = (
+        "import sys\n"
+        "from repro.cli import main\n"
+        "from repro.core.kvcc import enumerate_kvccs_csr\n"
+        "from repro.graph.csr import CSRGraph\n"
+        "from repro.graph.generators import ring_of_cliques\n"
+        "from repro.graph.io import write_edge_list\n"
+        "from repro.index import IndexUpdater, build_index\n"
+        "import repro.kernels as kernels\n"
+        "g = ring_of_cliques(6, 5)\n"
+        "base = CSRGraph.from_graph(g)\n"
+        "assert len(enumerate_kvccs_csr(base, 4)) == 6\n"
+        f"tmp = {str(tmp_path)!r}\n"
+        "write_edge_list(g, tmp + '/ring.txt')\n"
+        "assert main(['hierarchy', tmp + '/ring.txt', '--save-index',\n"
+        "             tmp + '/ring.kvccidx']) == 0\n"
+        "build_index(g).save_atomic(tmp + '/g.kvccidx')\n"
+        "updater = IndexUpdater(tmp + '/g.kvccidx', graph=g)\n"
+        "updater.apply([('+', 0, 7), ('-', 0, 1)])\n"
+        "print(kernels.active_name(),\n"
+        "      sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+    )
+    last = run_python(code, kernel="c").stdout.strip().splitlines()[-1]
+    assert last.split() == ["c", "[]"]

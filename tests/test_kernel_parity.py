@@ -1,28 +1,30 @@
-"""Property-based parity: the numpy and c kernels must equal the reference.
+"""Property-based parity: the c kernel must equal the python reference.
 
 The kernel seam (``repro.kernels``) promises *identical observable
-results* from every implementation - only wall-clock may differ.  This
+results* from both implementations - only wall-clock may differ.  This
 suite drives random graphs through every kernel entry point under each
 implementation and asserts exact agreement with the python reference:
 max-flow values and the full residual capacity state with the order of
-pushed arcs, min vertex cut sets, peel survivor masks and active
-degrees, scan-first forests edge-for-edge, segment sorts, certificate
-adjacency fills, and the end-to-end enumeration with its deterministic
-counters.
+pushed arcs, min vertex cut sets, flow arenas, peel survivor masks and
+active degrees, certificates (forests edge for edge, rows in fill
+order, side-groups in order), components, the phase-1 order, strong
+side-vertices, segment sorts, and the end-to-end enumeration with its
+deterministic counters.  Sets are compared as lists, so their iteration
+order (which follows insertion order) must agree too.
 
-The numpy kernel hands inputs below its ``_SCALAR_*`` size crossovers
-to the python reference, and hypothesis inputs are small, so an
-autouse fixture sets every crossover to 0: each case compares numpy's
-array code, at every size, with the reference.  (The production
-crossovers are checked in ``tests/test_flow.py``.)
+The c kernel reads CSR bases in place, so the view cases run on both
+kinds of base the workloads hand out: an in-process
+``CSRGraph.from_graph`` (8-byte ``array('l')`` rows) and a KVCCG file
+loaded with ``mmap=True`` (read-only int32 ``memoryview`` sections).
 
-The numpy comparisons are skipped when numpy is not installed, and the
-c comparisons when the c kernel cannot be built (no ``cc`` on ``PATH``);
-CI runs the tier-1 suite under each kernel.
+The comparisons are skipped when the c kernel cannot be built (no
+``cc`` on ``PATH``); CI runs the tier-1 suite under each kernel.
 """
 
 from __future__ import annotations
 
+import os
+import tempfile
 from array import array
 
 import pytest
@@ -30,14 +32,24 @@ from hypothesis import example, given, settings, strategies as st
 from networkx.algorithms.connectivity import local_node_connectivity
 
 import repro.kernels as kernels
-from repro.core.kvcc import enumerate_kvccs
+from repro.certificate.side_groups import side_groups_from_forest
+from repro.certificate.sparse_certificate import sparse_certificate
+from repro.core.engine import SerialEngine
+from repro.core.global_cut import _phase1_order
+from repro.core.kvcc import enumerate_kvccs, enumerate_kvccs_csr
 from repro.core.options import KVCCOptions
+from repro.core.side_vertex import strong_side_vertices
 from repro.core.stats import RunStats
 from repro.flow.dinic import max_flow_min_k
 from repro.flow.flow_network import build_flow_network
 from repro.flow.min_cut import local_vertex_cut
-from repro.graph.csr import CSRGraph, IntAdjacency
+from repro.graph.connectivity import (
+    components_after_removal,
+    connected_components,
+)
+from repro.graph.csr import CSRGraph, IntAdjacency, SubgraphView
 from repro.graph.graph import Graph
+from repro.index import IndexUpdater, build_index
 
 from helpers import random_connected_graph, vertex_set_family
 
@@ -45,7 +57,7 @@ from helpers import random_connected_graph, vertex_set_family
 OTHER_KERNELS = tuple(n for n in kernels.available() if n != "python")
 
 requires_other = pytest.mark.skipif(
-    not OTHER_KERNELS, reason="neither numpy nor a C compiler available"
+    not OTHER_KERNELS, reason="no C compiler available"
 )
 
 #: Hypothesis inputs shared by most parity cases.
@@ -56,29 +68,64 @@ GRAPH_ARGS = dict(
     k=st.integers(min_value=2, max_value=5),
 )
 
-#: ``GRAPH_ARGS`` plus a view stride: 1 is the full view, ``s > 1``
-#: drops every ``s``-th base id, so kernels also see a view that is a
-#: strict subset of its base.
-VIEW_ARGS = dict(GRAPH_ARGS, stride=st.integers(min_value=1, max_value=4))
+#: ``GRAPH_ARGS`` plus the base kind and a view stride: 1 is the full
+#: view, ``s > 1`` drops every ``s``-th base id, so kernels also see a
+#: view that is a strict subset of its base.  ``isolated`` appends
+#: that many edgeless vertices to the graph.
+VIEW_ARGS = dict(
+    GRAPH_ARGS,
+    stride=st.integers(min_value=1, max_value=4),
+    mapped=st.booleans(),
+    isolated=st.integers(min_value=0, max_value=3),
+)
 
 
-@pytest.fixture(autouse=True)
-def array_code_at_every_size(monkeypatch):
-    """Force numpy's array programs on for inputs of any size."""
-    if "numpy" not in kernels.available():
-        return
-    from repro.kernels import numpy_impl
-
-    for name in vars(numpy_impl).copy():
-        if name.startswith("_SCALAR_"):
-            monkeypatch.setattr(numpy_impl, name, 0)
-
-
-def strided_view(g, stride: int):
-    """A view of ``g``'s CSR base on the ids kept by ``stride``."""
+def make_base(g, mapped: bool) -> CSRGraph:
+    """``g``'s CSR base, in process or through a mapped KVCCG file."""
     base = CSRGraph.from_graph(g)
+    if not mapped:
+        return base
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.kvccg")
+        base.save(path)
+        # The mapping outlives the file's name.
+        loaded = CSRGraph.load(path, mmap=True)
+    assert isinstance(loaded.indices, memoryview)
+    return loaded
+
+
+def with_isolated(g, count: int):
+    g = g.copy()
+    top = max(g.vertices()) + 1
+    for v in range(top, top + count):
+        g.add_vertex(v)
+    return g
+
+
+def strided_view(g, stride: int, mapped: bool = False):
+    """A view of ``g``'s CSR base on the ids kept by ``stride``."""
+    base = make_base(g, mapped)
     return base.view_from_members(
         v for v in range(base.n) if stride == 1 or v % stride
+    )
+
+
+def view_case(n, p, seed, stride, mapped, isolated):
+    return strided_view(
+        with_isolated(random_connected_graph(n, p, seed), isolated),
+        stride, mapped,
+    )
+
+
+def certificate_state(view, k):
+    """Everything observable about a certificate, sets as lists."""
+    cert = sparse_certificate(view, k)
+    graph = cert.graph
+    return (
+        cert.forests,
+        [list(graph.neighbors(v)) for v in graph.vertices()],
+        graph.num_edges,
+        [list(group) for group in side_groups_from_forest(cert, k)],
     )
 
 
@@ -98,6 +145,11 @@ def flow_states(g, k: int, pairs, reset: bool = True):
         if reset:
             net.reset()
     return states
+
+
+def arena(net):
+    return (list(net.head), list(net.cap), list(net.initial_cap),
+            net.to_index, net.to_vertex)
 
 
 def per_kernel(fn):
@@ -144,7 +196,7 @@ class TestFlowParity:
         """Every kernel agrees on every query, and the flow is kappa.
 
         Three sources take turns over three sinks with a reset between
-        queries, so each source's cached first phase is reused.
+        queries.
         """
         g = random_connected_graph(n, p, seed)
         verts = sorted(g.vertices())
@@ -179,12 +231,10 @@ class TestFlowParity:
 
     @settings(max_examples=25, deadline=None)
     @given(**GRAPH_ARGS)
-    # Reusing a source's cached first phase here picks other paths.
     @example(n=10, p=0.4, seed=3, k=3)
     def test_queries_without_reset(self, n, p, seed, k):
         # Each query starts from the previous one's residual state, in
-        # which flow pushed from the other source can shorten paths, so
-        # its first phase must come from a fresh BFS, not the cache.
+        # which flow pushed from the other source can shorten paths.
         g = random_connected_graph(n, p, seed)
         verts = sorted(g.vertices())
         pairs = [
@@ -243,16 +293,24 @@ class TestFlowParity:
 
         per_kernel(run)
 
+    @settings(max_examples=25, deadline=None)
+    @given(**VIEW_ARGS)
+    def test_arena_from_a_view(self, n, p, seed, k, stride, mapped,
+                               isolated):
+        view = view_case(n, p, seed, stride, mapped, isolated)
+        per_kernel(lambda _name: arena(build_flow_network(view, k)))
+
 
 @requires_other
 class TestViewKernelParity:
     @settings(max_examples=25, deadline=None)
     @given(**VIEW_ARGS)
-    def test_peel_mask_degrees_and_active_ids(self, n, p, seed, k, stride):
-        g = random_connected_graph(n, p, seed)
+    def test_peel_mask_degrees_and_active_ids(self, n, p, seed, k, stride,
+                                              mapped, isolated):
+        g = with_isolated(random_connected_graph(n, p, seed), isolated)
 
         def run(_name):
-            view = strided_view(g, stride)
+            view = strided_view(g, stride, mapped)
             removed = view.peel(k)
             kern = kernels.select()
             # deg entries of removed vertices are unobservable scratch
@@ -269,20 +327,49 @@ class TestViewKernelParity:
                 kern.active_degrees(
                     view.base, view.mask, kern.active_ids(view.mask)
                 ),
+                view.base.view_from_mask(bytes(view.mask)).deg,
             )
 
         per_kernel(run)
 
     @settings(max_examples=25, deadline=None)
     @given(**VIEW_ARGS)
-    def test_scan_first_forests_edge_for_edge(self, n, p, seed, k, stride):
-        g = random_connected_graph(n, p, seed)
+    def test_scan_first_forests_edge_for_edge(self, n, p, seed, k, stride,
+                                              mapped, isolated):
+        view = view_case(n, p, seed, stride, mapped, isolated)
+        forests, _rows, _m, groups = per_kernel(
+            lambda _name: certificate_state(view, k)
+        )
+        assert forests and len(forests) <= k
+        assert all(len(group) > k for group in groups)
+
+    def test_k_beyond_the_last_forest(self):
+        # A path has one non-empty forest; the second comes back empty
+        # and ends the extraction, so F_k is empty: no side-groups.
+        view = strided_view(Graph([(0, 1), (1, 2), (2, 3)]), 1)
+        forests, rows, m, groups = per_kernel(
+            lambda _name: certificate_state(view, 5)
+        )
+        assert [len(f) for f in forests] == [3, 0]
+        assert m == 3 and groups == []
+        assert rows == [[1], [0, 2], [1, 3], [2]]
+
+    @pytest.mark.parametrize("mapped", [False, True])
+    def test_empty_view(self, mapped):
+        base = make_base(Graph([(0, 1), (1, 2)]), mapped)
 
         def run(_name):
-            view = strided_view(g, stride)
-            return kernels.select().scan_first_forests(view, k)
+            view = base.view_from_members([])
+            return (
+                certificate_state(view, 3),
+                connected_components(view),
+                strong_side_vertices(view, 2),
+                arena(build_flow_network(view, 2)),
+                kernels.select().active_ids(view.mask),
+            )
 
-        per_kernel(run)
+        state = per_kernel(run)
+        assert state[0] == ([[]], [], 0, [])
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -295,7 +382,6 @@ class TestViewKernelParity:
             max_size=20,
         )
     )
-    # An empty input reaches numpy's argsort path once it is forced on.
     @example(rows=[[]])
     def test_sort_segments(self, rows):
         indptr = [0]
@@ -313,20 +399,116 @@ class TestViewKernelParity:
 
     @settings(max_examples=25, deadline=None)
     @given(**VIEW_ARGS)
-    def test_fill_forest_adjacency(self, n, p, seed, k, stride):
-        g = random_connected_graph(n, p, seed)
-        view = strided_view(g, stride)
-        base = view.base
-        with kernels.use("python"):
-            forests = kernels.select().scan_first_forests(view, k)
+    def test_fill_forest_adjacency(self, n, p, seed, k, stride, mapped,
+                                   isolated):
+        """Certificate rows, and the flow arena built from them."""
+        view = view_case(n, p, seed, stride, mapped, isolated)
 
         def run(_name):
-            cert = IntAdjacency(base.n, view.active_list())
-            kernels.select().fill_forest_adjacency(cert, forests)
-            net = build_flow_network(cert, k)
+            cert = sparse_certificate(view, k)
             return (
-                [list(cert.neighbors(v)) for v in range(base.n)],
-                (net.head, net.cap, net.tails, net.to_index),
+                [list(cert.graph.neighbors(v))
+                 for v in range(view.base.n)],
+                arena(build_flow_network(cert.graph, k)),
+            )
+
+        per_kernel(run)
+
+    def test_hand_built_rows(self):
+        # Rows that no certificate wrote (so the c kernel converts them)
+        # and members out of id order.
+        graph = IntAdjacency(9, [7, 2, 5, 0])
+        graph.add_edges([(7, 0), (2, 5), (0, 2), (5, 7)])
+
+        def run(_name):
+            return (arena(build_flow_network(graph, 3)),
+                    kernels.select().farthest_first(graph, 5))
+
+        per_kernel(run)
+
+    @settings(max_examples=25, deadline=None)
+    @given(**VIEW_ARGS, cut=st.lists(st.integers(-3, 40), max_size=4))
+    def test_components(self, n, p, seed, k, stride, mapped, isolated,
+                        cut):
+        # ``cut`` mixes active ids, ids outside the view and ids outside
+        # the base.
+        view = view_case(n, p, seed, stride, mapped, isolated)
+
+        def run(_name):
+            return (
+                [list(c) for c in connected_components(view)],
+                [list(c) for c in components_after_removal(view, cut)],
+            )
+
+        per_kernel(run)
+
+    @settings(max_examples=25, deadline=None)
+    @given(**VIEW_ARGS)
+    def test_phase1_order(self, n, p, seed, k, stride, mapped, isolated):
+        view = view_case(n, p, seed, stride, mapped, isolated)
+        opts = KVCCOptions()
+
+        def run(_name):
+            cert = sparse_certificate(view, k)
+            sources = view.active_list()[:: max(1, view.num_vertices // 3)]
+            return [
+                (_phase1_order(cert.graph, s, opts),
+                 _phase1_order(view, s, opts))
+                for s in sources
+            ]
+
+        per_kernel(run)
+
+    @settings(max_examples=25, deadline=None)
+    @given(**VIEW_ARGS, extra=st.lists(st.integers(-3, 40), max_size=4))
+    def test_strong_side_vertices(self, n, p, seed, k, stride, mapped,
+                                  isolated, extra):
+        view = view_case(n, p, seed, stride, mapped, isolated)
+        candidates = view.active_list()[::2] + extra
+
+        def run(_name):
+            return (
+                list(strong_side_vertices(view, k)),
+                list(strong_side_vertices(view, k, candidates)),
+                list(strong_side_vertices(view, k, set(candidates))),
+            )
+
+        per_kernel(run)
+
+    def test_arrays_that_do_not_match_n_are_rejected(self):
+        # C indexes indptr by base id and indices by indptr: a base
+        # whose arrays are shorter than n claims must not reach it.
+        base = CSRGraph(4, array("l", [0, 1, 2]), array("l", [1, 0]))
+        mask = b"\x01\x01\x00\x00"
+        view = SubgraphView(base, bytearray(mask), [1, 1, 0, 0], 2, [0, 1])
+        with kernels.use("c"):
+            with pytest.raises(ValueError, match="match"):
+                connected_components(view)
+            with pytest.raises(ValueError, match="match"):
+                base.view_from_mask(mask)
+
+    def test_region_base_with_empty_rows(self, tmp_path):
+        """An ``IndexUpdater`` batch base: rows only for its region."""
+        g = random_connected_graph(30, 0.2, 4)
+        path = os.path.join(str(tmp_path), "g.kvccidx")
+        build_index(g).save_atomic(path)
+        updater = IndexUpdater(path, graph=g)
+        region = list(range(5, 25))
+        base = updater._build_csr(region)
+        assert base.indptr[5] == 0 and base.indptr[25] == len(base.indices)
+
+        def run(_name):
+            view = base.view_from_members(region)
+            return (
+                certificate_state(view, 3),
+                [list(c) for c in connected_components(view)],
+                list(strong_side_vertices(view, 3)),
+                arena(build_flow_network(view, 3)),
+                _phase1_order(view, region[0], KVCCOptions()),
+                SerialEngine().run_many(
+                    [view], 3, KVCCOptions(), RunStats(k=3),
+                    materialize=False,
+                ),
             )
 
         per_kernel(run)
@@ -345,5 +527,18 @@ class TestEndToEndParity:
                 enumerate_kvccs(g, k, KVCCOptions(), stats)
             )
             return fam, stats.counters()
+
+        per_kernel(run)
+
+    @settings(max_examples=10, deadline=None)
+    @given(**GRAPH_ARGS)
+    def test_enumerate_on_a_mapped_base(self, n, p, seed, k):
+        base = make_base(random_connected_graph(n, p, seed), mapped=True)
+
+        def run(_name):
+            stats = RunStats(k=k)
+            out = enumerate_kvccs_csr(base, k, KVCCOptions(), stats,
+                                      materialize=False)
+            return [list(c) for c in out], stats.counters()
 
         per_kernel(run)
