@@ -442,6 +442,18 @@ class TestViewKernelParity:
 
         per_kernel(run)
 
+    def test_components_share_the_active_lists_ints(self):
+        # Results hold the root view's int objects, not fresh boxes:
+        # perfbench keeps every enumerate pass's results, so boxing ids
+        # per call would grow its peak RSS with the number of passes.
+        base = CSRGraph.from_graph(Graph((v, v + 1) for v in range(400)))
+        with kernels.use("c"):
+            view = base.full_view()
+            [comp] = connected_components(view)
+            assert base.full_view().active_list()[300] is view.active_list()[300]
+        by_value = {v: v for v in view.active_list()}
+        assert all(v is by_value[v] for v in comp)
+
     @settings(max_examples=25, deadline=None)
     @given(**VIEW_ARGS)
     def test_phase1_order(self, n, p, seed, k, stride, mapped, isolated):
