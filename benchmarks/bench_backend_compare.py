@@ -18,6 +18,8 @@ Times the enumeration pipeline on mid-size generator graphs:
   for each function, and exits non-zero if the c kernel returns
   anything different from the python reference for any call
   (``--smoke`` replays once, as CI does; there is no timing gate).
+  It also counts, for the strong side-vertex scans, how many anchors
+  the c kernel binary-searches and how many it merges.
 
 Run directly (not under pytest-benchmark; this is a plain script so CI
 can execute it without extra plugins)::
@@ -37,6 +39,7 @@ import contextlib
 import importlib
 import json
 import os
+import re
 import sys
 import time
 from array import array
@@ -55,6 +58,7 @@ from repro.flow.min_cut import minimum_vertex_cut_from_residual
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import web_graph
 from repro.graph.graph import Graph
+from repro.kernels import c_impl
 
 #: Committed PR-5 snapshot the kernel gate diffs against.
 BASELINE_PATH = os.path.join(
@@ -229,6 +233,43 @@ def _replay_strong(call):
     view, k, candidates = _rebuild(call[0]), call[1], call[2]
     seconds, strong = _timed(strong_side_vertices, view, k, candidates)
     return seconds, list(strong)
+
+
+#: ``kvcc_strong``'s crossover (``KVCC_SEARCH_RATIO`` in ``kernel.c``):
+#: an anchor whose base row is longer than this many times the
+#: neighbors left to pair with it is binary-searched, a shorter one is
+#: merged.
+STRONG_SEARCH_RATIO = int(re.search(
+    r"#define KVCC_SEARCH_RATIO (\d+)L", c_impl.SOURCE.read_text()
+).group(1))
+
+
+def _strong_sides(call) -> tuple:
+    """``(searched, merged)``: the anchors of each kind that the c
+    kernel's strong scan takes on ``call``, walking the pool and the
+    pairs in ``kvcc_strong``'s order and stopping where it stops."""
+    view, k, candidates = _rebuild(call[0]), call[1], call[2]
+    mask, rows = view.mask, view.base.rows
+    active = mask.__getitem__
+    if candidates is None:
+        pool = view.active_list()
+    else:
+        pool = [v for v in candidates if 0 <= v < len(mask) and mask[v]]
+    searched = merged = 0
+    for u in pool:
+        nb = list(filter(active, rows[u]))
+        for a, x in enumerate(nb[:-1]):
+            left = nb[a + 1:]
+            if len(rows[x]) > STRONG_SEARCH_RATIO * len(left):
+                searched += 1
+            else:
+                merged += 1
+            row = set(rows[x])
+            if any(w not in row
+                   and sum(map(active, row.intersection(rows[w]))) < k
+                   for w in left):
+                break
+    return searched, merged
 
 
 def _arena(net):
@@ -451,6 +492,10 @@ def run_replay(smoke: bool, json_path: str) -> int:
                  "calls": len(calls[function]), "mismatches": bad},
                 **{f"{name}_s": seconds[name] for name in names},
             ))
+            if function == "strong_side_vertices":
+                sides = [_strong_sides(c) for c in calls[function]]
+                rows[-1]["anchors_searched"] = sum(s for s, _ in sides)
+                rows[-1]["anchors_merged"] = sum(m for _, m in sides)
     print(f"best of {repeats} per call, kernel order rotating per call")
     print(f"  {'pass':10s} {'function':22s} {'calls':>6s} "
           + " ".join(f"{name + ' s':>9s}" for name in names)
@@ -460,6 +505,12 @@ def run_replay(smoke: bool, json_path: str) -> int:
               + " ".join(f"{r[name + '_s']:9.4f}" for name in names)
               + f" {r['c_s'] / max(r['python_s'], 1e-9):6.2f}"
               f" {r['mismatches']:5d}")
+    for r in rows:
+        if "anchors_searched" in r:
+            print(f"  {r['pass']:10s} strong-scan anchors: "
+                  f"{r['anchors_searched']} searched, "
+                  f"{r['anchors_merged']} merged (row > "
+                  f"{STRONG_SEARCH_RATIO} x pairs left is searched)")
     if json_path:
         with open(json_path, "w", encoding="utf-8") as handle:
             json.dump({"repeats": repeats, "kernels": list(names),

@@ -122,6 +122,7 @@ class _View(ctypes.Structure):
     _fields_ = [
         ("n", _int), ("verts", _ptr), ("mask", _ptr), ("indptr", _ptr),
         ("indices", _ptr), ("wide", _int), ("base_n", _int),
+        ("nnz", ctypes.c_long),
     ]
 
 
@@ -233,19 +234,19 @@ def _address(buf) -> int:
 def _view(base, mask, verts: array):
     """A ``kvcc_view`` of a base, a mask and its active ids ``verts``.
 
-    C checks every id it reads against ``base.n``; the buffers' types
-    and sizes are checked here.
+    The buffers' types and sizes are checked here; C checks every id,
+    row offset and position it reads (see ``kernel.c``), since a KVCCG
+    load checks only ``indptr``'s endpoints.
     """
     indptr, indices = base.indptr, base.indices
     width = indptr.itemsize
     if (width not in (4, 8) or indices.itemsize != width
-            or len(indptr) != base.n + 1 or len(mask) != base.n
-            or indptr[base.n] > len(indices)):
+            or len(indptr) != base.n + 1 or len(mask) != base.n):
         raise ValueError("the CSR arrays or the mask do not match the "
                          "base's vertex count and width")
     return _View(
         len(verts), _address(verts), _address(mask), _address(indptr),
-        _address(indices), width == 8, base.n,
+        _address(indices), width == 8, base.n, len(indices),
     )
 
 
@@ -258,7 +259,8 @@ def _check(code: int) -> int:
     if code == -1:
         raise MemoryError("the c kernel could not allocate its scratch")
     if code < -1:
-        raise ValueError("the c kernel met an id outside the base or "
+        raise ValueError("the c kernel met an id or row outside the base, "
+                         "a view whose mask and ids disagree, or "
                          "asymmetric rows")
     return code
 

@@ -9,17 +9,26 @@
  * indices at either width (int32 sections of a mapped KVCCG file, or
  * 8-byte in-process arrays).  Base-indexed scratch is malloc'd
  * uncleared and only touched at active ids (every read follows a mask
- * test), so a call costs O(view) however large the base is.  Functions
- * that allocate or read the base return a negative KVCC_E* code on
- * failure.  No globals: calls on different data may run in parallel.
+ * test), so a call costs O(view) however large the base is.
+ *
+ * A KVCCG load checks only indptr's endpoints, so C trusts no value it
+ * reads from the base or the view: every id is checked against base_n,
+ * every row it reads against 0 <= start <= end <= nnz, and every
+ * position found through the uncleared scratch against verts.  A
+ * corrupt base or a view whose mask and ids disagree makes the call
+ * return KVCC_EBAD instead of reading or writing outside a buffer.
+ * Functions that allocate or read the base return a negative KVCC_E*
+ * code on failure.  No globals: calls on different data may run in
+ * parallel.
  */
 
+#include <limits.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
 #define KVCC_ENOMEM (-1) /* an allocation failed */
-#define KVCC_EBAD (-2)   /* an id outside the base, or asymmetric rows */
+#define KVCC_EBAD (-2)   /* an id or row outside the base, or asymmetric rows */
 
 typedef struct {
     int n;                     /* active vertices */
@@ -29,6 +38,7 @@ typedef struct {
     const void *indices;       /* neighbor ids, each row ascending */
     int wide;                  /* entries are 8 bytes (else 4) */
     int base_n;                /* vertices of the base */
+    long nnz;                  /* entries of indices */
 } kvcc_view;
 
 static inline long at(const void *a, int wide, long i)
@@ -50,18 +60,42 @@ static int verts_ok(const kvcc_view *v)
     return 1;
 }
 
+/* Row u of the base as indices[*lo .. *hi); 0 unless u is a base id and
+ * 0 <= *lo <= *hi <= nnz. */
+static int row(const kvcc_view *v, long u, long *lo, long *hi)
+{
+    if ((unsigned long)u >= (unsigned long)v->base_n)
+        return 0;
+    *lo = at(v->indptr, v->wide, u);
+    *hi = at(v->indptr, v->wide, u + 1);
+    return 0 <= *lo && *lo <= *hi && *hi <= v->nnz;
+}
+
+/* The position of the active id w, or -1 when verts does not hold it:
+ * loc is set only at verts, so a valid entry points back at w. */
+static int position(const kvcc_view *v, const int *loc, long w)
+{
+    int i = loc[w];
+    return (unsigned)i < (unsigned)v->n && v->verts[i] == w ? i : -1;
+}
+
 /* The view's active rows in positions, ascending, in one block: ptr
  * (n + 1 offsets) then the entries.  Returns the entry count, or a
  * KVCC_E* code. */
 static long compact(const kvcc_view *v, int **rows)
 {
-    long total = 0, cnt = 0, p, end;
-    int i, *loc, *ptr;
-    if (!verts_ok(v))
+    long total = 0, cnt = 0, p, lo, hi;
+    int i, j, *loc, *ptr;
+    for (i = 0; i < v->n; i++) {
+        if (!row(v, v->verts[i], &lo, &hi))
+            return KVCC_EBAD;
+        total += hi - lo;
+    }
+    /* Distinct rows of a sound base do not overlap. */
+    if (total > v->nnz)
         return KVCC_EBAD;
-    for (i = 0; i < v->n; i++)
-        total += at(v->indptr, v->wide, v->verts[i] + 1)
-                 - at(v->indptr, v->wide, v->verts[i]);
+    if (total > INT_MAX - v->n - 1) /* positions and offsets are ints */
+        return KVCC_ENOMEM;
     loc = alloc((size_t)v->base_n, sizeof(int)); /* base id -> position */
     ptr = *rows = alloc((size_t)v->n + 1 + (size_t)total, sizeof(int));
     if (loc == NULL || ptr == NULL) {
@@ -73,16 +107,22 @@ static long compact(const kvcc_view *v, int **rows)
         loc[v->verts[i]] = i;
     for (i = 0; i < v->n; i++) {
         ptr[i] = (int)cnt;
-        end = at(v->indptr, v->wide, v->verts[i] + 1);
-        for (p = at(v->indptr, v->wide, v->verts[i]); p < end; p++) {
+        row(v, v->verts[i], &lo, &hi);
+        for (p = lo; p < hi; p++) {
             long w = at(v->indices, v->wide, p);
             if ((unsigned long)w >= (unsigned long)v->base_n) {
                 free(loc);
                 free(ptr);
                 return KVCC_EBAD;
             }
-            if (v->mask[w])
-                ptr[v->n + 1 + cnt++] = loc[w];
+            if (!v->mask[w])
+                continue;
+            if ((j = position(v, loc, w)) < 0) {
+                free(loc);
+                free(ptr);
+                return KVCC_EBAD;
+            }
+            ptr[v->n + 1 + cnt++] = j;
         }
     }
     ptr[v->n] = (int)cnt;
@@ -525,8 +565,12 @@ int kvcc_components(const kvcc_view *v, const int *removed, int nremoved,
     for (i = 0; i < v->n; i++)
         loc[v->verts[i]] = i;
     for (i = 0; i < nremoved; i++)
-        if (removed[i] >= 0 && removed[i] < v->base_n && v->mask[removed[i]])
-            seen[loc[removed[i]]] = 1;
+        if (removed[i] >= 0 && removed[i] < v->base_n && v->mask[removed[i]]) {
+            int j = position(v, loc, removed[i]);
+            if (j < 0)
+                goto bad;
+            seen[j] = 1;
+        }
     for (i = 0; i < v->n; i++) {
         int qh = qt;
         if (seen[i])
@@ -534,22 +578,29 @@ int kvcc_components(const kvcc_view *v, const int *removed, int nremoved,
         seen[i] = 1;
         order[qt++] = i;
         while (qh < qt) {
-            long u = v->verts[order[qh++]], p;
-            long end = at(v->indptr, v->wide, u + 1);
-            for (p = at(v->indptr, v->wide, u); p < end; p++) {
+            long p, lo, hi;
+            if (!row(v, v->verts[order[qh++]], &lo, &hi))
+                goto bad;
+            for (p = lo; p < hi; p++) {
                 long w = at(v->indices, v->wide, p);
-                if ((unsigned long)w >= (unsigned long)v->base_n) {
-                    ncomp = KVCC_EBAD;
-                    goto done;
-                }
-                if (v->mask[w] && !seen[loc[w]]) {
-                    seen[loc[w]] = 1;
-                    order[qt++] = loc[w];
+                int j;
+                if ((unsigned long)w >= (unsigned long)v->base_n)
+                    goto bad;
+                if (!v->mask[w])
+                    continue;
+                if ((j = position(v, loc, w)) < 0)
+                    goto bad;
+                if (!seen[j]) {
+                    seen[j] = 1;
+                    order[qt++] = j;
                 }
             }
         }
         ends[ncomp++] = qt;
     }
+    goto done;
+bad:
+    ncomp = KVCC_EBAD;
 done:
     free(loc);
     free(seen);
@@ -573,11 +624,10 @@ int kvcc_active_degrees(const kvcc_view *v, const int *members, int nm,
 {
     int i;
     for (i = 0; i < nm; i++) {
-        long x = members[i], p, end;
-        if (x < 0 || x >= v->base_n)
+        long p, end;
+        if (!row(v, members[i], &p, &end))
             return KVCC_EBAD;
-        end = at(v->indptr, v->wide, x + 1);
-        for (out[i] = 0, p = at(v->indptr, v->wide, x); p < end; p++) {
+        for (out[i] = 0; p < end; p++) {
             long w = at(v->indices, v->wide, p);
             if ((unsigned long)w >= (unsigned long)v->base_n)
                 return KVCC_EBAD;
@@ -639,7 +689,15 @@ int kvcc_rows_farthest_first(int n, const int *verts, const int *ptr,
 /* Strong side-vertices (Theorem 8)                                     */
 /* ------------------------------------------------------------------ */
 
-/* Whether the sorted base row [lo, hi) holds x. */
+/* kvcc_strong searches an anchor's row when it is longer than this many
+ * times the pairs left to test, and merges it otherwise.  A merge step
+ * is sequential and cheaper than a search probe: on the replayed
+ * perfbench scans merging is faster up to about 64 steps a pair
+ * (benchmarks/BENCH_28.json, "strong_crossover"), and searching beyond
+ * that keeps a hub's row from being walked once per neighbor. */
+#define KVCC_SEARCH_RATIO 64L
+
+/* Whether the sorted base row [lo, hi) (a checked row) holds x. */
 static int row_has(const kvcc_view *v, long lo, long hi, long x)
 {
     while (lo < hi) {
@@ -654,17 +712,23 @@ static int row_has(const kvcc_view *v, long lo, long hi, long x)
     return 0;
 }
 
-/* Whether a and b have at least k common active neighbors. */
+/* Whether a and b have at least k common active neighbors (1 or 0), or
+ * KVCC_EBAD. */
 static int common_at_least(const kvcc_view *v, long a, long b, int k)
 {
-    long p = at(v->indptr, v->wide, a), pe = at(v->indptr, v->wide, a + 1);
-    long q = at(v->indptr, v->wide, b), qe = at(v->indptr, v->wide, b + 1);
+    long p, pe, q, qe;
     int count = 0;
+    if (!row(v, a, &p, &pe) || !row(v, b, &q, &qe))
+        return KVCC_EBAD;
     while (p < pe && q < qe) {
         long x = at(v->indices, v->wide, p), y = at(v->indices, v->wide, q);
         p += x <= y;
         q += y <= x;
-        if (x == y && v->mask[x] && ++count >= k)
+        if (x != y)
+            continue;
+        if ((unsigned long)x >= (unsigned long)v->base_n)
+            return KVCC_EBAD;
+        if (v->mask[x] && ++count >= k)
             return 1;
     }
     return count >= k;
@@ -674,21 +738,18 @@ static int common_at_least(const kvcc_view *v, long a, long b, int k)
  * side-vertex: every pair of its active neighbors is adjacent or has at
  * least k common active neighbors.  Each neighbor anchors the pairs
  * with the neighbors after it; a row much longer than those is
- * searched, others are merged.  Returns 0 or a KVCC_E* code. */
+ * searched (KVCC_SEARCH_RATIO), others are merged.  Returns 0 or a
+ * KVCC_E* code. */
 int kvcc_strong(const kvcc_view *v, int k, const int *pool, int npool,
                 unsigned char *flags)
 {
     int *nb = NULL, q;
     long nb_size = 0;
     for (q = 0; q < npool; q++) {
-        long u = pool[q], p, end;
+        long p, end;
         int na = 0, a, b, ok = 1;
-        if (u < 0 || u >= v->base_n) {
-            free(nb);
-            return KVCC_EBAD;
-        }
-        p = at(v->indptr, v->wide, u);
-        end = at(v->indptr, v->wide, u + 1);
+        if (!row(v, pool[q], &p, &end))
+            goto bad;
         if (end - p > nb_size) {
             free(nb);
             nb = alloc((size_t)(nb_size = end - p), sizeof(int));
@@ -697,18 +758,19 @@ int kvcc_strong(const kvcc_view *v, int k, const int *pool, int npool,
         }
         for (; p < end; p++) {
             long w = at(v->indices, v->wide, p);
-            if ((unsigned long)w >= (unsigned long)v->base_n) {
-                free(nb);
-                return KVCC_EBAD;
-            }
+            if ((unsigned long)w >= (unsigned long)v->base_n)
+                goto bad;
             if (v->mask[w])
                 nb[na++] = (int)w;
         }
-        for (a = 0; ok && a + 1 < na; a++) {
-            long x = nb[a], lo = at(v->indptr, v->wide, x);
-            long hi = at(v->indptr, v->wide, x + 1), r = lo;
-            int search = hi - lo > 8L * (na - a - 1);
-            for (b = a + 1; ok && b < na; b++) {
+        for (a = 0; ok == 1 && a + 1 < na; a++) {
+            long lo, hi, r;
+            int search;
+            if (!row(v, nb[a], &lo, &hi))
+                goto bad;
+            r = lo;
+            search = hi - lo > KVCC_SEARCH_RATIO * (na - a - 1);
+            for (b = a + 1; ok == 1 && b < na; b++) {
                 if (search) {
                     if (row_has(v, lo, hi, nb[b]))
                         continue;
@@ -718,11 +780,16 @@ int kvcc_strong(const kvcc_view *v, int k, const int *pool, int npool,
                     if (r < hi && at(v->indices, v->wide, r) == nb[b])
                         continue;
                 }
-                ok = common_at_least(v, x, nb[b], k);
+                ok = common_at_least(v, nb[a], nb[b], k);
             }
         }
+        if (ok < 0)
+            goto bad;
         flags[q] = (unsigned char)ok;
     }
     free(nb);
     return 0;
+bad:
+    free(nb);
+    return KVCC_EBAD;
 }

@@ -24,6 +24,7 @@ The comparisons are skipped when the c kernel cannot be built (no
 from __future__ import annotations
 
 import os
+import struct
 import tempfile
 from array import array
 
@@ -40,6 +41,7 @@ from repro.core.kvcc import enumerate_kvccs, enumerate_kvccs_csr
 from repro.core.options import KVCCOptions
 from repro.core.side_vertex import strong_side_vertices
 from repro.core.stats import RunStats
+from repro.data.format import MAGIC
 from repro.flow.dinic import max_flow_min_k
 from repro.flow.flow_network import build_flow_network
 from repro.flow.min_cut import local_vertex_cut
@@ -487,6 +489,31 @@ class TestViewKernelParity:
 
         per_kernel(run)
 
+    @pytest.mark.parametrize("mapped", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_strong_scan_through_a_hub(self, mapped, seed):
+        """Base id 0 is a hub whose row outgrows 64 times the pairs left
+        at it (``KVCC_SEARCH_RATIO``) at most of its neighbors, so the c
+        kernel binary-searches that row; the random graphs above only
+        ever merge."""
+        g = random_connected_graph(400, 0.008, seed)
+        hubbed = Graph()
+        hubbed.add_vertex(-1)
+        for v in list(g.vertices())[seed::2]:
+            hubbed.add_edge(-1, v)
+        for u, v in g.edges():
+            hubbed.add_edge(u, v)
+        base = make_base(hubbed, mapped)
+        assert base.indptr[1] - base.indptr[0] == 200 - seed // 2
+
+        def run(_name):
+            return [list(strong_side_vertices(view, k))
+                    for view in (base.full_view(),
+                                 base.view_from_members(range(0, 400, 3)))
+                    for k in (2, 3)]
+
+        per_kernel(run)
+
     def test_arrays_that_do_not_match_n_are_rejected(self):
         # C indexes indptr by base id and indices by indptr: a base
         # whose arrays are shorter than n claims must not reach it.
@@ -524,6 +551,99 @@ class TestViewKernelParity:
             )
 
         per_kernel(run)
+
+
+def hand_view(base, members):
+    """A view of ``base`` on ``members`` built without a kernel call
+    (``view_from_members`` counts degrees in the kernel)."""
+    mask = bytearray(base.n)
+    for v in members:
+        mask[v] = 1
+    return SubgraphView(base, mask, [0] * base.n, len(members), members)
+
+
+#: The view-reading kernel calls of GLOBAL-CUT, as ``call(view)``.
+VIEW_CALLS = (
+    connected_components,
+    lambda view: sparse_certificate(view, 2),
+    lambda view: strong_side_vertices(view, 2),
+    lambda view: build_flow_network(view, 2),
+)
+
+
+@requires_other
+class TestCorruptInputUnderC:
+    """The c kernel reads bases in place and trusts none of their
+    values: where an unchecked read would leave a buffer, the call
+    raises ``ValueError``.  (The python reference slices its rows,
+    which clamps, so it never reads out of bounds.)"""
+
+    MID = 6
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    @pytest.mark.parametrize("value, vertex", [
+        (0, MID - 1),       # row MID - 1 runs backwards
+        (-3, MID),          # row MID starts below 0
+        ("past", MID - 1),  # row MID - 1 ends past the indices
+    ])
+    def test_corrupt_middle_indptr_entry(self, tmp_path, mmap, value,
+                                         vertex):
+        """A KVCCG whose indptr endpoints are intact passes the load,
+        which checks only those, at both widths."""
+        base = CSRGraph.from_graph(random_connected_graph(12, 0.4, 3))
+        if value == "past":
+            value = len(base.indices) + 5
+        path = tmp_path / "g.kvccg"
+        base.save(path)
+        raw = bytearray(path.read_bytes())
+        at = len(MAGIC) + 2 + 20 + 4 * self.MID  # magic+version+flags+<IQQ>
+        raw[at:at + 4] = struct.pack("<i", value)
+        path.write_bytes(bytes(raw))
+        bad = CSRGraph.load(path, mmap=mmap)
+        assert bad.indptr[self.MID] == value
+        with kernels.use("c"):
+            with pytest.raises(ValueError, match="outside the base"):
+                bad.view_from_members([vertex])
+            for view in (bad.full_view(), hand_view(bad, [vertex])):
+                for call in VIEW_CALLS:
+                    with pytest.raises(ValueError, match="outside the base"):
+                        call(view)
+
+    @pytest.mark.parametrize("value, vertex", [(-3, MID), ("past", MID - 1)])
+    def test_row_outside_the_indices_among_valid_ids(self, value, vertex):
+        # The indices are a slice of a longer buffer padded on both
+        # sides with the valid (and inactive) id 0, so only the row
+        # bound checks can catch the overrun.
+        base = CSRGraph.from_graph(random_connected_graph(12, 0.4, 3))
+        nnz = len(base.indices)
+        indptr = array("l", base.indptr)
+        indptr[self.MID] = nnz + 5 if value == "past" else value
+        pad = array("l", [0] * 8)
+        padded = pad + array("l", base.indices) + pad
+        bad = CSRGraph(base.n, indptr, memoryview(padded)[8:8 + nnz])
+        with kernels.use("c"):
+            for call in VIEW_CALLS:
+                with pytest.raises(ValueError, match="outside the base"):
+                    call(hand_view(bad, [vertex]))
+
+    def test_common_neighbor_outside_the_base(self):
+        # Rows 1 and 2 share the id 99, which the strong scan meets
+        # while counting the common neighbors of 1 and 2.
+        base = CSRGraph(4, array("l", [0, 2, 4, 6, 6]),
+                        array("l", [1, 2, 0, 99, 0, 99]))
+        with kernels.use("c"):
+            with pytest.raises(ValueError, match="outside the base"):
+                strong_side_vertices(hand_view(base, [0, 1, 2]), 2, [0])
+
+    def test_view_whose_mask_and_ids_disagree(self):
+        # The mask marks every vertex, the ids list only vertex 0.
+        base = CSRGraph.from_graph(random_connected_graph(8, 0.5, 1))
+        view = SubgraphView(base, bytearray(b"\x01" * base.n),
+                            [0] * base.n, 1, [0])
+        with kernels.use("c"):
+            for call in VIEW_CALLS[:2] + VIEW_CALLS[3:]:
+                with pytest.raises(ValueError, match="disagree"):
+                    call(view)
 
 
 @requires_other
