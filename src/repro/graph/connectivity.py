@@ -68,10 +68,12 @@ def connected_components(graph: Graph) -> List[Set[Vertex]]:
     """All connected components as vertex sets.
 
     Deterministic: components are discovered in the graph's vertex
-    iteration order, and BFS explores in adjacency order.
+    iteration order, and BFS explores in adjacency order.  On a CSR view
+    this is a kernel call, and each component is a set filled in BFS
+    order.
     """
     if isinstance(graph, SubgraphView):
-        return _components_view(graph, None)
+        return kernels.select().components(graph, None)
     components: List[Set[Vertex]] = []
     seen: Set[Vertex] = set()
     for start in graph.vertices():
@@ -110,7 +112,7 @@ def components_after_removal(
     whole graph.
     """
     if isinstance(graph, SubgraphView):
-        return _components_view(graph, set(removed))
+        return kernels.select().components(graph, set(removed))
     removed_set: Set[Vertex] = set(removed)
     components: List[Set[Vertex]] = []
     seen: Set[Vertex] = set()
@@ -167,18 +169,6 @@ def shortest_path_length(
 # ----------------------------------------------------------------------
 # CSR view fast paths: flat loops over indptr/indices with a byte mask.
 # ----------------------------------------------------------------------
-def _components_view(
-    view: SubgraphView, removed: Optional[Set[int]]
-) -> List[Set[int]]:
-    """Components of the view (minus ``removed``); a kernel call.
-
-    Both kernels run a list-queue BFS (the c kernel's compiled):
-    discovery follows ``active_list`` order, expansion row order, and
-    each component comes back as a set filled in BFS order.
-    """
-    return kernels.select().components(view, removed)
-
-
 def _bfs_distances_view(view: SubgraphView, source: int) -> Dict[int, int]:
     """Hop distances over a view; returns the same dict shape as the
     generic path, which farthest-first ordering consumes."""

@@ -682,13 +682,7 @@ class SubgraphView:
         are allocated, so this is the zero-copy replacement for
         ``Graph.induced_subgraph`` on the KVCC-ENUM recursion path.
         """
-        base = self.base
-        members = sorted(members)
-        mask = bytearray(base.n)
-        for v in members:
-            mask[v] = 1
-        deg = kernels.select().active_degrees(base, mask, members)
-        return SubgraphView(base, mask, deg, len(members), members)
+        return self.base.view_from_members(members)
 
     def copy(self) -> "SubgraphView":
         """An independent view with the same active set."""

@@ -235,8 +235,7 @@ def _view(base, mask, verts: array):
     """A ``kvcc_view`` of a base, a mask and its active ids ``verts``.
 
     The buffers' types and sizes are checked here; C checks every id,
-    row offset and position it reads (see ``kernel.c``), since a KVCCG
-    load checks only ``indptr``'s endpoints.
+    row and position it reads, as a KVCCG load checks only endpoints.
     """
     indptr, indices = base.indptr, base.indices
     width = indptr.itemsize

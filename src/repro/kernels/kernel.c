@@ -9,17 +9,12 @@
  * indices at either width (int32 sections of a mapped KVCCG file, or
  * 8-byte in-process arrays).  Base-indexed scratch is malloc'd
  * uncleared and only touched at active ids (every read follows a mask
- * test), so a call costs O(view) however large the base is.
- *
- * A KVCCG load checks only indptr's endpoints, so C trusts no value it
- * reads from the base or the view: every id is checked against base_n,
- * every row it reads against 0 <= start <= end <= nnz, and every
- * position found through the uncleared scratch against verts.  A
- * corrupt base or a view whose mask and ids disagree makes the call
- * return KVCC_EBAD instead of reading or writing outside a buffer.
- * Functions that allocate or read the base return a negative KVCC_E*
- * code on failure.  No globals: calls on different data may run in
- * parallel.
+ * test), so a call costs O(view) however large the base is.  A KVCCG
+ * load checks only indptr's endpoints, so C checks each id it reads
+ * against base_n, each row against 0 <= start <= end <= nnz and each
+ * position against verts; functions that allocate or read the base
+ * return a negative KVCC_E* code on failure.  No globals: calls on
+ * different data may run in parallel.
  */
 
 #include <limits.h>
@@ -51,32 +46,35 @@ static void *alloc(size_t count, size_t size)
     return malloc(count > 0 ? count * size : 1);
 }
 
-static int verts_ok(const kvcc_view *v)
-{
-    int i;
-    for (i = 0; i < v->n; i++)
-        if (v->verts[i] < 0 || v->verts[i] >= v->base_n)
-            return 0;
-    return 1;
-}
-
-/* Row u of the base as indices[*lo .. *hi); 0 unless u is a base id and
- * 0 <= *lo <= *hi <= nnz. */
+/* Row u as indices[*lo .. *hi); 0 unless u < base_n, 0 <= lo <= hi <= nnz. */
 static int row(const kvcc_view *v, long u, long *lo, long *hi)
 {
-    if ((unsigned long)u >= (unsigned long)v->base_n)
-        return 0;
-    *lo = at(v->indptr, v->wide, u);
-    *hi = at(v->indptr, v->wide, u + 1);
-    return 0 <= *lo && *lo <= *hi && *hi <= v->nnz;
+    return (unsigned long)u < (unsigned long)v->base_n
+           && (*lo = at(v->indptr, v->wide, u)) >= 0
+           && (*hi = at(v->indptr, v->wide, u + 1)) >= *lo && *hi <= v->nnz;
 }
 
-/* The position of the active id w, or -1 when verts does not hold it:
- * loc is set only at verts, so a valid entry points back at w. */
+/* loc: base id -> position, uncleared but at verts (NULL when out of
+ * memory); the caller has checked verts against base_n. */
+static int *locate(const kvcc_view *v)
+{
+    int i, *loc = alloc((size_t)v->base_n, sizeof(int));
+    for (i = 0; loc != NULL && i < v->n; i++)
+        loc[v->verts[i]] = i;
+    return loc;
+}
+
+/* The position of w if active, -1 if inactive, or KVCC_EBAD when w is
+ * no base id or verts lacks it (a valid loc entry points back at w). */
 static int position(const kvcc_view *v, const int *loc, long w)
 {
-    int i = loc[w];
-    return (unsigned)i < (unsigned)v->n && v->verts[i] == w ? i : -1;
+    int i;
+    if ((unsigned long)w >= (unsigned long)v->base_n)
+        return KVCC_EBAD;
+    if (!v->mask[w])
+        return -1;
+    i = loc[w];
+    return (unsigned)i < (unsigned)v->n && v->verts[i] == w ? i : KVCC_EBAD;
 }
 
 /* The view's active rows in positions, ascending, in one block: ptr
@@ -91,42 +89,27 @@ static long compact(const kvcc_view *v, int **rows)
             return KVCC_EBAD;
         total += hi - lo;
     }
-    /* Distinct rows of a sound base do not overlap. */
-    if (total > v->nnz)
+    /* Distinct rows of a sound base do not overlap; positions are ints. */
+    if (total > v->nnz || total > INT_MAX - v->n - 1)
         return KVCC_EBAD;
-    if (total > INT_MAX - v->n - 1) /* positions and offsets are ints */
-        return KVCC_ENOMEM;
-    loc = alloc((size_t)v->base_n, sizeof(int)); /* base id -> position */
+    loc = locate(v);
     ptr = *rows = alloc((size_t)v->n + 1 + (size_t)total, sizeof(int));
-    if (loc == NULL || ptr == NULL) {
-        free(loc);
-        free(ptr);
-        return KVCC_ENOMEM;
-    }
-    for (i = 0; i < v->n; i++)
-        loc[v->verts[i]] = i;
-    for (i = 0; i < v->n; i++) {
+    if (loc == NULL || ptr == NULL)
+        cnt = KVCC_ENOMEM;
+    for (i = 0; cnt >= 0 && i < v->n; i++) {
         ptr[i] = (int)cnt;
         row(v, v->verts[i], &lo, &hi);
-        for (p = lo; p < hi; p++) {
-            long w = at(v->indices, v->wide, p);
-            if ((unsigned long)w >= (unsigned long)v->base_n) {
-                free(loc);
-                free(ptr);
-                return KVCC_EBAD;
-            }
-            if (!v->mask[w])
-                continue;
-            if ((j = position(v, loc, w)) < 0) {
-                free(loc);
-                free(ptr);
-                return KVCC_EBAD;
-            }
-            ptr[v->n + 1 + cnt++] = j;
-        }
+        for (p = lo; cnt >= 0 && p < hi; p++)
+            if ((j = position(v, loc, at(v->indices, v->wide, p))) >= 0)
+                ptr[v->n + 1 + cnt++] = j;
+            else if (j == KVCC_EBAD)
+                cnt = KVCC_EBAD;
     }
-    ptr[v->n] = (int)cnt;
     free(loc);
+    if (cnt < 0)
+        free(ptr);
+    else
+        ptr[v->n] = (int)cnt;
     return cnt;
 }
 
@@ -392,8 +375,8 @@ static int find_root(int *parent, int x)
  * 0 or a KVCC_E* code. */
 int kvcc_certificate(const kvcc_view *v, int k, int min_group, kvcc_cert *c)
 {
-    int n = v->n, i, f, g = 0, kept = 0, ne = 0, last = 0, *rows, *adj;
-    int *ptr, *rev, *cur, *queue, *fe, *ends, *parent, *gid, *size;
+    int n = v->n, i, f, g = 0, kept = 0, ne = 0, last = 0, code = 0;
+    int *rows, *adj, *ptr, *rev, *cur, *queue, *fe, *ends, *parent, *gid, *size;
     unsigned char *used, *marked;
     long total = compact(v, &rows), s;
     memset(c, 0, sizeof(*c));
@@ -407,10 +390,8 @@ int kvcc_certificate(const kvcc_view *v, int k, int min_group, kvcc_cert *c)
     rev = alloc(2 * (size_t)total + 6 * (size_t)n + 2, sizeof(int));
     used = alloc((size_t)total + (size_t)n, 1);
     if (rev == NULL || used == NULL) {
-        free(rows);
-        free(rev);
-        free(used);
-        return KVCC_ENOMEM;
+        code = KVCC_ENOMEM;
+        goto out;
     }
     fe = rev + total;
     cur = fe + total;
@@ -430,14 +411,18 @@ int kvcc_certificate(const kvcc_view *v, int k, int min_group, kvcc_cert *c)
         for (s = ptr[i]; s < ptr[i + 1]; s++)
             if (adj[s] > i) {
                 int j = adj[s], t = cur[j]++;
-                if (t >= ptr[j + 1] || adj[t] != i)
-                    goto bad;
+                if (t >= ptr[j + 1] || adj[t] != i) {
+                    code = KVCC_EBAD;
+                    goto out;
+                }
                 rev[s] = t;
                 rev[t] = (int)s;
             }
     for (i = 0; i < n; i++)
-        if (cur[i] < ptr[i + 1] && adj[cur[i]] < i)
-            goto bad; /* a smaller neighbor that does not list i */
+        if (cur[i] < ptr[i + 1] && adj[cur[i]] < i) {
+            code = KVCC_EBAD; /* a smaller neighbor that does not list i */
+            goto out;
+        }
     for (f = 0; f < k && (f == 0 || ne > last); f++) {
         int root;
         last = ne;
@@ -481,10 +466,8 @@ int kvcc_certificate(const kvcc_view *v, int k, int min_group, kvcc_cert *c)
     }
     c->block = alloc(6 * (size_t)ne + (size_t)(c->nforests + 3 * n + 1), sizeof(int));
     if (c->block == NULL) {
-        free(rows);
-        free(rev);
-        free(used);
-        return KVCC_ENOMEM;
+        code = KVCC_ENOMEM;
+        goto out;
     }
     c->nedges = ne;
     c->fedges = c->block;
@@ -527,50 +510,41 @@ int kvcc_certificate(const kvcc_view *v, int k, int min_group, kvcc_cert *c)
         if (size[e] >= 0)
             c->gmem[size[e]++] = v->verts[i];
     }
+out:
     free(rows);
     free(rev);
     free(used);
-    return 0;
-bad:
-    free(rows);
-    free(rev);
-    free(used);
-    return KVCC_EBAD;
+    return code;
 }
 
 /* ------------------------------------------------------------------ */
 /* View traversals                                                      */
 /* ------------------------------------------------------------------ */
 
-/* Components of the view minus removed (inactive ids are ignored):
- * discovery in position order, expansion in row order.  order gets the
- * members' positions component after component in BFS order, ends the
- * running count after each.  Returns the component count or a KVCC_E*
- * code. */
+/* Components of the view minus removed (base ids; inactive ones are
+ * ignored): discovery in position order, expansion in row order.  order
+ * gets the members' positions component after component in BFS order,
+ * ends the running count after each.  Returns the component count or a
+ * KVCC_E* code. */
 int kvcc_components(const kvcc_view *v, const int *removed, int nremoved,
                     int *order, int *ends)
 {
-    int *loc; /* base id -> position, set and read at active ids only */
+    int *loc = NULL, i, j, qt = 0, ncomp = 0;
     unsigned char *seen;
-    int i, qt = 0, ncomp = 0;
-    if (!verts_ok(v))
-        return KVCC_EBAD;
-    loc = alloc((size_t)v->base_n, sizeof(int));
+    for (i = 0; i < v->n; i++)
+        if ((unsigned)v->verts[i] >= (unsigned)v->base_n)
+            return KVCC_EBAD;
+    loc = locate(v);
     seen = calloc((size_t)v->n + 1, 1);
     if (loc == NULL || seen == NULL) {
-        free(loc);
-        free(seen);
-        return KVCC_ENOMEM;
+        ncomp = KVCC_ENOMEM;
+        goto done;
     }
-    for (i = 0; i < v->n; i++)
-        loc[v->verts[i]] = i;
     for (i = 0; i < nremoved; i++)
-        if (removed[i] >= 0 && removed[i] < v->base_n && v->mask[removed[i]]) {
-            int j = position(v, loc, removed[i]);
-            if (j < 0)
-                goto bad;
+        if ((j = position(v, loc, removed[i])) >= 0)
             seen[j] = 1;
-        }
+        else if (j == KVCC_EBAD)
+            goto bad;
     for (i = 0; i < v->n; i++) {
         int qh = qt;
         if (seen[i])
@@ -581,20 +555,13 @@ int kvcc_components(const kvcc_view *v, const int *removed, int nremoved,
             long p, lo, hi;
             if (!row(v, v->verts[order[qh++]], &lo, &hi))
                 goto bad;
-            for (p = lo; p < hi; p++) {
-                long w = at(v->indices, v->wide, p);
-                int j;
-                if ((unsigned long)w >= (unsigned long)v->base_n)
-                    goto bad;
-                if (!v->mask[w])
-                    continue;
-                if ((j = position(v, loc, w)) < 0)
-                    goto bad;
-                if (!seen[j]) {
+            for (p = lo; p < hi; p++)
+                if ((j = position(v, loc, at(v->indices, v->wide, p))) >= 0) {
+                    if (!seen[j])
+                        order[qt++] = j;
                     seen[j] = 1;
-                    order[qt++] = j;
-                }
-            }
+                } else if (j == KVCC_EBAD)
+                    goto bad;
         }
         ends[ncomp++] = qt;
     }
@@ -689,12 +656,10 @@ int kvcc_rows_farthest_first(int n, const int *verts, const int *ptr,
 /* Strong side-vertices (Theorem 8)                                     */
 /* ------------------------------------------------------------------ */
 
-/* kvcc_strong searches an anchor's row when it is longer than this many
- * times the pairs left to test, and merges it otherwise.  A merge step
- * is sequential and cheaper than a search probe: on the replayed
- * perfbench scans merging is faster up to about 64 steps a pair
- * (benchmarks/BENCH_28.json, "strong_crossover"), and searching beyond
- * that keeps a hub's row from being walked once per neighbor. */
+/* kvcc_strong searches an anchor's row longer than this many times the
+ * pairs left at it, else merges: merging wins up to about 64 steps a pair
+ * (BENCH_28.json "strong_crossover"); searching stops a hub's row from
+ * being walked once per neighbor. */
 #define KVCC_SEARCH_RATIO 64L
 
 /* Whether the sorted base row [lo, hi) (a checked row) holds x. */
