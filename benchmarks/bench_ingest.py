@@ -1,14 +1,12 @@
 """Ingest benchmark: text edge-list parse vs cached binary mmap load.
 
 The question this answers: what does the ``repro.data`` layer buy a
-cold process that just wants a mine-ready graph?  Three load paths over
+cold process that just wants a mine-ready graph?  Two load paths over
 the *same* production-scale graph:
 
 * **text parse** - the streaming CSR reader
   (:func:`repro.data.ingest.read_edge_list_csr`) over the edge-list
   file: O(m) tokenizing + interning + counting sort on every start;
-* **eager KVCCG** - :func:`CSRGraph.load(..., mmap=False)`: one read +
-  array unpack, no text machinery;
 * **mmap KVCCG** - ``CSRGraph.load(path)`` (the cache's hot path):
   O(header) validation over zero-copy int32 views.
 
@@ -140,17 +138,12 @@ def bench(smoke: bool, json_path: str) -> None:
         record("kvccg_save_ms", t_save * 1e3, "ms")
 
         repeats = 5 if smoke else 9
-        t_eager = best_of(
-            lambda: CSRGraph.load(kvccg_path, mmap=False), repeats
-        )
         t_mmap = best_of(lambda: CSRGraph.load(kvccg_path), repeats)
         speedup = t_text / t_mmap
         print(
-            f"KVCCG eager load:  {t_eager * 1e3:10.1f} ms\n"
             f"KVCCG mmap load:   {t_mmap * 1e3:10.3f} ms   "
             f"(vs text parse: {speedup:9.0f}x)"
         )
-        record("kvccg_eager_load_ms", t_eager * 1e3, "ms")
         record("kvccg_mmap_load_ms", t_mmap * 1e3, "ms")
         record("mmap_vs_text_speedup", speedup, "x")
 

@@ -141,7 +141,7 @@ def _child_enum(kvccg: str, k: int, mode: str) -> None:
 
     exact = reset_peak_rss()
     base_rss = peak_rss_now()
-    graph = load_csr(kvccg, mmap=True)
+    graph = load_csr(kvccg)
     if mode == "resident":
         leaves = enumerate_kvccs_csr(graph, k, materialize=False)
     else:

@@ -4,10 +4,11 @@ Three questions about :mod:`repro.service`, each with an acceptance bar
 or a recorded trend number:
 
 * **cold start** - how fast does a fresh process go from "index file on
-  disk" to "ready to answer"?  ``HierarchyIndex.load(path)`` parses the
-  whole file (O(index)); ``load(path, mmap=True)`` maps it and defers
-  everything (O(header)).  Gated: mmap must be **>= 10x** faster than
-  eager on the production-scale stand-in index;
+  disk" to "ready to answer"?  ``HierarchyIndex.load(path)`` maps the
+  file and defers everything, so it should cost O(header) however large
+  the index is.  Gated: the load of the production-scale stand-in index
+  must take **<= 5x** the load of the small web index, while the files
+  differ about 79x in size (an O(index) load would read 50x or more);
 * **batch amortization** - what does vectorizing queries over the flat
   arrays buy over calling the scalar method in a loop?  Gated: batch
   ``vcc_numbers`` must be **>= 3x** the scalar-loop throughput;
@@ -22,14 +23,12 @@ or a recorded trend number:
   load generator doubles as an endpoint correctness check (every
   response must be 200).
 
-The *web stand-in* index (``web_graph``) is small on disk, so eager
-parsing it is cheap and the cold-start gap would drown in syscall
-noise.  To measure the gap at production scale without hours of
-enumeration, :func:`tile_index` replicates the web hierarchy into many
-disjoint shards - exactly the array layout a real multi-community
-deployment produces - yielding a multi-megabyte index in milliseconds.
-Cold start is gated on that tiled index; the raw web index numbers are
-reported alongside.
+The *web stand-in* index (``web_graph``) is small on disk.  To load an
+index at production scale without hours of enumeration,
+:func:`tile_index` replicates the web hierarchy into many disjoint
+shards - exactly the array layout a real multi-community deployment
+produces - yielding a multi-megabyte index in milliseconds.  Cold start
+is gated on the ratio of the two loads.
 
 Run directly (plain script, stdlib only)::
 
@@ -134,19 +133,12 @@ def percentile(sorted_values: List[float], q: float) -> float:
     return sorted_values[rank]
 
 
-def bench_cold_start(
-    path: str, label: str, repeats: int
-) -> Tuple[float, float]:
-    """Best-of load times (eager, mmap) for one index file, printed."""
-    t_eager = best_of(lambda: HierarchyIndex.load(path), repeats)
-    t_mmap = best_of(lambda: HierarchyIndex.load(path, mmap=True), repeats)
+def bench_cold_start(path: str, label: str, repeats: int) -> float:
+    """Best-of mapped load time for one index file, printed."""
+    t_load = best_of(lambda: HierarchyIndex.load(path), repeats)
     size_kb = os.path.getsize(path) / 1024
-    print(
-        f"cold start [{label}, {size_kb:8.1f} KiB]: "
-        f"eager {t_eager * 1e3:8.3f} ms   mmap {t_mmap * 1e3:8.3f} ms   "
-        f"speedup {t_eager / t_mmap:7.1f}x"
-    )
-    return t_eager, t_mmap
+    print(f"cold start [{label}, {size_kb:8.1f} KiB]: {t_load * 1e3:8.3f} ms")
+    return t_load
 
 
 def bench_http(
@@ -207,21 +199,24 @@ def bench(smoke: bool, json_path: str) -> None:
 
         # ------------------------------------------------------ cold start
         repeats = 5 if smoke else 9
-        bench_cold_start(web_path, "web   ", repeats)
-        t_eager, t_mmap = bench_cold_start(xl_path, "web-xl", repeats)
-        cold_speedup = t_eager / t_mmap
-        record("cold_start_eager_ms", t_eager * 1e3, "ms", tiled.num_vertices)
-        record("cold_start_mmap_ms", t_mmap * 1e3, "ms", tiled.num_vertices)
-        record("cold_start_speedup", cold_speedup, "x", tiled.num_vertices)
+        t_web = bench_cold_start(web_path, "web   ", repeats)
+        t_xl = bench_cold_start(xl_path, "web-xl", repeats)
+        cold_growth = t_xl / t_web
+        size_ratio = os.path.getsize(xl_path) / os.path.getsize(web_path)
+        print(
+            f"cold start growth: {cold_growth:.1f}x for a {size_ratio:.0f}x "
+            f"larger file"
+        )
+        record("cold_start_mmap_ms", t_xl * 1e3, "ms", tiled.num_vertices)
+        record("cold_start_growth", cold_growth, "x", tiled.num_vertices)
 
         # A deferred load must still answer correctly.
-        lazy = HierarchyIndex.load(xl_path, mmap=True)
+        lazy = HierarchyIndex.load(xl_path)
         shift = (TILE_COPIES - 1) * n
         spot = [v for v in sorted(graph.vertices())[:50]]
         assert [lazy.vcc_number_of(v + shift) for v in spot] == [
             index.vcc_number_of(v) for v in spot
         ], "mmap-loaded tiled index disagrees with the in-memory base"
-        lazy.close()
 
         # ------------------------------------------------ batch vs scalar
         service = HierarchyQueryService(index)
@@ -383,16 +378,16 @@ def bench(smoke: bool, json_path: str) -> None:
             server.stop()
 
     # ------------------------------------------------------- acceptance
-    assert cold_speedup >= 10, (
-        f"acceptance bar: mmap cold start must beat eager load by >= 10x "
-        f"on the tiled web stand-in, measured {cold_speedup:.1f}x"
+    assert cold_growth <= 5, (
+        f"acceptance bar: the mapped load of the tiled web stand-in must "
+        f"take <= 5x the load of the web index, measured {cold_growth:.1f}x"
     )
     assert batch_speedup >= 3, (
         f"acceptance bar: batch vcc_numbers must beat the scalar loop by "
         f">= 3x, measured {batch_speedup:.2f}x"
     )
     print(
-        f"\nOK: mmap cold start {cold_speedup:.1f}x (bar: 10x), "
+        f"\nOK: mmap cold start growth {cold_growth:.1f}x (bar: <= 5x), "
         f"batch vcc_numbers {batch_speedup:.2f}x (bar: 3x)"
     )
 

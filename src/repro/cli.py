@@ -373,7 +373,7 @@ def cmd_query(args: argparse.Namespace) -> int:
 
     measure = getattr(args, "measure", "kvcc")
     try:
-        index = load_any_index(args.index, mmap=False)
+        index = load_any_index(args.index)
         if isinstance(index, CohesionIndex):
             container = CohesionQueryService(index)
         else:
@@ -566,7 +566,7 @@ def prepare_serve_datasets(
         if os.path.exists(index_path):
             try:
                 # O(header) mmap validation; a corrupt entry rebuilds.
-                load_index(index_path, mmap=True)
+                load_index(index_path)
             except ValueError:
                 os.remove(index_path)
         if not os.path.exists(index_path):
@@ -663,7 +663,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    registry = IndexRegistry(capacity=args.capacity, mmap=not args.eager)
+    registry = IndexRegistry(capacity=args.capacity)
     for name, path, _ in datasets:
         try:
             registry.register(name, path)
@@ -683,8 +683,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     return _serve_foreground(
         server, datasets,
-        f"{'eager' if args.eager else 'mmap'} loads, "
-        f"capacity {args.capacity}",
+        f"mmap loads, capacity {args.capacity}",
     )
 
 
@@ -901,11 +900,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--capacity", type=int, default=8, metavar="N",
         help="max indexes resident at once (LRU evicts beyond this)",
-    )
-    p.add_argument(
-        "--eager", action="store_true",
-        help="parse index files fully at load instead of mmap-backed "
-        "zero-copy views (mmap is the default and the fast path)",
     )
     p.add_argument(
         "--preload", action="store_true",

@@ -42,21 +42,6 @@ class OverlapGraph:
     membership: Dict[Vertex, List[int]] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
-    def neighbors_of(self, index: int) -> List[int]:
-        """Indices of components overlapping component ``index``."""
-        out = []
-        for (i, j) in self.edges:
-            if i == index:
-                out.append(j)
-            elif j == index:
-                out.append(i)
-        return sorted(out)
-
-    def shared_vertices(self, i: int, j: int) -> Set[Vertex]:
-        """The overlap of components ``i`` and ``j`` (empty if disjoint)."""
-        key = (min(i, j), max(i, j))
-        return set(self.edges.get(key, ()))
-
     def hub_vertices(self, min_components: int = 2) -> List[Vertex]:
         """Vertices in at least ``min_components`` components, most first."""
         hubs = [
@@ -65,17 +50,6 @@ class OverlapGraph:
             if len(comps) >= min_components
         ]
         return [v for _, v in sorted(hubs, key=lambda t: (-t[0], str(t[1])))]
-
-    def to_meta_graph(self) -> Graph:
-        """The unweighted meta-graph as a plain :class:`Graph`.
-
-        Vertices are component indices; useful for running graph
-        algorithms over the community structure itself.
-        """
-        g = Graph(vertices=range(len(self.components)))
-        for i, j in self.edges:
-            g.add_edge(i, j)
-        return g
 
 
 def build_overlap_graph(

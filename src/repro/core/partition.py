@@ -57,16 +57,3 @@ def overlap_partition(
     if isinstance(graph, SubgraphView):
         return [graph.restrict(comp | cut_set) for comp in components]
     return [graph.induced_subgraph(comp | cut_set) for comp in components]
-
-
-def partition_vertex_sets(
-    graph: Graph, cut: Iterable[Vertex]
-) -> List[Set[Vertex]]:
-    """Vertex sets of the overlapped parts, without materializing graphs.
-
-    Used when the caller only needs the grouping (tests, analyses).
-    """
-    cut_set: Set[Vertex] = set(cut)
-    return [
-        comp | cut_set for comp in components_after_removal(graph, cut_set)
-    ]

@@ -10,8 +10,8 @@ One import point for getting a mine-ready graph from any source::
 Submodules:
 
 * :mod:`repro.data.format` - the ``KVCCG`` versioned binary CSR format
-  (``CSRGraph.save`` / ``CSRGraph.load`` delegate here); mmap loads are
-  O(header);
+  (``CSRGraph.save`` / ``CSRGraph.load`` delegate here); a load maps
+  the file in O(header);
 * :mod:`repro.data.ingest` - streaming edge-list parser (SNAP / CSV /
   whitespace, plus ``.gz``) straight into CSR arrays, with per-file
   int-or-str label normalization;

@@ -22,16 +22,13 @@ The int sections lead and the JSON label blob trails, so a mapped file
 can hand out zero-copy ``memoryview.cast("i")`` adjacency immediately
 and defer the label decode until something actually asks for a label.
 
-Two load paths share the format:
-
-* **eager** (``load_csr(path, mmap=False)``) - read the whole file,
-  unpack the sections into ``array('l')`` objects;
-* **mmap** (``load_csr(path)``, the default) - map the file, validate
-  the header, and build the :class:`CSRGraph` over in-place views:
-  O(header) before the first neighbor query no matter how many edges
-  the graph has.  The mapping stays open for as long as any view
-  references it (the views hold the reference; nothing to close by
-  hand).  Big-endian platforms silently fall back to the eager parse.
+``load_csr`` maps the file, validates the header, and builds the
+:class:`CSRGraph` over in-place views: O(header) before the first
+neighbor query no matter how many edges the graph has.  The mapping
+stays open for as long as any view references it (the views hold the
+reference; nothing to close by hand).  The views are native C ints, so
+a host whose C ``int`` is not 4-byte little-endian gets a
+``ValueError`` from :func:`map_file` instead of misread sections.
 
 ``save_csr`` rejects non-scalar labels up front and refuses graphs
 whose index space would overflow int32, instead of writing a file that
@@ -45,7 +42,7 @@ import mmap as _mmap
 import struct
 import sys
 from array import array
-from typing import BinaryIO, Hashable, List, Optional
+from typing import Hashable, List, Optional
 
 from repro.graph.csr import CSRGraph, VertexInterner
 
@@ -59,9 +56,6 @@ _FLAG_LABELS = 1
 
 _HEADER = struct.Struct("<IQQ")  # n_vertices, n_indices, labels_blob_len
 
-#: Whether this interpreter can view the little-endian int32 sections in
-#: place (same condition as the hierarchy index's mmap fast path).
-_MMAP_ZERO_COPY = sys.byteorder == "little" and struct.calcsize("i") == 4
 
 
 class LazyLabelInterner(VertexInterner):
@@ -121,9 +115,6 @@ class LazyLabelInterner(VertexInterner):
         # The header already knows the count; never force a decode.
         return self._n
 
-    def __reduce__(self):
-        return (VertexInterner, (list(self.labels),))
-
 
 def _labels_blob(interner: Optional[VertexInterner]) -> bytes:
     """Encode interner labels as compact JSON, validating scalar-ness."""
@@ -154,16 +145,6 @@ def _pack_i32(values) -> bytes:
     return out.tobytes()
 
 
-def _unpack_i32(buf: bytes, count: int) -> array:
-    """Inverse of :func:`_pack_i32` into a native ``array('l')``."""
-    out = array("i")
-    out.frombytes(buf)
-    if sys.byteorder != "little":  # pragma: no cover - big-endian only
-        out.byteswap()
-    assert len(out) == count
-    return array("l", out)
-
-
 def save_csr(csr: CSRGraph, path) -> None:
     """Write ``csr`` as a KVCCG file at ``path``."""
     n = csr.n
@@ -182,21 +163,6 @@ def save_csr(csr: CSRGraph, path) -> None:
         handle.write(_pack_i32(csr.indptr))
         handle.write(_pack_i32(csr.indices))
         handle.write(blob)
-
-
-def load_csr(path, mmap: bool = True) -> CSRGraph:
-    """Read a KVCCG file written by :func:`save_csr`.
-
-    Raises
-    ------
-    ValueError
-        If the file is not a KVCCG graph (wrong magic), was written by
-        an unsupported format version, or is truncated.
-    """
-    if mmap and _MMAP_ZERO_COPY:
-        return _load_mmap(path)
-    with open(path, "rb") as handle:
-        return _read_eager(handle, path)
 
 
 def _check_prefix(buf: bytes, path) -> tuple:
@@ -231,42 +197,44 @@ def _expected_body(flags: int, n: int, nnz: int, labels_len: int) -> int:
     return 4 * (n + 1) + 4 * nnz + labels
 
 
-def _read_eager(handle: BinaryIO, path) -> CSRGraph:
-    """Parse the whole file into arrays (and a decoded interner)."""
-    head = handle.read(len(MAGIC) + 2 + _HEADER.size)
-    flags, n, nnz, labels_len, _ = _check_prefix(head, path)
-    body = handle.read()
-    expected = _expected_body(flags, n, nnz, labels_len)
-    if len(body) != expected:
-        raise ValueError(
-            f"{path}: truncated graph body "
-            f"({len(body)} bytes, expected {expected})"
-        )
-    offset = 4 * (n + 1)
-    indptr = _unpack_i32(body[:offset], n + 1)
-    indices = _unpack_i32(body[offset : offset + 4 * nnz], nnz)
-    _check_indptr(indptr, n, nnz, path)
-    interner = None
-    if flags & _FLAG_LABELS:
-        labels = json.loads(body[offset + 4 * nnz :].decode("utf-8"))
-        interner = VertexInterner(labels)
-    return CSRGraph(n, indptr, indices, interner)
+def map_file(path, what: str) -> _mmap.mmap:
+    """Map ``path`` read-only for a loader that views its sections in place.
 
-
-def _load_mmap(path) -> CSRGraph:
-    """Map ``path`` and build the graph over zero-copy int32 views.
-
-    Performs the same structural validation as the eager path - magic,
-    version, body length, indptr endpoints - without faulting in the
-    adjacency pages themselves.
+    Every binary format here (``KVCCG``, ``KVCCIDX``, ``KVCCCOH``)
+    stores little-endian 4-byte ints that ``memoryview.cast("i")``
+    reads as native C ints, so a host whose C ``int`` is anything else
+    is refused with a ``ValueError`` rather than handed misread
+    sections.  ``what`` names the format in the error messages.
     """
+    if sys.byteorder != "little" or struct.calcsize("i") != 4:
+        raise ValueError(
+            f"{path}: cannot map a {what} file on this host: its sections "
+            f"are little-endian 4-byte ints, and the native C int is not"
+        )
     with open(path, "rb") as handle:
         try:
-            mapped = _mmap.mmap(handle.fileno(), 0, access=_mmap.ACCESS_READ)
+            return _mmap.mmap(handle.fileno(), 0, access=_mmap.ACCESS_READ)
         except ValueError:
-            # Zero-length files cannot be mapped; same failure mode as
-            # an empty read in the eager path.
-            raise ValueError(f"{path}: truncated graph header") from None
+            # Zero-length files cannot be mapped.
+            raise ValueError(f"{path}: truncated {what} header") from None
+
+
+def load_csr(path) -> CSRGraph:
+    """Map a KVCCG file written by :func:`save_csr`.
+
+    Validates magic, version, body length and the ``indptr`` endpoints
+    without faulting in the adjacency pages themselves; the rows in
+    between are checked where they are read (the c kernel on every
+    read, :attr:`CSRGraph.rows` when it boxes them).
+
+    Raises
+    ------
+    ValueError
+        If the file is not a KVCCG graph (wrong magic), was written by
+        an unsupported format version, is truncated, or its ``indptr``
+        endpoints disagree with its indices.
+    """
+    mapped = map_file(path, "graph")
     try:
         flags, n, nnz, labels_len, body_start = _check_prefix(mapped, path)
         expected = _expected_body(flags, n, nnz, labels_len)
@@ -303,12 +271,3 @@ def _load_mmap(path) -> CSRGraph:
     # ranges back to the kernel between components (CSRGraph.release_rows).
     csr._mm = (mapped, body_start + 4 * (n + 1))
     return csr
-
-
-def _check_indptr(indptr, n: int, nnz: int, path) -> None:
-    """Endpoint sanity for an eager-parsed offset table."""
-    if len(indptr) and (indptr[0] != 0 or indptr[n] != nnz):
-        raise ValueError(
-            f"{path}: corrupt graph (indptr endpoints [{indptr[0]}, "
-            f"{indptr[n]}] do not match the declared {nnz} indices)"
-        )

@@ -199,7 +199,6 @@ class Dataset:
     def load(
         self,
         cache_dir: Optional[PathLike] = None,
-        mmap: bool = True,
         refresh: bool = False,
         cache: bool = True,
         mem_budget: Union[int, str, None] = None,
@@ -240,7 +239,7 @@ class Dataset:
 
             budget = resolve_mem_budget(mem_budget)
             if budget is not None and self.kind == "file":
-                loaded = self._build_external(path, budget, mmap)
+                loaded = self._build_external(path, budget)
                 if loaded is not None:
                     return loaded
             csr = self.build_csr()
@@ -258,18 +257,14 @@ class Dataset:
                         os.remove(tmp)
             except OSError:
                 return csr  # cache not writable; serve the build
-            return CSRGraph.load(path, mmap=mmap)
+            return CSRGraph.load(path)
         try:
-            return CSRGraph.load(path, mmap=mmap)
+            return CSRGraph.load(path)
         except ValueError:
             # Bit rot or a format change mid-flight: rebuild in place.
-            return self.load(
-                cache_dir, mmap=mmap, refresh=True, mem_budget=mem_budget
-            )
+            return self.load(cache_dir, refresh=True, mem_budget=mem_budget)
 
-    def _build_external(
-        self, path: Path, budget: int, mmap: bool
-    ) -> Optional[CSRGraph]:
+    def _build_external(self, path: Path, budget: int) -> Optional[CSRGraph]:
         """Materialize the cache entry by external-sort ingest.
 
         Streams the edge list through :func:`ingest_edge_list_kvccg`
@@ -295,7 +290,7 @@ class Dataset:
                     os.remove(tmp)
         except OSError:
             return None
-        return CSRGraph.load(path, mmap=mmap)
+        return CSRGraph.load(path)
 
 
 def resolve_dataset(token: str) -> Dataset:
@@ -330,7 +325,6 @@ def resolve_dataset(token: str) -> Dataset:
 def load_graph_csr(
     spec: str,
     cache_dir: Optional[PathLike] = None,
-    mmap: bool = True,
     refresh: bool = False,
     cache: bool = True,
     mem_budget: Union[int, str, None] = None,
@@ -348,7 +342,6 @@ def load_graph_csr(
     """
     return resolve_dataset(spec).load(
         cache_dir=cache_dir,
-        mmap=mmap,
         refresh=refresh,
         cache=cache,
         mem_budget=mem_budget,

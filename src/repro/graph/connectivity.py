@@ -23,7 +23,7 @@ mask, avoiding per-vertex set allocations entirely.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Set
 
 import repro.kernels as kernels
 from repro.graph.csr import SubgraphView
@@ -144,26 +144,6 @@ def is_vertex_cut(graph: Graph, cut: Iterable[Vertex]) -> bool:
     if remaining < 2:
         return False
     return len(components_after_removal(graph, cut_set)) >= 2
-
-
-def shortest_path_length(
-    graph: Graph, source: Vertex, target: Vertex
-) -> Optional[int]:
-    """Hop distance between two vertices, or ``None`` if disconnected."""
-    if source == target:
-        return 0
-    dist: Dict[Vertex, int] = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for v in graph.neighbors(u):
-            if v == target:
-                return du + 1
-            if v not in dist:
-                dist[v] = du + 1
-                queue.append(v)
-    return None
 
 
 # ----------------------------------------------------------------------

@@ -33,13 +33,6 @@ per-base-vertex object in any step would dominate it.
 ``Graph`` remains the mutable construction/API type;
 ``Graph.to_csr()`` / ``Graph.from_csr()`` convert at the boundary.
 
-All CSR-side classes pickle compactly: a :class:`CSRGraph` serializes
-only ``indptr``/``indices`` (the derived ``rows`` lists are rebuilt on
-load), a :class:`VertexInterner` only its label list, and a
-:class:`SubgraphView` its base plus the raw mask bytes (degrees are
-recomputed).  Within one pickle payload the base is
-serialized once no matter how many views reference it.
-
 All three graph-shaped classes implement the informal protocol the
 algorithm layers rely on: ``vertices()``, ``neighbors(v)``, ``degree(v)``,
 ``has_edge(u, v)``, ``num_vertices``, ``num_edges`` and containment.
@@ -50,6 +43,7 @@ from __future__ import annotations
 import mmap as mmap_module
 from array import array
 from bisect import bisect_left
+from operator import le
 from typing import (
     Dict,
     Hashable,
@@ -118,10 +112,6 @@ class VertexInterner:
     def __len__(self) -> int:
         return len(self._labels)
 
-    def __reduce__(self):
-        """Pickle as the label list; ids are reassigned in seen order."""
-        return (VertexInterner, (list(self._labels),))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"VertexInterner(n={len(self._labels)})"
 
@@ -168,8 +158,8 @@ class CSRGraph:
         #: ``indptr``/``indices`` are ``array('l')`` for graphs built in
         #: process (other sequences are converted), or zero-copy
         #: ``memoryview.cast("i")`` sections over a file mapping for
-        #: graphs opened with ``load(path, mmap=True)``: int buffers the
-        #: c kernel reads in place.
+        #: graphs opened with :meth:`load`: int buffers the c kernel
+        #: reads in place.
         self.indptr = _int_buffer(indptr)
         self.indices = _int_buffer(indices)
         self._rows: Optional[List[List[int]]] = None
@@ -195,9 +185,10 @@ class CSRGraph:
         Iterating a list is a C-level walk over already-boxed ints, which
         the hot loops (BFS, peel, Theorem-8 scans) prefer over repeatedly
         indexing the ``array`` (one int box per access).  Building them
-        lazily keeps ``load(path, mmap=True)`` at O(header): a process
-        that only serves a few queries never pays the O(n + m) boxing
-        pass.
+        lazily keeps :meth:`load` at O(header): a process that only
+        serves a few queries never pays the O(n + m) boxing pass.  The
+        first build checks every row (:meth:`_check_rows`), because a
+        slice would silently clamp a corrupt one.
 
         In out-of-core mode (:meth:`prepare_rows`), the returned list is
         *partial*: only prepared entries are lists, the rest ``None``.
@@ -207,6 +198,7 @@ class CSRGraph:
         """
         rows = self._rows
         if rows is None:
+            self._check_rows()
             indptr, indices = self.indptr, self.indices
             rows = [
                 list(indices[indptr[i] : indptr[i + 1]])
@@ -221,10 +213,12 @@ class CSRGraph:
         The out-of-core driver's entry hook: boxes just one component's
         rows (faulting in just those CSR pages when mmap-backed) instead
         of the whole graph.  A no-op for vertices already prepared and
-        for graphs whose full row cache exists.
+        for graphs whose full row cache exists.  The call that starts
+        the partial cache checks every row, as :attr:`rows` does.
         """
         rows = self._rows
         if rows is None:
+            self._check_rows()
             rows = [None] * self.n
             self._rows = rows
             self._rows_partial = True
@@ -234,6 +228,31 @@ class CSRGraph:
         for v in vertices:
             if rows[v] is None:
                 rows[v] = list(indices[indptr[v] : indptr[v + 1]])
+
+    def _check_rows(self) -> None:
+        """Raise ``ValueError`` unless every row lies in
+        ``0 <= start <= end <= len(indices)``.
+
+        A mapped file's load checks only the ``indptr`` endpoints, and
+        slicing a row out of range would clamp it instead of failing.
+        One pass over ``indptr`` at C speed; the offending row is
+        looked up only to word the error.
+        """
+        indptr, n, nnz = self.indptr, self.n, len(self.indices)
+        if not n or (
+            indptr[0] >= 0
+            and indptr[n] <= nnz
+            and all(map(le, indptr[:n], indptr[1 : n + 1]))
+        ):
+            return
+        for v in range(n):
+            start, end = indptr[v], indptr[v + 1]
+            if not 0 <= start <= end <= nnz:
+                break
+        raise ValueError(
+            f"corrupt CSR base: row {v} spans [{start}, {end}), outside "
+            f"the base's {nnz} indices"
+        )
 
     def release_rows(self, vertices: Optional[Iterable[int]] = None) -> None:
         """Drop boxed rows (all, or just ``vertices``) and advise the OS.
@@ -406,24 +425,6 @@ class CSRGraph:
             self._ids = list(range(self.n))
         return SubgraphView(self, mask, deg, self.n, list(self._ids))
 
-    def view_from_mask(self, mask: bytes) -> "SubgraphView":
-        """A view whose active set is the 1-bytes of ``mask``.
-
-        This is the decoder :class:`SubgraphView` unpickles through: a
-        view travels as ``bytes(view.mask)`` and is rebuilt here against
-        the receiver's copy of the base.  Active degrees are recomputed,
-        so the mask is the only state that needs to be shipped.
-        """
-        if len(mask) != self.n:
-            raise ValueError(
-                f"mask length {len(mask)} does not match base n={self.n}"
-            )
-        mask = bytearray(mask)
-        kern = kernels.select()
-        verts = kern.active_ids(mask)
-        deg = kern.active_degrees(self, mask, verts)
-        return SubgraphView(self, mask, deg, len(verts), verts)
-
     def view_from_members(self, members: Iterable[int]) -> "SubgraphView":
         """A view whose active set is exactly ``members`` (base ids).
 
@@ -491,36 +492,17 @@ class CSRGraph:
         save_csr(self, path)
 
     @classmethod
-    def load(cls, path, mmap: bool = True) -> "CSRGraph":
-        """Read a graph written by :meth:`save`.
+    def load(cls, path) -> "CSRGraph":
+        """Map a graph written by :meth:`save`.
 
-        ``mmap=True`` (the default) maps the file and exposes the int32
-        sections as zero-copy views, so a cold process is mine-ready in
-        O(header); ``mmap=False`` parses everything into ``array``
-        objects up front.  Wrong magic, wrong format version, and
-        truncation raise ``ValueError``.
+        The int32 sections become zero-copy views of the mapping, so a
+        cold process is mine-ready in O(header).  Wrong magic, wrong
+        format version, truncation and bad ``indptr`` endpoints raise
+        ``ValueError``.
         """
         from repro.data.format import load_csr
 
-        return load_csr(path, mmap=mmap)
-
-    def __getstate__(self):
-        """Pickle only the defining arrays; ``rows`` is derived.
-
-        Mmap-backed memoryview sections are materialized into plain
-        arrays first - a pickle must not depend on the mapping staying
-        open on the receiving side.
-        """
-        indptr, indices = self.indptr, self.indices
-        if not isinstance(indptr, array):
-            indptr = array("l", indptr)
-        if not isinstance(indices, array):
-            indices = array("l", indices)
-        return (self.n, indptr, indices, self.interner)
-
-    def __setstate__(self, state) -> None:
-        n, indptr, indices, interner = state
-        self.__init__(n, indptr, indices, interner)
+        return load_csr(path)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CSRGraph(n={self.n}, m={self.num_edges})"
@@ -704,24 +686,10 @@ class SubgraphView:
         """
         return self.base.materialize_members(self.active_list())
 
-    def __reduce__(self):
-        """Pickle as (base, mask bytes); degrees are recomputed on load.
-
-        Pickle memoizes the base, so shipping many views of one base in a
-        single payload serializes the CSR arrays exactly once.
-        """
-        return (_rebuild_view, (self.base, bytes(self.mask)))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"SubgraphView(active={self._n_active}, base_n={self.base.n})"
         )
-
-
-def _rebuild_view(base: CSRGraph, mask: bytes) -> SubgraphView:
-    """Unpickle helper for :class:`SubgraphView` (module-level so it is
-    itself picklable by reference)."""
-    return base.view_from_mask(mask)
 
 
 class IntAdjacency:

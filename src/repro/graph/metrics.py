@@ -103,17 +103,6 @@ def average_clustering_coefficient(graph: Graph) -> float:
     return sum(clustering_coefficient(graph, v) for v in graph.vertices()) / n
 
 
-def triangle_count(graph: Graph) -> int:
-    """Total number of triangles in the graph (each counted once)."""
-    total = 0
-    for u in graph.vertices():
-        nu = graph.neighbors(u)
-        for v in nu:
-            total += len(nu & graph.neighbors(v))
-    # Each triangle counted 6 times: 3 ordered (u, v) pairs x 2 directions.
-    return total // 6
-
-
 def graph_summary(graph: Graph) -> Dict[str, float]:
     """The Table 1 statistics row: n, m, density (m/n), max degree."""
     n = graph.num_vertices

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, List, Optional, Set, Union
+from typing import Iterable, Optional, Union
 
 from repro.graph.graph import Graph, Vertex
 
@@ -84,14 +84,3 @@ def load_decomposition(path: PathLike) -> dict:
             g.add_edge(u, v)
         out["graph"] = g
     return out
-
-
-def components_membership(
-    components: List[Set[Vertex]],
-) -> dict:
-    """Invert a decomposition: vertex -> list of component indices."""
-    membership: dict = {}
-    for idx, comp in enumerate(components):
-        for v in comp:
-            membership.setdefault(v, []).append(idx)
-    return membership

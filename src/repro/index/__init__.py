@@ -10,8 +10,8 @@ no graph traversal, no re-enumeration per query.
   a :class:`~repro.core.hierarchy.KVCCHierarchy` (interner labels,
   per-level component membership as sorted id runs, parent pointers,
   per-vertex vcc-numbers) with a versioned binary ``save``/``load``;
-  ``load(path, mmap=True)`` maps the sections zero-copy so a cold
-  process is query-ready in O(header);
+  ``load`` maps the sections zero-copy so a cold process is
+  query-ready in O(header);
 * :func:`~repro.index.store.build_index` - graph in, index out (CSR
   hierarchy construction plus packing);
 * :class:`~repro.index.query.HierarchyQueryService` - the online

@@ -28,12 +28,11 @@ offset  field
 ...     payload         one complete KVCCIDX stream per measure
 ```
 
-Directory offsets are relative to the payload start, so
-``load(path, mmap=True)`` parses magic + directory (O(header)), maps
-the file once, and wires each measure's sections up as zero-copy views
-into the shared mapping via :meth:`HierarchyIndex.from_buffer` - a cold
-multi-measure process is query-ready in O(header), same as the
-single-measure path.
+Directory offsets are relative to the payload start, so ``load(path)``
+maps the file once, parses magic + directory (O(header)), and wires
+each measure's sections up as zero-copy views into the shared mapping
+via :meth:`HierarchyIndex.from_buffer` - a cold multi-measure process
+is query-ready in O(header), same as the single-measure path.
 
 Build once with :func:`build_cohesion_index`; query through
 :class:`CohesionQueryService`, which exposes one
@@ -74,7 +73,6 @@ True
 from __future__ import annotations
 
 import json
-import mmap as _mmap
 import struct
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -84,11 +82,12 @@ from repro.core.hierarchy import (
     build_hierarchy_csr,
 )
 from repro.core.options import KVCCOptions
+from repro.data.format import map_file
 from repro.graph.connectivity import connected_components
 from repro.graph.csr import CSRGraph
 from repro.index.mincut import min_edge_cut
 from repro.index.query import HierarchyQueryService
-from repro.index.store import _MMAP_ZERO_COPY, HierarchyIndex
+from repro.index.store import HierarchyIndex
 
 #: File signature of a persisted multi-measure cohesion index.
 COHESION_MAGIC = b"KVCCCOH"
@@ -289,7 +288,7 @@ class CohesionIndex:
     code unchanged.
     """
 
-    __slots__ = ("_indexes", "_mmap")
+    __slots__ = ("_indexes",)
 
     def __init__(self, indexes: Dict[str, HierarchyIndex]) -> None:
         if not indexes:
@@ -304,17 +303,11 @@ class CohesionIndex:
         self._indexes = {
             name: indexes[name] for name in MEASURES if name in indexes
         }
-        self._mmap = None
 
     @property
     def measures(self) -> Tuple[str, ...]:
         """The persisted measure names, canonical order."""
         return tuple(self._indexes)
-
-    @property
-    def is_mmap(self) -> bool:
-        """True while the measure sections view a live file mapping."""
-        return self._mmap is not None
 
     def index_for(self, measure: str) -> HierarchyIndex:
         """The :class:`HierarchyIndex` of one measure (``KeyError`` if
@@ -390,62 +383,31 @@ class CohesionIndex:
             raise
 
     @classmethod
-    def load(cls, path, mmap: bool = False) -> "CohesionIndex":
-        """Read a container written by :meth:`save`.
+    def load(cls, path) -> "CohesionIndex":
+        """Map a container written by :meth:`save`.
 
-        ``mmap=True`` maps the file once and parses each embedded
-        measure stream zero-copy out of the shared mapping (O(header)
-        cold start, pages shared across processes); the default parses
-        everything eagerly.  Rejects wrong magic, wrong container
-        version, truncation, and malformed directories loudly - and
-        every embedded stream re-runs the full ``KVCCIDX`` validation.
+        The file is mapped once and each embedded measure stream is
+        parsed zero-copy out of the shared mapping (O(header) cold
+        start, pages shared across processes).  Rejects wrong magic,
+        wrong container version, truncation, and malformed directories
+        loudly - and every embedded stream re-runs the full
+        ``KVCCIDX`` validation.  If one of those fails after another
+        measure has been parsed, the mapping is released once the
+        error is handled (the parsed views are its last references).
         """
-        if mmap and _MMAP_ZERO_COPY:
-            return cls._load_mmap(path)
-        with open(path, "rb") as handle:
-            blob = handle.read()
-        directory = cls._parse_directory(blob, path)
-        indexes = {
-            entry["name"]: HierarchyIndex.from_buffer(
-                cls._payload_slice(blob, entry, path), path
-            )
-            for entry in directory
-        }
-        return cls(indexes)
-
-    @classmethod
-    def _load_mmap(cls, path) -> "CohesionIndex":
-        """Map ``path`` once; each measure views the shared mapping."""
-        with open(path, "rb") as handle:
-            try:
-                mapped = _mmap.mmap(
-                    handle.fileno(), 0, access=_mmap.ACCESS_READ
-                )
-            except ValueError:
-                raise ValueError(
-                    f"{path}: truncated cohesion index header"
-                ) from None
+        mapped = map_file(path, "cohesion index")
         try:
             directory = cls._parse_directory(mapped, path)
-            view = memoryview(mapped)
-            indexes = {}
-            for entry in directory:
-                index = HierarchyIndex.from_buffer(
-                    cls._payload_slice(view, entry, path),
-                    path,
-                    zero_copy=True,
-                )
-                # Each embedded index reports (and participates in
-                # releasing) the shared mapping; close() materializes
-                # first and refcounting keeps siblings safe.
-                index._mmap = mapped
-                indexes[entry["name"]] = index
         except ValueError:
             mapped.close()
             raise
-        container = cls(indexes)
-        container._mmap = mapped
-        return container
+        view = memoryview(mapped)
+        return cls({
+            entry["name"]: HierarchyIndex.from_buffer(
+                cls._payload_slice(view, entry, path), path
+            )
+            for entry in directory
+        })
 
     @staticmethod
     def _parse_directory(blob, path) -> List[dict]:
@@ -503,19 +465,6 @@ class CohesionIndex:
         start = entry["_payload_start"] + entry["offset"]
         return blob[start : start + entry["length"]]
 
-    def close(self) -> None:
-        """Detach every measure from the file mapping (idempotent)."""
-        for index in self._indexes.values():
-            index.close()
-        mapped, self._mmap = self._mmap, None
-        if mapped is not None:
-            try:
-                mapped.close()
-            except BufferError:
-                # A reader still exports a view; refcounting closes the
-                # mapping once the last view dies.
-                pass
-
 
 def build_cohesion_index(
     graph,
@@ -553,9 +502,9 @@ def build_cohesion_index(
     return CohesionIndex(indexes)
 
 
-def load_cohesion_index(path, mmap: bool = False) -> CohesionIndex:
+def load_cohesion_index(path) -> CohesionIndex:
     """Convenience alias for :meth:`CohesionIndex.load`."""
-    return CohesionIndex.load(path, mmap=mmap)
+    return CohesionIndex.load(path)
 
 
 def is_cohesion_file(path) -> bool:
@@ -601,7 +550,7 @@ def sniff_measures(path) -> Optional[Tuple[str, ...]]:
     return names
 
 
-def load_any_index(path, mmap: bool = True):
+def load_any_index(path):
     """Magic-sniffing loader: plain or multi-measure, one entry point.
 
     A ``KVCCCOH`` file loads as a :class:`CohesionIndex`; anything else
@@ -612,10 +561,10 @@ def load_any_index(path, mmap: bool = True):
     format-agnostic.
     """
     if is_cohesion_file(path):
-        return CohesionIndex.load(path, mmap=mmap)
+        return CohesionIndex.load(path)
     from repro.index.delta import load_effective_index
 
-    return load_effective_index(path, mmap=mmap)
+    return load_effective_index(path)
 
 
 class CohesionQueryService:
@@ -640,9 +589,9 @@ class CohesionQueryService:
         }
 
     @classmethod
-    def from_file(cls, path, mmap: bool = False) -> "CohesionQueryService":
+    def from_file(cls, path) -> "CohesionQueryService":
         """Load a saved container and wrap it in a query service."""
-        return cls(CohesionIndex.load(path, mmap=mmap))
+        return cls(CohesionIndex.load(path))
 
     @property
     def cohesion_index(self) -> CohesionIndex:

@@ -337,14 +337,15 @@ class _Forest:
         )
 
 
-def load_effective_index(path, mmap: bool = True) -> HierarchyIndex:
+def load_effective_index(path) -> HierarchyIndex:
     """Load an index with its delta-log overlay applied.
 
     With no log (or an invalid / differently-bound / record-free one)
-    this is exactly :meth:`HierarchyIndex.load` - the mmap zero-copy
-    path is preserved.  Otherwise the base is parsed eagerly, the good
+    this is exactly :meth:`HierarchyIndex.load`, the mapped zero-copy
+    index.  Otherwise the mapped base is copied into a forest, the good
     record prefix replayed, and the overlaid index returned; the result
-    equals the updater's in-memory index after the same records.
+    equals the updater's in-memory index after the same records.  The
+    forest keeps no view of the base, so its mapping is released here.
     """
     log_path = delta_log_path(path)
     records: Optional[List[dict]] = None
@@ -354,8 +355,8 @@ def load_effective_index(path, mmap: bool = True) -> HierarchyIndex:
         # Graph-binding meta records carry no overlay content.
         records = [r for r in records if not r.get("meta")]
     if not records:
-        return HierarchyIndex.load(path, mmap=mmap)
-    forest = _Forest.from_index(HierarchyIndex.load(path, mmap=False))
+        return HierarchyIndex.load(path)
+    forest = _Forest.from_index(HierarchyIndex.load(path))
     for record in records:
         forest.apply_record(record)
     return forest.to_index()
@@ -418,7 +419,7 @@ class IndexUpdater:
         self.log_path = delta_log_path(index_path)
         self._options = options or KVCCOptions()
         self._engine = SerialEngine()
-        base = HierarchyIndex.load(self.path, mmap=False)
+        base = HierarchyIndex.load(self.path)
         self._digest = _file_digest(self.path)
         self._forest = _Forest.from_index(base)
         if graph is None:

@@ -64,9 +64,9 @@ class HierarchyQueryService:
         self._vertex_nodes: Optional[List[List[int]]] = None
 
     @classmethod
-    def from_file(cls, path, mmap: bool = False) -> "HierarchyQueryService":
+    def from_file(cls, path) -> "HierarchyQueryService":
         """Load a saved index and wrap it in a query service."""
-        return cls(HierarchyIndex.load(path, mmap=mmap))
+        return cls(HierarchyIndex.load(path))
 
     @property
     def index(self) -> HierarchyIndex:

@@ -22,31 +22,24 @@ version header (:data:`MAGIC`, :data:`FORMAT_VERSION`); labels travel as
 a JSON array, everything else as packed 32-bit integers.  ``load``
 rejects wrong magic and wrong versions loudly instead of misreading.
 
-Two load paths share that format:
-
-* **eager** (``load(path)``) - read the whole file, unpack every array
-  into Python lists.  O(index) before the first query;
-* **mmap** (``load(path, mmap=True)``) - map the file and expose the
-  integer sections as zero-copy ``memoryview`` casts over the mapping;
-  the JSON label blob is decoded lazily on first label access.  A cold
-  process pays O(header) before its first query, and resident cost is
-  page-cache pages shared across processes serving the same file.
+``load`` maps the file and exposes the integer sections as zero-copy
+``memoryview`` casts over the mapping; the JSON label blob is decoded
+lazily on first label access.  A cold process pays O(header) before its
+first query, and resident cost is page-cache pages shared across
+processes serving the same file.  The mapping is released when the
+last view of it dies, so dropping every reference to an index is all
+it takes to let it go.
 """
 
 from __future__ import annotations
 
 import json
-import mmap as _mmap
 import struct
-import sys
-from typing import BinaryIO, Hashable, List, Optional, Sequence
+from typing import Hashable, List, Optional, Sequence
 
-from repro.core.hierarchy import (
-    HierarchyNode,
-    KVCCHierarchy,
-    build_hierarchy_csr,
-)
+from repro.core.hierarchy import KVCCHierarchy, build_hierarchy_csr
 from repro.core.options import KVCCOptions
+from repro.data.format import map_file
 from repro.graph.csr import VertexInterner
 from repro.graph.graph import Graph
 
@@ -57,13 +50,6 @@ FORMAT_VERSION = 1
 
 _HEADER = struct.Struct("<IIIiI")  # n_vertices, n_nodes, n_run_pairs,
 #                                    max_k, labels_blob_length
-
-#: Whether this interpreter can view the little-endian int32 sections
-#: in place.  ``memoryview.cast`` only speaks native layouts, so the
-#: mmap fast path needs a little-endian platform with 4-byte ints
-#: (every CPython platform this repo targets); anywhere else ``load``
-#: silently falls back to the eager parse.
-_MMAP_ZERO_COPY = sys.byteorder == "little" and struct.calcsize("i") == 4
 
 
 def _encode_runs(sorted_ids: List[int], out: List[int]) -> int:
@@ -91,34 +77,9 @@ def _pack_ints(values: List[int]) -> bytes:
     return struct.pack(f"<{len(values)}i", *values)
 
 
-def _unpack_ints(buf: bytes, offset: int, count: int) -> List[int]:
-    """Inverse of :func:`_pack_ints`; reads ``count`` ints at ``offset``."""
-    return list(struct.unpack_from(f"<{count}i", buf, offset))
-
-
 def _as_list(values: Sequence[int]) -> List[int]:
     """Normalize an int section (list or memoryview) for comparison."""
     return values if isinstance(values, list) else list(values)
-
-
-def _check_run_offsets(
-    run_offsets: Sequence[int], n_run_pairs: int, path
-) -> None:
-    """O(1) cross-check of the run table against the header.
-
-    A structurally complete file can still carry nonsense (bit rot, a
-    foreign file that happens to match the length equation); the run
-    table's endpoints are the cheapest invariant that catches it before
-    queries start indexing out of range.
-    """
-    if len(run_offsets) and (
-        run_offsets[0] != 0 or run_offsets[-1] != n_run_pairs
-    ):
-        raise ValueError(
-            f"{path}: corrupt index (run table endpoints "
-            f"[{run_offsets[0]}, {run_offsets[-1]}] do not match the "
-            f"declared {n_run_pairs} run pair(s))"
-        )
 
 
 class HierarchyIndex:
@@ -150,7 +111,6 @@ class HierarchyIndex:
         "vcc_numbers",
         "max_k",
         "_ids",
-        "_mmap",
     )
 
     def __init__(
@@ -175,7 +135,6 @@ class HierarchyIndex:
         self.vcc_numbers = vcc_numbers
         self.max_k = max_k
         self._ids: Optional[dict] = None
-        self._mmap = None
 
     # ------------------------------------------------------------------
     # Shape
@@ -184,9 +143,9 @@ class HierarchyIndex:
     def labels(self) -> List[Hashable]:
         """Vertex labels in id order.
 
-        Eager loads hold the decoded list from the start; mmap loads
-        keep the raw JSON blob mapped and decode it here, once, on the
-        first label-facing access (``id_of``, ``member_labels``, ...).
+        A built index holds the list from the start; a loaded one keeps
+        the raw JSON blob mapped and decodes it here, once, on the first
+        label-facing access (``id_of``, ``member_labels``, ...).
         """
         if self._labels is None:
             self._labels = json.loads(bytes(self._labels_blob).decode("utf-8"))
@@ -203,8 +162,9 @@ class HierarchyIndex:
 
     @property
     def is_mmap(self) -> bool:
-        """True while the array sections view a live file mapping."""
-        return self._mmap is not None
+        """True when the array sections view a loaded file's mapping
+        (false for an index built or overlaid in memory)."""
+        return isinstance(self.runs, memoryview)
 
     @property
     def num_nodes(self) -> int:
@@ -299,23 +259,6 @@ class HierarchyIndex:
         """Largest level containing ``label`` (0 when not indexed)."""
         vid = self.id_of(label)
         return 0 if vid is None else self.vcc_numbers[vid]
-
-    def to_hierarchy(self) -> KVCCHierarchy:
-        """Reconstruct the set-based :class:`KVCCHierarchy` (for tests
-        and interoperability with the construction-time API)."""
-        hierarchy = KVCCHierarchy(max_k=self.max_k)
-        for node in range(self.num_nodes):
-            parent = self.node_parent[node]
-            hierarchy.nodes.append(
-                HierarchyNode(
-                    k=self.node_k[node],
-                    vertices=set(self.member_labels(node)),
-                    parent=None if parent < 0 else parent,
-                )
-            )
-            if parent >= 0:
-                hierarchy.nodes[parent].children.append(node)
-        return hierarchy
 
     # ------------------------------------------------------------------
     # Construction
@@ -459,109 +402,40 @@ class HierarchyIndex:
             raise
 
     @classmethod
-    def load(cls, path, mmap: bool = False) -> "HierarchyIndex":
-        """Read an index written by :meth:`save`.
+    def load(cls, path) -> "HierarchyIndex":
+        """Map an index written by :meth:`save`.
 
-        Parameters
-        ----------
-        path:
-            The index file.
-        mmap:
-            ``False`` (default) parses the whole file into Python lists
-            up front.  ``True`` maps the file instead: the int32
-            sections become zero-copy ``memoryview`` casts over the
-            mapping and the label blob decodes lazily, so the load
-            itself costs O(header) no matter how large the index is.
-            On platforms where the in-place view is impossible (big
-            endian, exotic int size) this silently falls back to the
-            eager parse; the structural validation is identical either
-            way.
+        The int32 sections become zero-copy ``memoryview`` casts over
+        the mapping and the label blob decodes lazily, so the load
+        itself costs O(header) no matter how large the index is.
 
         Raises
         ------
         ValueError
             If the file is not a hierarchy index (wrong magic), was
-            written by an unsupported format version, or is truncated.
+            written by an unsupported format version, is truncated, or
+            its run table's endpoints disagree with its header.
         """
-        if mmap and _MMAP_ZERO_COPY:
-            return cls._load_mmap(path)
-        with open(path, "rb") as handle:
-            return cls._read(handle, path)
+        mapped = map_file(path, "index")
+        try:
+            return cls.from_buffer(mapped, path)
+        except ValueError:
+            mapped.close()
+            raise
 
     @classmethod
-    def _read(cls, handle: BinaryIO, path) -> "HierarchyIndex":
-        """Parse the binary format from an open file handle."""
-        magic = handle.read(len(MAGIC))
-        if magic != MAGIC:
-            raise ValueError(
-                f"{path}: not a k-VCC hierarchy index file "
-                f"(bad magic {magic!r}, expected {MAGIC!r})"
-            )
-        version_byte = handle.read(1)
-        if len(version_byte) != 1:
-            raise ValueError(f"{path}: truncated index header")
-        version = version_byte[0]
-        if version != FORMAT_VERSION:
-            raise ValueError(
-                f"{path}: unsupported index format version {version} "
-                f"(this build reads version {FORMAT_VERSION}); rebuild "
-                f"the index with 'repro hierarchy --save-index'"
-            )
-        header = handle.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise ValueError(f"{path}: truncated index header")
-        n_vertices, n_nodes, n_run_pairs, max_k, labels_len = _HEADER.unpack(
-            header
-        )
-        body = handle.read()
-        expected = labels_len + 4 * (
-            n_nodes + n_nodes + (n_nodes + 1) + 2 * n_run_pairs + n_vertices
-        )
-        if len(body) != expected:
-            raise ValueError(
-                f"{path}: truncated index body "
-                f"({len(body)} bytes, expected {expected})"
-            )
-        labels = json.loads(body[:labels_len].decode("utf-8"))
-        offset = labels_len
-        node_k = _unpack_ints(body, offset, n_nodes)
-        offset += 4 * n_nodes
-        node_parent = _unpack_ints(body, offset, n_nodes)
-        offset += 4 * n_nodes
-        run_offsets = _unpack_ints(body, offset, n_nodes + 1)
-        offset += 4 * (n_nodes + 1)
-        runs = _unpack_ints(body, offset, 2 * n_run_pairs)
-        offset += 4 * 2 * n_run_pairs
-        vcc_numbers = _unpack_ints(body, offset, n_vertices)
-        _check_run_offsets(run_offsets, n_run_pairs, path)
-        return cls(
-            labels=labels,
-            node_k=node_k,
-            node_parent=node_parent,
-            run_offsets=run_offsets,
-            runs=runs,
-            vcc_numbers=vcc_numbers,
-            max_k=max_k,
-        )
-
-    @classmethod
-    def from_buffer(
-        cls, buffer, path, zero_copy: bool = False
-    ) -> "HierarchyIndex":
+    def from_buffer(cls, buffer, path) -> "HierarchyIndex":
         """Parse one complete ``KVCCIDX`` byte stream out of ``buffer``.
 
-        The shared workhorse behind the mmap load path and the embedded
-        streams of the multi-measure container
-        (:mod:`repro.index.cohesion`): ``buffer`` must hold exactly one
-        index stream, magic through the last section, with nothing
-        after it.  ``zero_copy`` exposes the int32 sections as
-        ``memoryview`` casts into ``buffer`` (which must stay alive as
-        long as the index - the caller owns the backing mapping) and
-        defers the label decode; otherwise every section materializes
-        into Python lists up front.  Validation is identical either way
-        (magic, version, completeness, run-table endpoints) and happens
-        *before* any view into ``buffer`` is exported, so a failed
-        parse never pins the backing buffer.
+        The one parser behind :meth:`load` and the embedded streams of
+        the multi-measure container (:mod:`repro.index.cohesion`):
+        ``buffer`` must hold exactly one index stream, magic through
+        the last section, with nothing after it.  The int32 sections
+        become ``memoryview`` casts into ``buffer``, which they keep
+        alive, and the label decode is deferred.  Validation (magic,
+        version, completeness, run-table endpoints) happens *before*
+        any view into ``buffer`` is exported, so a failed parse never
+        pins the backing buffer.
         """
         prefix = len(MAGIC)
         if bytes(buffer[:prefix]) != MAGIC:
@@ -594,112 +468,26 @@ class HierarchyIndex:
                 f"({body_len} bytes, expected {expected})"
             )
         offsets_at = body_start + labels_len + 8 * n_nodes
-        endpoints = (
-            struct.unpack_from("<i", buffer, offsets_at)[0],
-            struct.unpack_from("<i", buffer, offsets_at + 4 * n_nodes)[0],
-        )
-        _check_run_offsets(endpoints, n_run_pairs, path)
-        if not zero_copy:
-            body = bytes(buffer[body_start:])
-            labels = json.loads(body[:labels_len].decode("utf-8"))
-            offset = labels_len
-            node_k = _unpack_ints(body, offset, n_nodes)
-            offset += 4 * n_nodes
-            node_parent = _unpack_ints(body, offset, n_nodes)
-            offset += 4 * n_nodes
-            run_offsets = _unpack_ints(body, offset, n_nodes + 1)
-            offset += 4 * (n_nodes + 1)
-            runs = _unpack_ints(body, offset, 2 * n_run_pairs)
-            offset += 4 * 2 * n_run_pairs
-            vcc_numbers = _unpack_ints(body, offset, n_vertices)
-            return cls(
-                labels=labels,
-                node_k=node_k,
-                node_parent=node_parent,
-                run_offsets=run_offsets,
-                runs=runs,
-                vcc_numbers=vcc_numbers,
-                max_k=max_k,
+        first = struct.unpack_from("<i", buffer, offsets_at)[0]
+        last = struct.unpack_from("<i", buffer, offsets_at + 4 * n_nodes)[0]
+        if first != 0 or last != n_run_pairs:
+            raise ValueError(
+                f"{path}: corrupt index (run table endpoints "
+                f"[{first}, {last}] do not match the declared "
+                f"{n_run_pairs} run pair(s))"
             )
-        view = (
-            buffer if isinstance(buffer, memoryview) else memoryview(buffer)
-        )
-        offset = body_start
-        labels_blob = view[offset : offset + labels_len]
-        offset += labels_len
+        view = memoryview(buffer)
+        offset = body_start + labels_len
         sections = []
         for count in (n_nodes, n_nodes, n_nodes + 1, 2 * n_run_pairs,
                       n_vertices):
             sections.append(view[offset : offset + 4 * count].cast("i"))
             offset += 4 * count
-        node_k, node_parent, run_offsets, runs, vcc_numbers = sections
-        index = cls.__new__(cls)
+        index = cls([], *sections, max_k)
         index._labels = None
-        index._labels_blob = labels_blob
+        index._labels_blob = view[body_start : body_start + labels_len]
         index._n_vertices = n_vertices
-        index.node_k = node_k
-        index.node_parent = node_parent
-        index.run_offsets = run_offsets
-        index.runs = runs
-        index.vcc_numbers = vcc_numbers
-        index.max_k = max_k
-        index._ids = None
-        index._mmap = None
         return index
-
-    @classmethod
-    def _load_mmap(cls, path) -> "HierarchyIndex":
-        """Map ``path`` and wire the sections up as zero-copy views.
-
-        Performs exactly the structural validation :meth:`_read` does
-        (magic, version, header completeness, body length) against the
-        mapping, without touching - and therefore without faulting in -
-        the array pages themselves.
-        """
-        with open(path, "rb") as handle:
-            try:
-                mapped = _mmap.mmap(
-                    handle.fileno(), 0, access=_mmap.ACCESS_READ
-                )
-            except ValueError:
-                # Zero-length files cannot be mapped; same failure mode
-                # as an empty read in the eager path.
-                raise ValueError(f"{path}: truncated index header") from None
-        try:
-            index = cls.from_buffer(mapped, path, zero_copy=True)
-        except ValueError:
-            mapped.close()
-            raise
-        index._mmap = mapped
-        return index
-
-    def close(self) -> None:
-        """Detach from the file mapping (no-op for eager loads).
-
-        Every mmap-backed section is materialized into a plain list and
-        the mapping is closed, so the index stays fully usable but no
-        longer pins the file.  If another thread still holds one of the
-        old section views, closing is deferred to reference counting
-        (the mapping is freed the moment the last view dies) instead of
-        raising ``BufferError`` into the caller.
-        """
-        if self._mmap is None:
-            return
-        self.labels  # decode before the blob's buffer goes away
-        self._labels_blob = None
-        self.node_k = list(self.node_k)
-        self.node_parent = list(self.node_parent)
-        self.run_offsets = list(self.run_offsets)
-        self.runs = list(self.runs)
-        self.vcc_numbers = list(self.vcc_numbers)
-        mapped, self._mmap = self._mmap, None
-        try:
-            mapped.close()
-        except BufferError:
-            # A concurrent reader still exports a view of the mapping;
-            # dropping our reference lets refcounting close it when the
-            # last view is released.
-            pass
 
 
 def build_index(
@@ -728,6 +516,6 @@ def build_index(
     return HierarchyIndex.from_hierarchy(hierarchy, base.interner)
 
 
-def load_index(path, mmap: bool = False) -> HierarchyIndex:
+def load_index(path) -> HierarchyIndex:
     """Convenience alias for :meth:`HierarchyIndex.load`."""
-    return HierarchyIndex.load(path, mmap=mmap)
+    return HierarchyIndex.load(path)

@@ -5,7 +5,7 @@ from dataset *name* to index *file* and decides what is resident in
 memory at any moment.
 
 * **lazy open** - ``register`` records the path only; the index is
-  loaded (mmap-backed by default) on the first query that needs it;
+  mapped on the first query that needs it;
 * **LRU residency** - at most ``capacity`` indexes stay resident;
   touching a dataset moves it to the fresh end, loading one past the
   cap evicts the stalest.  Registrations themselves are never dropped,
@@ -24,8 +24,9 @@ memory at any moment.
 
 All public methods are thread-safe behind one lock; loads happen under
 it, which serializes cold starts but keeps the LRU and reload logic
-trivially correct.  With mmap-backed loads a cold start is O(header),
-so the serialization window is microseconds, not parse time.
+trivially correct.  A mapped load is O(header), so the serialization
+window is microseconds, not parse time (a delta-logged index also
+replays its log there).
 
 Examples
 --------
@@ -107,16 +108,12 @@ class IndexRegistry:
     ----------
     capacity:
         Maximum number of indexes resident at once (>= 1).
-    mmap:
-        Load indexes mmap-backed (default) so cold starts are O(header)
-        and resident pages are shared; ``False`` forces eager parses.
     """
 
-    def __init__(self, capacity: int = 8, mmap: bool = True) -> None:
+    def __init__(self, capacity: int = 8) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self._capacity = capacity
-        self._mmap = mmap
         self._lock = threading.Lock()
         #: Insertion/touch order *is* the LRU order (stalest first).
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
@@ -201,7 +198,7 @@ class IndexRegistry:
                 self._release(entry)
                 self._counters["reloads"] += 1
             if entry.service is None:
-                index = load_any_index(entry.path, mmap=self._mmap)
+                index = load_any_index(entry.path)
                 if isinstance(index, CohesionIndex):
                     entry.service = CohesionQueryService(index)
                 else:
@@ -293,10 +290,8 @@ class IndexRegistry:
         """Drop an entry's resident index.
 
         Just clears the references: reference counting releases the
-        mapping the moment the last in-flight query using it finishes.
-        Explicitly ``close()``-ing here would materialize the whole
-        index (O(index) work under the registry lock) only to discard
-        it, and would race concurrent readers still holding views.
+        mapping the moment the last in-flight query using it finishes,
+        so nothing races a concurrent reader still holding views.
         """
         entry.service = None
         entry.signature = None

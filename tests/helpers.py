@@ -36,6 +36,15 @@ def random_connected_graph(n: int, p: float, seed: int) -> Graph:
     return g
 
 
+def string_labeled(graph: Graph, prefix: str) -> Graph:
+    """A copy of ``graph`` with vertex ``v`` renamed ``f"{prefix}{v}"``,
+    in the same vertex order, so inputs cross the interner boundary."""
+    out = Graph(vertices=[f"{prefix}{v}" for v in graph.vertices()])
+    for u, v in graph.edges():
+        out.add_edge(f"{prefix}{u}", f"{prefix}{v}")
+    return out
+
+
 def as_view(graph: Graph) -> SubgraphView:
     """A CSR view of an int-labeled ``graph`` whose ids equal its labels.
 

@@ -28,9 +28,12 @@ from repro.graph.generators import (
     ring_of_cliques,
 )
 from repro.graph.graph import Graph
-from repro.graph.views import relabel
 
-from helpers import random_connected_graph, vertex_set_family
+from helpers import (
+    random_connected_graph,
+    string_labeled,
+    vertex_set_family,
+)
 
 
 def families(graph, k, options=None):
@@ -64,7 +67,7 @@ class TestPropertyParity:
     def test_parity_with_string_labels(self, n, p, seed, k):
         """Relabeled vertices exercise the interner boundary."""
         g = random_connected_graph(n, p, seed)
-        named = relabel(g, {v: f"v{v}" for v in g.vertices()})
+        named = string_labeled(g, "v")
         got, oracle = families(named, k)
         assert got == oracle
 
@@ -133,10 +136,7 @@ class TestCsrStructure:
         assert Graph.from_csr(g.to_csr()) == g
 
     def test_roundtrip_string_labels(self):
-        g = relabel(
-            random_connected_graph(10, 0.4, seed=5),
-            {v: f"node-{v}" for v in range(10)},
-        )
+        g = string_labeled(random_connected_graph(10, 0.4, seed=5), "node-")
         assert Graph.from_csr(g.to_csr()) == g
 
     def test_from_edges_matches_from_graph(self):

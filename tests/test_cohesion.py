@@ -36,7 +36,6 @@ from repro.index.cohesion import (
     load_cohesion_index,
 )
 from repro.index.mincut import min_edge_cut
-from repro.index.store import _MMAP_ZERO_COPY
 
 from helpers import random_connected_graph
 
@@ -123,26 +122,12 @@ class TestCohesionIndexContainer:
         with pytest.raises(ValueError, match="unknown cohesion measure"):
             CohesionIndex({"ktruss": cohesion.index_for("kvcc")})
 
-    def test_round_trip_eager(self, cohesion, tmp_path):
-        path = str(tmp_path / "g.kvcccoh")
-        cohesion.save(path)
-        loaded = load_cohesion_index(path)
-        assert loaded == cohesion
-        assert not loaded.is_mmap
-
-    @pytest.mark.skipif(not _MMAP_ZERO_COPY, reason="needs a little-endian 4-byte int")
     def test_round_trip_mmap(self, cohesion, tmp_path):
         path = str(tmp_path / "g.kvcccoh")
         cohesion.save_atomic(path)
-        loaded = load_cohesion_index(path, mmap=True)
-        try:
-            assert loaded.is_mmap
-            assert loaded.index_for("kvcc").is_mmap
-            assert loaded == cohesion
-        finally:
-            loaded.close()
-            loaded.close()  # idempotent
-        assert not loaded.is_mmap
+        loaded = load_cohesion_index(path)
+        assert all(loaded.index_for(m).is_mmap for m in loaded.measures)
+        assert loaded == cohesion
 
     def test_to_bytes_deterministic(self, ring, cohesion, tmp_path):
         rebuilt = build_cohesion_index(ring)
@@ -171,21 +156,19 @@ class TestContainerValidation:
         with open(path, "wb") as handle:
             handle.write(bytes(blob))
 
-    @pytest.mark.parametrize("mmap", [False, True])
-    def test_bad_magic(self, saved, mmap):
+    def test_bad_magic(self, saved):
         path, blob = saved
         blob[:7] = b"NOTCOHX"
         self._write(path, blob)
         with pytest.raises(ValueError, match="bad magic"):
-            load_cohesion_index(path, mmap=mmap)
+            load_cohesion_index(path)
 
-    @pytest.mark.parametrize("mmap", [False, True])
-    def test_bad_version(self, saved, mmap):
+    def test_bad_version(self, saved):
         path, blob = saved
         blob[7] = COHESION_FORMAT_VERSION + 9
         self._write(path, blob)
         with pytest.raises(ValueError, match="unsupported cohesion format"):
-            load_cohesion_index(path, mmap=mmap)
+            load_cohesion_index(path)
 
     def test_truncated_header(self, saved):
         path, _ = saved
@@ -272,8 +255,8 @@ class TestSniffAndDispatch:
         cohesion.save(multi)
         from repro.index import HierarchyIndex
 
-        assert isinstance(load_any_index(plain, mmap=False), HierarchyIndex)
-        assert isinstance(load_any_index(multi, mmap=False), CohesionIndex)
+        assert isinstance(load_any_index(plain), HierarchyIndex)
+        assert isinstance(load_any_index(multi), CohesionIndex)
 
 
 class TestCohesionQueryService:

@@ -9,7 +9,6 @@ from repro.graph.connectivity import (
     connected_components,
     is_connected,
     is_vertex_cut,
-    shortest_path_length,
 )
 from repro.graph.generators import cycle_graph, gnp_random_graph
 from repro.graph.graph import Graph
@@ -92,21 +91,6 @@ class TestRemoval:
     def test_empty_cut_on_disconnected_graph(self):
         g = Graph([(0, 1), (2, 3)])
         assert is_vertex_cut(g, [])
-
-
-class TestShortestPath:
-    def test_same_vertex(self, triangle):
-        assert shortest_path_length(triangle, 0, 0) == 0
-
-    def test_adjacent(self, triangle):
-        assert shortest_path_length(triangle, 0, 1) == 1
-
-    def test_path_graph(self, path4):
-        assert shortest_path_length(path4, 0, 3) == 3
-
-    def test_disconnected_returns_none(self):
-        g = Graph([(0, 1), (2, 3)])
-        assert shortest_path_length(g, 0, 3) is None
 
 
 @given(st.integers(3, 10))

@@ -2,17 +2,13 @@
 
 Covers :class:`~repro.core.engine.SerialEngine` directly (grouped
 ``run_many``, ``materialize=False``, empty inputs), the single-step
-:func:`~repro.core.engine.expand_work_item`, the k = 1 leaf rule, the
-ownership of returned graphs, and the pickle forms of
-:mod:`repro.graph.csr`.
+:func:`~repro.core.engine.expand_work_item`, the k = 1 leaf rule, and
+the ownership of returned graphs.
 """
 
 from __future__ import annotations
 
-import pickle
-
 import networkx as nx
-import pytest
 from helpers import random_connected_graph, vertex_set_family
 
 from repro.core.engine import SerialEngine, expand_work_item
@@ -22,7 +18,6 @@ from repro.core.stats import RunStats
 from repro.graph.generators import (
     overlapping_cliques_graph,
     ring_of_cliques,
-    web_graph,
 )
 
 
@@ -136,40 +131,3 @@ class TestRunMany:
         assert SerialEngine().run_many(
             [], 3, KVCCOptions(), RunStats()
         ) == []
-
-
-class TestCSRPickle:
-    """The pickle forms of the CSR graph types."""
-
-    def test_csr_graph_round_trip(self):
-        graph = web_graph(80, seed=2)
-        csr = graph.to_csr()
-        clone = pickle.loads(pickle.dumps(csr))
-        assert clone.n == csr.n
-        assert clone.indptr == csr.indptr
-        assert clone.indices == csr.indices
-        assert clone.rows == csr.rows  # derived state rebuilt
-        assert clone.interner.labels == csr.interner.labels
-
-    def test_view_round_trip_after_peel(self):
-        graph = web_graph(80, seed=2)
-        view = graph.to_csr().full_view()
-        view.peel(4)
-        clone = pickle.loads(pickle.dumps(view))
-        assert clone.vertex_set() == view.vertex_set()
-        assert [clone.degree(v) for v in clone.vertices()] == [
-            view.degree(v) for v in view.vertices()
-        ]
-        assert clone.num_edges == view.num_edges
-
-    def test_views_share_base_in_one_payload(self):
-        view = ring_of_cliques(4, 5).to_csr().full_view()
-        parts = [view.restrict(set(list(view.vertices())[:10])),
-                 view.restrict(set(list(view.vertices())[5:15]))]
-        a, b = pickle.loads(pickle.dumps(parts))
-        assert a.base is b.base  # memoized: base serialized once
-
-    def test_view_from_mask_rejects_bad_length(self):
-        csr = ring_of_cliques(3, 5).to_csr()
-        with pytest.raises(ValueError):
-            csr.view_from_mask(b"\x01\x01")

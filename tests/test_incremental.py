@@ -563,6 +563,7 @@ class TestRegistryDeltaReload:
         registry = IndexRegistry()
         registry.register("g", updater.path)
         assert registry.get("g").index == updater.index
+        assert registry.datasets()[0]["mmap"] is True
         base_stat = os.stat(updater.path)
         batch = [{"op": "delete", "u": 0, "v": 1}]
         updater.apply(batch)
@@ -575,6 +576,21 @@ class TestRegistryDeltaReload:
         # ...yet the registry serves the overlay on the next access.
         assert registry.get("g").index == updater.index
         assert registry.stats()["reloads"] == 1
+        # The overlay is built in memory; the base mapping is gone.
+        assert registry.datasets()[0]["mmap"] is False
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_overlaid_reloads_release_the_base_mapping(self, tmp_path):
+        """A mapping holds a duplicated fd until it is freed, so a view
+        of the base kept by the overlay would leak one per reload."""
+        graph, updater, states = _mutated_updater(tmp_path)
+        load_effective_index(updater.path)
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(200):
+            assert load_effective_index(updater.path) == states[-1]
+        assert len(os.listdir("/proc/self/fd")) == before
 
 
 # ----------------------------------------------------------------------

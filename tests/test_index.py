@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.core.hierarchy import build_hierarchy, vcc_number
 from repro.core.kvcc import kvcc_vertex_sets
-from repro.graph.csr import VertexInterner
 from repro.graph.generators import (
     complete_graph,
     gnp_random_graph,
@@ -21,6 +20,7 @@ from repro.index import (
     HierarchyIndex,
     HierarchyQueryService,
     build_index,
+    load_any_index,
     load_index,
 )
 from repro.index.store import MAGIC
@@ -91,22 +91,6 @@ class TestBuildIndex:
             assert vertex_set_family(
                 set(index.member_labels(n)) for n in index.nodes_at(k)
             ) == vertex_set_family(kvcc_vertex_sets(g, k)), k
-
-    def test_to_hierarchy_round_trip(self):
-        g = ring_of_cliques(3, 5)
-        hierarchy = build_hierarchy(g)
-        index = HierarchyIndex.from_hierarchy(
-            hierarchy, VertexInterner(g.vertices())
-        )
-        back = index.to_hierarchy()
-        assert back.max_k == hierarchy.max_k
-        assert [
-            (n.k, sorted(n.vertices, key=str), n.parent, n.children)
-            for n in back.nodes
-        ] == [
-            (n.k, sorted(n.vertices, key=str), n.parent, n.children)
-            for n in hierarchy.nodes
-        ]
 
     def test_unsorted_hierarchy_rejected(self):
         from repro.core.hierarchy import HierarchyNode, KVCCHierarchy
@@ -228,45 +212,47 @@ class TestSaveLoad:
 
 
 class TestMmapLoad:
-    def test_load_equals_eager(self, tmp_path):
+    """``load_index`` maps the file; the rejection cases here go through
+    ``load_any_index``, the serving registry's entry point, which must
+    refuse the same files."""
+
+    def test_load_equals_built(self, tmp_path):
         for seed in range(4):
             g = gnp_random_graph(13, 0.4, seed=seed * 7 + 1)
             path = tmp_path / f"g{seed}.kvccidx"
             index = build_index(g)
             index.save(path)
-            mapped = load_index(path, mmap=True)
-            assert mapped.is_mmap
+            mapped = load_index(path)
+            assert mapped.is_mmap and not index.is_mmap
             assert mapped == index
-            assert mapped == load_index(path)
-            mapped.close()
 
-    def test_query_parity_with_eager(self, tmp_path):
+    def test_query_parity_with_built(self, tmp_path):
         g = overlapping_cliques_graph(
             clique_size=5, num_cliques=2, overlap=2
         )
         path = tmp_path / "g.kvccidx"
         build_index(g).save(path)
-        mapped = HierarchyQueryService.from_file(path, mmap=True)
-        eager = HierarchyQueryService.from_file(path)
+        mapped = HierarchyQueryService.from_file(path)
+        built = HierarchyQueryService(build_index(g))
         verts = list(g.vertices()) + ["missing"]
         for u in verts:
-            assert mapped.vcc_number(u) == eager.vcc_number(u)
+            assert mapped.vcc_number(u) == built.vcc_number(u)
             for v in verts:
                 assert mapped.max_shared_level(u, v) == (
-                    eager.max_shared_level(u, v)
+                    built.max_shared_level(u, v)
                 )
                 for k in range(1, 6):
-                    assert mapped.same_kvcc(u, v, k) == eager.same_kvcc(
+                    assert mapped.same_kvcc(u, v, k) == built.same_kvcc(
                         u, v, k
                     )
-                    assert mapped.components_of(u, k) == eager.components_of(
+                    assert mapped.components_of(u, k) == built.components_of(
                         u, k
                     )
 
     def test_lazy_labels_not_decoded_at_load(self, tmp_path):
         path = tmp_path / "g.kvccidx"
         build_index(ring_of_cliques(3, 5)).save(path)
-        mapped = load_index(path, mmap=True)
+        mapped = load_index(path)
         assert mapped._labels is None  # nothing decoded yet
         assert mapped.num_vertices == 15  # header-only shape query
         assert mapped.vcc_number_of(0) == 4  # first label access decodes
@@ -276,7 +262,7 @@ class TestMmapLoad:
         g = Graph([("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")])
         path = tmp_path / "g.kvccidx"
         build_index(g).save(path)
-        mapped = load_index(path, mmap=True)
+        mapped = load_index(path)
         assert mapped.vcc_number_of("a") == 2
         assert mapped.vcc_number_of("d") == 1
 
@@ -286,25 +272,14 @@ class TestMmapLoad:
         first = tmp_path / "a.kvccidx"
         second = tmp_path / "b.kvccidx"
         index.save(first)
-        mapped = load_index(first, mmap=True)
+        mapped = load_index(first)
         mapped.save(second)
         assert first.read_bytes() == second.read_bytes()
-
-    def test_close_detaches_but_keeps_answers(self, tmp_path):
-        path = tmp_path / "g.kvccidx"
-        index = build_index(ring_of_cliques(3, 5))
-        index.save(path)
-        mapped = load_index(path, mmap=True)
-        assert mapped.vcc_number_of(0) == 4
-        mapped.close()
-        assert not mapped.is_mmap
-        assert mapped == index  # still fully readable post-close
-        mapped.close()  # idempotent
 
     def test_empty_graph(self, tmp_path):
         path = tmp_path / "empty.kvccidx"
         build_index(Graph()).save(path)
-        mapped = load_index(path, mmap=True)
+        mapped = load_index(path)
         assert mapped.num_nodes == 0
         assert mapped.max_k == 0
 
@@ -312,19 +287,19 @@ class TestMmapLoad:
         path = tmp_path / "not_an_index"
         path.write_bytes(b"hello world, definitely not an index")
         with pytest.raises(ValueError, match="bad magic"):
-            load_index(path, mmap=True)
+            load_any_index(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty"
         path.write_bytes(b"")
         with pytest.raises(ValueError, match="truncated"):
-            load_index(path, mmap=True)
+            load_any_index(path)
 
     def test_truncated_header_rejected(self, tmp_path):
         path = tmp_path / "g.kvccidx"
         path.write_bytes(MAGIC + bytes([FORMAT_VERSION]) + b"\x01\x02")
         with pytest.raises(ValueError, match="truncated"):
-            load_index(path, mmap=True)
+            load_any_index(path)
 
     def test_truncated_body_rejected(self, tmp_path):
         path = tmp_path / "g.kvccidx"
@@ -332,7 +307,7 @@ class TestMmapLoad:
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) - 5])
         with pytest.raises(ValueError, match="truncated"):
-            load_index(path, mmap=True)
+            load_any_index(path)
 
     def test_wrong_version_rejected(self, tmp_path):
         path = tmp_path / "g.kvccidx"
@@ -341,7 +316,7 @@ class TestMmapLoad:
         blob[len(MAGIC)] = FORMAT_VERSION + 1
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="unsupported"):
-            load_index(path, mmap=True)
+            load_any_index(path)
 
     def test_corrupt_run_table_rejected(self, tmp_path):
         """Right length, nonsense run table: caught by the O(1) check."""
@@ -356,9 +331,7 @@ class TestMmapLoad:
         struct.pack_into("<i", blob, offset, 7)
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="corrupt"):
-            load_index(path, mmap=True)
-        with pytest.raises(ValueError, match="corrupt"):
-            load_index(path)
+            load_any_index(path)
 
 
 class TestBatchQueries:

@@ -14,8 +14,8 @@ order (which follows insertion order) must agree too.
 
 The c kernel reads CSR bases in place, so the view cases run on both
 kinds of base the workloads hand out: an in-process
-``CSRGraph.from_graph`` (8-byte ``array('l')`` rows) and a KVCCG file
-loaded with ``mmap=True`` (read-only int32 ``memoryview`` sections).
+``CSRGraph.from_graph`` (8-byte ``array('l')`` rows) and a mapped KVCCG
+file (read-only int32 ``memoryview`` sections).
 
 The comparisons are skipped when the c kernel cannot be built (no
 ``cc`` on ``PATH``); CI runs the tier-1 suite under each kernel.
@@ -24,7 +24,6 @@ The comparisons are skipped when the c kernel cannot be built (no
 from __future__ import annotations
 
 import os
-import struct
 import tempfile
 from array import array
 
@@ -41,7 +40,6 @@ from repro.core.kvcc import enumerate_kvccs, enumerate_kvccs_csr
 from repro.core.options import KVCCOptions
 from repro.core.side_vertex import strong_side_vertices
 from repro.core.stats import RunStats
-from repro.data.format import MAGIC
 from repro.flow.dinic import max_flow_min_k
 from repro.flow.flow_network import build_flow_network
 from repro.flow.min_cut import local_vertex_cut
@@ -91,7 +89,7 @@ def make_base(g, mapped: bool) -> CSRGraph:
         path = os.path.join(tmp, "g.kvccg")
         base.save(path)
         # The mapping outlives the file's name.
-        loaded = CSRGraph.load(path, mmap=True)
+        loaded = CSRGraph.load(path)
     assert isinstance(loaded.indices, memoryview)
     return loaded
 
@@ -329,7 +327,7 @@ class TestViewKernelParity:
                 kern.active_degrees(
                     view.base, view.mask, kern.active_ids(view.mask)
                 ),
-                view.base.view_from_mask(bytes(view.mask)).deg,
+                view.base.view_from_members(view.active_list()).deg,
             )
 
         per_kernel(run)
@@ -524,7 +522,7 @@ class TestViewKernelParity:
             with pytest.raises(ValueError, match="match"):
                 connected_components(view)
             with pytest.raises(ValueError, match="match"):
-                base.view_from_mask(mask)
+                base.view_from_members([0, 1])
 
     def test_region_base_with_empty_rows(self, tmp_path):
         """An ``IndexUpdater`` batch base: rows only for its region."""
@@ -575,39 +573,45 @@ VIEW_CALLS = (
 class TestCorruptInputUnderC:
     """The c kernel reads bases in place and trusts none of their
     values: where an unchecked read would leave a buffer, the call
-    raises ``ValueError``.  (The python reference slices its rows,
-    which clamps, so it never reads out of bounds.)"""
+    raises ``ValueError``.  The python reference reads the rows
+    ``CSRGraph.rows`` boxes, which checks every row when it builds
+    them, so a corrupt middle offset fails there too instead of being
+    clamped into a wrong row."""
 
     MID = 6
 
-    @pytest.mark.parametrize("mmap", [False, True])
+    @pytest.mark.parametrize("mapped", [False, True])
     @pytest.mark.parametrize("value, vertex", [
         (0, MID - 1),       # row MID - 1 runs backwards
         (-3, MID),          # row MID starts below 0
         ("past", MID - 1),  # row MID - 1 ends past the indices
     ])
-    def test_corrupt_middle_indptr_entry(self, tmp_path, mmap, value,
+    def test_corrupt_middle_indptr_entry(self, tmp_path, mapped, value,
                                          vertex):
-        """A KVCCG whose indptr endpoints are intact passes the load,
-        which checks only those, at both widths."""
-        base = CSRGraph.from_graph(random_connected_graph(12, 0.4, 3))
+        """A base whose indptr endpoints are intact, so a mapped KVCCG
+        passes the load (which checks only those), at both widths:
+        int32 sections of the mapped file, or an in-process 8-byte
+        ``array('l')`` base.  Every kernel refuses it."""
+        good = CSRGraph.from_graph(random_connected_graph(12, 0.4, 3))
         if value == "past":
-            value = len(base.indices) + 5
-        path = tmp_path / "g.kvccg"
-        base.save(path)
-        raw = bytearray(path.read_bytes())
-        at = len(MAGIC) + 2 + 20 + 4 * self.MID  # magic+version+flags+<IQQ>
-        raw[at:at + 4] = struct.pack("<i", value)
-        path.write_bytes(bytes(raw))
-        bad = CSRGraph.load(path, mmap=mmap)
+            value = len(good.indices) + 5
+        indptr = array("l", good.indptr)
+        indptr[self.MID] = value
+        bad = CSRGraph(good.n, indptr, array("l", good.indices))
+        if mapped:
+            path = tmp_path / "g.kvccg"
+            bad.save(path)
+            bad = CSRGraph.load(path)
         assert bad.indptr[self.MID] == value
-        with kernels.use("c"):
-            with pytest.raises(ValueError, match="outside the base"):
-                bad.view_from_members([vertex])
-            for view in (bad.full_view(), hand_view(bad, [vertex])):
-                for call in VIEW_CALLS:
-                    with pytest.raises(ValueError, match="outside the base"):
-                        call(view)
+        for name in ("python",) + OTHER_KERNELS:
+            with kernels.use(name):
+                with pytest.raises(ValueError, match="outside the base"):
+                    bad.view_from_members([vertex])
+                for view in (bad.full_view(), hand_view(bad, [vertex])):
+                    for call in VIEW_CALLS:
+                        with pytest.raises(ValueError,
+                                           match="outside the base"):
+                            call(view)
 
     @pytest.mark.parametrize("value, vertex", [(-3, MID), ("past", MID - 1)])
     def test_row_outside_the_indices_among_valid_ids(self, value, vertex):

@@ -19,7 +19,6 @@ from repro.graph.metrics import (
     diameter,
     edge_density,
     graph_summary,
-    triangle_count,
 )
 
 
@@ -93,20 +92,6 @@ class TestClustering:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             average_clustering_coefficient(Graph())
-
-
-class TestTriangles:
-    def test_triangle(self, triangle):
-        assert triangle_count(triangle) == 1
-
-    def test_complete(self):
-        assert triangle_count(complete_graph(5)) == 10  # C(5,3)
-
-    def test_matches_networkx(self):
-        for seed in range(6):
-            g = gnp_random_graph(11, 0.4, seed=seed)
-            expected = sum(nx.triangles(g.to_networkx()).values()) // 3
-            assert triangle_count(g) == expected
 
 
 class TestSummary:

@@ -132,7 +132,7 @@ class TestIngestParity:
         report = ingest_edge_list_kvccg(src, out, mem_budget=256)
         assert report.external and report.spill_runs >= 3
         assert out.read_bytes() == reference_bytes(src, tmp_path)
-        loaded = load_csr(out, mmap=True)
+        loaded = load_csr(out)
         ref, _ = read_edge_list_csr(src)
         assert list(loaded.indptr) == list(ref.indptr)
         assert list(loaded.indices) == list(ref.indices)
@@ -255,7 +255,7 @@ class TestDriverParity:
         base, _ = CSRGraph.from_edges(web_graph(120, seed=3).edges())
         path = tmp_path / "g.kvccg"
         save_csr(base, path)
-        mapped = load_csr(path, mmap=True)
+        mapped = load_csr(path)
         assert mapped._mm is not None
         for k in (2, 3):
             resident = enumerate_kvccs_csr(base, k, materialize=False)
@@ -344,22 +344,12 @@ class TestRowCacheHooks:
         base, _ = CSRGraph.from_edges(web_graph(100, seed=8).edges())
         path = tmp_path / "g.kvccg"
         save_csr(base, path)
-        mapped = load_csr(path, mmap=True)
+        mapped = load_csr(path)
         mapped.prepare_rows(range(50))
         assert list(mapped._rows[10]) == base.rows[10]
         mapped.release_rows(range(50))  # exercises the madvise path
         mapped.release_rows()  # whole-range advise
         assert list(mapped.indices) == list(base.indices)  # refaults fine
-
-    def test_pickle_drops_partial_state(self):
-        import pickle
-
-        base, _ = CSRGraph.from_edges([(0, 1), (1, 2)])
-        base.prepare_rows([0])
-        clone = pickle.loads(pickle.dumps(base))
-        assert clone._rows is None and not clone._rows_partial
-        assert clone._mm is None
-        assert clone.rows == [[1], [0, 2], [1]]
 
 
 class TestRssTracking:

@@ -27,20 +27,6 @@ class TestOverlapGraph:
         og = build_overlap_graph(kvcc_vertex_sets(g, 4), 4)
         assert set(og.hub_vertices()) == {4, 5, 9}
 
-    def test_neighbors_and_shared(self):
-        og = build_overlap_graph([{1, 2, 3}, {3, 4, 5}, {6, 7, 8}], 3)
-        assert og.neighbors_of(0) == [1]
-        assert og.shared_vertices(0, 1) == {3}
-        assert og.shared_vertices(1, 0) == {3}  # order-insensitive
-        assert og.shared_vertices(0, 2) == set()
-
-    def test_meta_graph(self):
-        og = build_overlap_graph([{1, 2}, {2, 3}, {3, 4}], 2)
-        meta = og.to_meta_graph()
-        assert meta.num_vertices == 3
-        assert meta.has_edge(0, 1) and meta.has_edge(1, 2)
-        assert not meta.has_edge(0, 2)
-
     def test_property1_violation_rejected(self):
         with pytest.raises(ValueError, match="Property 1"):
             build_overlap_graph([{1, 2, 3, 4}, {2, 3, 4, 5}], 3)

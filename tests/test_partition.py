@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.partition import overlap_partition, partition_vertex_sets
+from repro.core.partition import overlap_partition
 from repro.graph.generators import overlapping_cliques_graph
 from repro.graph.graph import Graph
 
@@ -58,13 +58,6 @@ class TestOverlapPartition:
         for part in parts:
             union |= part.vertex_set()
         assert union == two_cliques_shared_edge.vertex_set()
-
-    def test_partition_vertex_sets_matches(self, two_cliques_shared_edge):
-        graphs = overlap_partition(two_cliques_shared_edge, {3, 4})
-        sets = partition_vertex_sets(two_cliques_shared_edge, {3, 4})
-        assert sorted(map(sorted, sets)) == sorted(
-            sorted(p.vertices()) for p in graphs
-        )
 
     def test_input_not_mutated(self, two_cliques_shared_edge):
         before = two_cliques_shared_edge.copy()

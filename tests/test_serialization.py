@@ -8,7 +8,6 @@ from repro.core.kvcc import enumerate_kvccs
 from repro.graph.generators import figure1_graph
 from repro.graph.graph import Graph
 from repro.graph.serialization import (
-    components_membership,
     decomposition_to_dict,
     load_decomposition,
     save_decomposition,
@@ -60,12 +59,3 @@ class TestValidation:
         path.write_text("[1, 2, 3]")
         with pytest.raises(ValueError):
             load_decomposition(path)
-
-
-class TestMembership:
-    def test_inversion(self):
-        comps = [{1, 2, 3}, {3, 4}]
-        members = components_membership(comps)
-        assert members[1] == [0]
-        assert members[3] == [0, 1]
-        assert 9 not in members

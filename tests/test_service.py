@@ -164,13 +164,6 @@ class TestIndexRegistry:
         with pytest.raises(ValueError, match="capacity"):
             IndexRegistry(capacity=0)
 
-    def test_eager_mode(self, ring_path):
-        registry = IndexRegistry(mmap=False)
-        registry.register("ring", ring_path)
-        service = registry.get("ring")
-        assert service.index.is_mmap is False
-        assert service.vcc_number(0) == 4
-
 
 @pytest.fixture
 def registry(ring_path, web_path):
@@ -593,7 +586,12 @@ class TestServeCli:
         assert args.datasets == [("ring", ring_path)]
         assert args.port == 0
         assert args.capacity == 2
-        assert args.eager is False
+
+    def test_eager_flag_is_gone(self, ring_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", f"ring={ring_path}", "--eager"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --eager" in capsys.readouterr().err
 
     def test_preload_missing_file_fails_fast(self, tmp_path, capsys):
         code = main(
