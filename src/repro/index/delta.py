@@ -366,20 +366,16 @@ def _edge_label_pairs(graph):
     """Iterate a graph's undirected edges as label pairs.
 
     Accepts both the dict :class:`~repro.graph.graph.Graph` (``edges``
-    iterator) and a :class:`~repro.graph.csr.CSRGraph` base (CSR rows
-    walked directly, labels via the interner).
+    iterator) and a :class:`~repro.graph.csr.CSRGraph` base, walked
+    through :attr:`~repro.graph.csr.CSRGraph.rows`, which refuses a
+    corrupt row instead of handing the updater wrong adjacency.
     """
     if isinstance(graph, CSRGraph):
-        indptr, indices = graph.indptr, graph.indices
-        interner = graph.interner
-        for u in range(graph.n):
-            label_u = interner.label(u) if interner is not None else u
-            for pos in range(indptr[u], indptr[u + 1]):
-                v = indices[pos]
+        label = graph.label_of
+        for u, row in enumerate(graph.rows):
+            for v in row:
                 if v > u:
-                    yield label_u, (
-                        interner.label(v) if interner is not None else v
-                    )
+                    yield label(u), label(v)
         return
     yield from graph.edges()
 

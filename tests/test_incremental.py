@@ -27,12 +27,14 @@ from __future__ import annotations
 import json
 import os
 import random
+import struct
 import tempfile
 from typing import List, Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.data.format import MAGIC as KVCCG_MAGIC, load_csr, save_csr
 from repro.datasets import apply_mutations, mutation_stream
 from repro.graph.generators import ring_of_cliques
 from repro.graph.graph import Graph
@@ -578,6 +580,20 @@ class TestRegistryDeltaReload:
         assert registry.stats()["reloads"] == 1
         # The overlay is built in memory; the base mapping is gone.
         assert registry.datasets()[0]["mmap"] is False
+
+    def test_updater_refuses_a_graph_with_a_corrupt_row(self, tmp_path):
+        """A mapped KVCCG passes its load with a corrupt middle indptr
+        entry; the updater must not build its adjacency from it."""
+        graph = ring_of_cliques(3, 4)
+        updater = fresh_updater(tmp_path, graph)
+        path = tmp_path / "g.kvccg"
+        save_csr(graph.to_csr(), path)
+        raw = bytearray(path.read_bytes())
+        at = len(KVCCG_MAGIC) + 2 + 20 + 4 * 6  # indptr[6]
+        raw[at : at + 4] = struct.pack("<i", 0)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="outside the base"):
+            IndexUpdater(updater.path, graph=load_csr(path))
 
     @pytest.mark.skipif(
         not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
