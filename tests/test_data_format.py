@@ -167,8 +167,12 @@ class TestRejection:
     ):
         """Every format is viewed in place as native C ints; a host
         whose ints differ gets one clear error, not misread sections."""
-        from repro.index import build_index, load_cohesion_index, load_index
-        from repro.index.cohesion import build_cohesion_index
+        from repro.index import (
+            build_cohesion_index,
+            build_index,
+            load_cohesion_index,
+            load_index,
+        )
 
         graph = ring_of_cliques(3, 4)
         files = [
