@@ -328,7 +328,7 @@ def bench(smoke: bool, json_path: str) -> None:
             coh_n = 200 if smoke else 400
             coh_graph = web_graph(coh_n, seed=11)
             coh_path = os.path.join(workdir, "coh.kvcccoh")
-            build_cohesion_index(coh_graph).save_atomic(coh_path)
+            build_cohesion_index(coh_graph).save(coh_path)
             registry.register("coh", coh_path)
             coh_verts = sorted(coh_graph.vertices())
             n_v2 = 150 if smoke else 1_000

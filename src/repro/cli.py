@@ -292,8 +292,6 @@ def cmd_hierarchy(args: argparse.Namespace) -> int:
         from repro.index import HierarchyIndex
 
         index = HierarchyIndex.from_hierarchy(hierarchy, base.interner)
-        # Temp-file + atomic rename: a `repro serve` hot-reloading this
-        # path mid-write must never mmap a half-written index.
         index.save_atomic(args.save_index)
         print(
             f"wrote {args.save_index} ({index.num_nodes} components, "
@@ -308,10 +306,7 @@ def cmd_build_cohesion(args: argparse.Namespace) -> int:
 
     base = _load_base(args)
     cohesion = build_cohesion_index(base, max_k=args.max_k)
-    # Temp-file + atomic rename, same discipline as --save-index: a
-    # serving process hot-reloading this path must never mmap a
-    # half-written container.
-    cohesion.save_atomic(args.out)
+    cohesion.save(args.out)
     shapes = "; ".join(
         f"{measure}: {cohesion.index_for(measure).num_nodes} components, "
         f"max level {cohesion.index_for(measure).max_k}"
@@ -577,10 +572,7 @@ def prepare_serve_datasets(
             index = HierarchyIndex.from_hierarchy(hierarchy, base.interner)
             os.makedirs(index_dir, exist_ok=True)
             try:
-                # Unique tmp name + atomic rename: concurrent cold
-                # boots each write their own file and race only on the
-                # rename, and a hot-reloading server can never mmap a
-                # half-written index.
+                # Concurrent cold boots race only on the rename.
                 index.save_atomic(index_path)
             except OSError:
                 if not os.path.exists(index_path):

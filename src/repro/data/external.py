@@ -6,12 +6,15 @@ This module removes that cap: when a caller supplies a memory budget
 (``--mem-budget`` / ``$REPRO_MEM_BUDGET``), the parsed arc stream is
 buffered only up to a fixed-size *run*, each full run is counting-sorted
 by source id and spilled to a temp shard of raw little-endian ``int32``
-``(src, dst)`` pairs, and a k-way merge over the sorted runs streams the
-adjacency **directly into the KVCCG file's** ``indices`` section - per
-row, the merge gathers that row's arcs from all runs, sorts and
-deduplicates them once, and appends; ``indptr`` accumulates beside it
-and is backfilled with the header when the last row lands.  At no point
-are more than one run buffer plus the merge read-heads resident.
+``(src, dst)`` pairs, and a k-way merge over the sorted runs assembles
+the adjacency row by row - per row, the merge gathers that row's arcs
+from all runs, sorts and deduplicates them once, and appends; ``indptr``
+accumulates beside it.  The rows stream in chunks through
+:func:`repro.data.format.write_kvccg`, the one ``KVCCG`` writer, which
+writes them at their final offset and the header and ``indptr`` once the
+last row lands.  At no point are more than one run buffer plus the merge
+read-heads resident.  This module is only the external sort: spill,
+merge and row assembly.
 
 Spill-run format (internal, deleted after the merge):
 
@@ -41,23 +44,15 @@ in-memory reader.
 from __future__ import annotations
 
 import heapq
-import json
 import os
 import re
 import shutil
-import sys
 import tempfile
 from array import array
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
-from repro.data.format import (
-    FORMAT_VERSION,
-    MAGIC,
-    _FLAG_LABELS,
-    _HEADER,
-    save_csr,
-)
+from repro.data.format import save_csr, write_kvccg
 from repro.data.ingest import (
     PathLike,
     iter_edge_labels,
@@ -81,16 +76,9 @@ MIN_RUN_BYTES = 64
 #: Bytes per spilled arc: two little-endian int32s.
 _ARC_BYTES = 8
 
-#: KVCCG byte offset where the ``indptr`` section starts (magic +
-#: version byte + flags byte + packed header).
-_PREFIX_BYTES = len(MAGIC) + 2 + _HEADER.size
-
-#: Buffered ``indices`` entries are flushed to disk at this many bytes.
+#: Assembled ``indices`` entries are handed to the writer at this many
+#: bytes.
 _WRITE_BUFFER_BYTES = 1 << 20
-
-#: Labels are JSON-encoded in slices of this many entries so the blob
-#: streams out without materializing one giant string.
-_LABEL_CHUNK = 4096
 
 _BUDGET_RE = re.compile(r"^(\d+)\s*([KMGT]?)I?B?$", re.IGNORECASE)
 
@@ -266,49 +254,6 @@ def _iter_pairs(pairs: array) -> Iterator[Tuple[int, int]]:
         yield pairs[i], pairs[i + 1]
 
 
-def _write_i32(handle: IO[bytes], values) -> None:
-    """Append values to a binary stream as little-endian int32."""
-    if isinstance(values, array) and values.typecode == "i":
-        data = values
-    else:
-        data = array("i", values)
-    if sys.byteorder != "little":  # pragma: no cover - big-endian only
-        data = array("i", data)
-        data.byteswap()
-    data.tofile(handle)
-
-
-def _write_labels_json(handle: IO[bytes], labels) -> int:
-    """Stream the labels JSON blob in chunks; returns bytes written.
-
-    Chunked ``json.dumps`` of list slices with the outer brackets
-    stripped and re-joined produces exactly the bytes one
-    ``json.dumps(labels, separators=(",", ":"))`` call would - the
-    KVCCG tail stays byte-identical to :func:`repro.data.format.save_csr`.
-    """
-    total = 0
-
-    def emit(blob: bytes) -> None:
-        nonlocal total
-        handle.write(blob)
-        total += len(blob)
-
-    emit(b"[")
-    first = True
-    for start in range(0, len(labels), _LABEL_CHUNK):
-        chunk = json.dumps(
-            list(labels[start:start + _LABEL_CHUNK]), separators=(",", ":")
-        ).encode("utf-8")[1:-1]
-        if not chunk:
-            continue
-        if not first:
-            emit(b",")
-        emit(chunk)
-        first = False
-    emit(b"]")
-    return total
-
-
 def _flush_row(
     row: List[int], buffer: array, indptr: array, vertex: int, nnz: int
 ) -> int:
@@ -329,59 +274,38 @@ def _flush_row(
     return nnz
 
 
-def _write_kvccg_stream(
-    out_path: PathLike,
-    n: int,
-    labels,
-    pairs: Iterable[Tuple[int, int]],
-    flush_bytes: int = _WRITE_BUFFER_BYTES,
-) -> int:
-    """Assemble a KVCCG file from a src-sorted arc stream; returns nnz.
+def _assemble_rows(
+    pairs: Iterable[Tuple[int, int]], indptr: array, flush_bytes: int
+) -> Iterator[array]:
+    """Yield the ``indices`` section, in chunks, from a src-sorted arc
+    stream, filling ``indptr`` (``n + 1`` zeros on entry) as rows finish.
 
-    Writes ``indices`` front-to-back directly at its final offset while
-    ``indptr`` accumulates in RAM (8 bytes/vertex - part of the
-    budget's structural floor), then seeks back to lay down the header
-    and ``indptr``, and appends the labels blob.  Gap rows (isolated
-    ids - impossible from the parser, possible in principle) get
-    repeated offsets, same as counting sort produces.
+    ``indptr`` stays in RAM (8 bytes/vertex - part of the budget's
+    structural floor) and is complete once the last chunk is taken.
+    Gap rows (isolated ids - impossible from the parser, possible in
+    principle) get repeated offsets, same as counting sort produces.
     """
-    if n >= 2**31:
-        raise ValueError(f"graph too large for KVCCG int32 sections: n={n}")
-    indptr = array("l", [0]) * (n + 1)
-    with open(out_path, "w+b") as out:
-        out.truncate(0)
-        out.seek(_PREFIX_BYTES + 4 * (n + 1))
-        buffer = array("i")
-        row: List[int] = []
-        nnz = 0
-        current = -1
-        for src, dst in pairs:
-            if src != current:
-                if current >= 0:
-                    nnz = _flush_row(row, buffer, indptr, current, nnz)
-                    if len(buffer) * 4 >= flush_bytes:
-                        _write_i32(out, buffer)
-                        del buffer[:]
-                for gap in range(current + 1, src):
-                    indptr[gap + 1] = nnz
-                current = src
-            row.append(dst)
-        if current >= 0:
-            nnz = _flush_row(row, buffer, indptr, current, nnz)
-        for gap in range(current + 1, n):
-            indptr[gap + 1] = nnz
-        _write_i32(out, buffer)
-        if nnz >= 2**31:
-            raise ValueError(
-                f"graph too large for KVCCG int32 sections: nnz={nnz}"
-            )
-        labels_len = _write_labels_json(out, labels)
-        out.seek(0)
-        out.write(MAGIC)
-        out.write(bytes([FORMAT_VERSION, _FLAG_LABELS]))
-        out.write(_HEADER.pack(n, nnz, labels_len))
-        _write_i32(out, indptr)
-    return nnz
+    n = len(indptr) - 1
+    buffer = array("i")
+    row: List[int] = []
+    nnz = 0
+    current = -1
+    for src, dst in pairs:
+        if src != current:
+            if current >= 0:
+                nnz = _flush_row(row, buffer, indptr, current, nnz)
+                if len(buffer) * 4 >= flush_bytes:
+                    yield buffer
+                    del buffer[:]
+            for gap in range(current + 1, src):
+                indptr[gap + 1] = nnz
+            current = src
+        row.append(dst)
+    if current >= 0:
+        nnz = _flush_row(row, buffer, indptr, current, nnz)
+    for gap in range(current + 1, n):
+        indptr[gap + 1] = nnz
+    yield buffer
 
 
 def ingest_edge_list_kvccg(
@@ -397,7 +321,9 @@ def ingest_edge_list_kvccg(
     ``read_edge_list_csr`` + ``save_csr`` - the current fast path.
     With a budget, arcs spill to counting-sorted temp runs of
     ``budget // 8`` bytes each and a k-way merge streams them into the
-    final file; the output is byte-identical either way.
+    final file; the output is byte-identical either way.  Either way
+    :func:`repro.data.format.write_kvccg` publishes it, so ``out_path``
+    holds the old file or the whole new one, never part of it.
 
     Parameters
     ----------
@@ -405,7 +331,7 @@ def ingest_edge_list_kvccg(
         Edge-list path (plain or ``.gz``), same dialects as
         :func:`repro.data.ingest.read_edge_list_csr`.
     out_path:
-        Destination KVCCG file (overwritten).
+        Destination KVCCG file (replaced).
     mem_budget:
         Bytes, or a string like ``"256M"``; ``None`` to run unbounded.
         This is the *working-set envelope* for ingest-owned structures,
@@ -504,10 +430,10 @@ def ingest_edge_list_kvccg(
         else:
             merged = _iter_pairs(_counting_sort_arcs(srcs, dsts, n))
 
-        nnz = _write_kvccg_stream(
-            out_path, n, labels, merged,
-            flush_bytes=max(min(budget // 8, _WRITE_BUFFER_BYTES), 4096),
-        )
+        indptr = array("l", [0]) * (n + 1)
+        flush_bytes = max(min(budget // 8, _WRITE_BUFFER_BYTES), 4096)
+        rows = _assemble_rows(merged, indptr, flush_bytes)
+        nnz = write_kvccg(out_path, n, indptr, rows, labels)
     finally:
         shutil.rmtree(spill_dir, ignore_errors=True)
 

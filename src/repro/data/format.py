@@ -30,19 +30,30 @@ reference; nothing to close by hand).  The views are native C ints, so
 a host whose C ``int`` is not 4-byte little-endian gets a
 ``ValueError`` from :func:`map_file` instead of misread sections.
 
-``save_csr`` rejects non-scalar labels up front and refuses graphs
-whose index space would overflow int32, instead of writing a file that
-cannot be read back faithfully.
+:func:`write_kvccg` is the one ``KVCCG`` writer: :func:`save_csr`
+hands it a built graph, and the budgeted ingest of
+:mod:`repro.data.external` streams its merged rows through it.  It
+writes ``indices`` front to back past a hole for the header and
+``indptr``, appends the labels in slices, then seeks back to fill the
+hole.  It rejects non-scalar labels and graphs whose index space would
+overflow int32, instead of writing a file that cannot be read back
+faithfully.
+
+This module also holds the two file primitives every persisted format
+shares (``KVCCG``, ``KVCCIDX``, ``KVCCCOH``, the delta log and the
+compiled c kernel): :func:`map_file` opens a file for reading, and
+:func:`publish` puts a new one in place whole or not at all.
 """
 
 from __future__ import annotations
 
 import json
 import mmap as _mmap
+import os
 import struct
 import sys
 from array import array
-from typing import Hashable, List, Optional
+from typing import IO, Callable, Hashable, List
 
 from repro.graph.csr import CSRGraph, VertexInterner
 
@@ -56,7 +67,14 @@ _FLAG_LABELS = 1
 
 _HEADER = struct.Struct("<IQQ")  # n_vertices, n_indices, labels_blob_len
 
+#: Bytes before ``indptr``: magic, version byte, flags byte, header.
+_PREFIX_BYTES = len(MAGIC) + 2 + _HEADER.size
 
+#: Labels are JSON-encoded this many at a time (see :func:`_write_labels`).
+_LABEL_CHUNK = 4096
+
+#: The label types JSON round-trips unchanged (``bool`` is an ``int``).
+_JSON_SCALARS = (str, int, float, type(None))
 
 class LazyLabelInterner(VertexInterner):
     """A read-only :class:`VertexInterner` over an undecoded JSON blob.
@@ -116,53 +134,122 @@ class LazyLabelInterner(VertexInterner):
         return self._n
 
 
-def _labels_blob(interner: Optional[VertexInterner]) -> bytes:
-    """Encode interner labels as compact JSON, validating scalar-ness."""
-    if interner is None:
-        return b""
-    labels = interner.labels
-    for label in labels:
-        if label is not None and not isinstance(
-            label, (str, int, float, bool)
-        ):
-            raise TypeError(
-                f"cannot persist vertex label {label!r} of type "
-                f"{type(label).__name__}; KVCCG stores labels as JSON "
-                f"scalars (str/int/float/bool/None)"
-            )
-    return json.dumps(labels, separators=(",", ":")).encode("utf-8")
+def publish(path, write: Callable[[str], object]) -> None:
+    """Put a whole new file at ``path``, or leave ``path`` as it was.
 
-
-def _pack_i32(values) -> bytes:
-    """Little-endian int32 packing of an int sequence.
-
-    Values outside int32 raise ``OverflowError`` - better loudly at save
-    time than a corrupt file at load time.
+    ``write(tmp)`` fills ``tmp``, a new sibling of ``path`` created
+    empty and exclusively with the mode a plain ``open(path, "wb")``
+    gives (``0o666`` less the umask); one ``os.replace`` then publishes
+    it.  A reader that opens ``path`` meanwhile sees the old file or
+    the new one, never part of either, and concurrent writers race only
+    on the rename.  If ``write`` or the rename raises, the sibling is
+    removed and the error propagates.  Every file this package persists
+    goes through here; nothing is fsynced.
     """
-    out = array("i", values)
+    directory, name = os.path.split(os.path.abspath(path))
+    while True:
+        tmp = os.path.join(directory, f"{name}.{os.urandom(4).hex()}.tmp")
+        try:
+            os.close(os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666))
+            break
+        except FileExistsError:
+            continue
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+        raise
+
+
+def _write_i32(handle: IO[bytes], values) -> None:
+    """Append ``values`` to ``handle`` as little-endian int32.
+
+    One C-level ``array('i')`` conversion (none for an ``array('i')``);
+    a value outside int32 raises ``OverflowError``.
+    """
+    if not (isinstance(values, array) and values.typecode == "i"):
+        values = array("i", values)
     if sys.byteorder != "little":  # pragma: no cover - big-endian only
-        out.byteswap()
-    return out.tobytes()
+        values = array("i", values)
+        values.byteswap()
+    values.tofile(handle)
+
+
+def _write_labels(handle: IO[bytes], labels) -> int:
+    """Append ``labels`` as one compact JSON array; returns its length.
+
+    The array goes out in slices of :data:`_LABEL_CHUNK` labels, so a
+    large label column never becomes one giant string; the joined
+    bytes equal one ``json.dumps(labels, separators=(",", ":"))``.
+    Each label must be a JSON scalar: a tuple, say, would come back
+    from JSON as an unhashable list, so it raises ``TypeError``.
+    """
+    total = handle.write(b"[")
+    for start in range(0, len(labels), _LABEL_CHUNK):
+        chunk = list(labels[start : start + _LABEL_CHUNK])
+        for label in chunk:
+            if not isinstance(label, _JSON_SCALARS):
+                raise TypeError(
+                    f"cannot persist vertex label {label!r} of type "
+                    f"{type(label).__name__}; KVCCG stores labels as JSON "
+                    f"scalars (str/int/float/bool/None)"
+                )
+        if start:
+            total += handle.write(b",")
+        blob = json.dumps(chunk, separators=(",", ":")).encode("utf-8")
+        total += handle.write(blob[1:-1])
+    return total + handle.write(b"]")
+
+
+def write_kvccg(path, n: int, indptr, indices, labels=None) -> int:
+    """Publish a KVCCG file at ``path``; returns its index count.
+
+    The one KVCCG writer (:func:`publish` puts the file in place).
+    ``indices`` is an iterable of int chunks that concatenate to the
+    ``indices`` section.  They are written front to back at their final
+    offset, past a hole left for the header and ``indptr``; those two
+    are written last, so a caller may fill ``indptr`` (``n + 1``
+    offsets) while it yields the chunks, as the external sort of
+    :mod:`repro.data.external` does.  ``labels`` is the label column
+    (JSON scalars), or ``None`` for a graph whose ids are its labels.
+
+    Raises ``TypeError`` for a non-scalar label and ``ValueError`` when
+    ``n`` or the index count does not fit the int32 sections.
+    """
+    if n >= 2**31:
+        raise ValueError(f"graph too large for the int32 KVCCG sections: n={n}")
+    nnz = 0
+
+    def write(tmp: str) -> None:
+        nonlocal nnz
+        with open(tmp, "wb") as out:
+            out.seek(_PREFIX_BYTES + 4 * (n + 1))
+            for chunk in indices:
+                _write_i32(out, chunk)
+                nnz += len(chunk)
+            if nnz >= 2**31:
+                raise ValueError(
+                    f"graph too large for the int32 KVCCG sections: nnz={nnz}"
+                )
+            labels_len = 0 if labels is None else _write_labels(out, labels)
+            flags = 0 if labels is None else _FLAG_LABELS
+            out.seek(0)
+            out.write(MAGIC + bytes([FORMAT_VERSION, flags]))
+            out.write(_HEADER.pack(n, nnz, labels_len))
+            _write_i32(out, indptr)
+
+    publish(path, write)
+    return nnz
 
 
 def save_csr(csr: CSRGraph, path) -> None:
-    """Write ``csr`` as a KVCCG file at ``path``."""
-    n = csr.n
-    nnz = len(csr.indices)
-    if n >= 2**31 or nnz >= 2**31:
-        raise ValueError(
-            f"graph too large for the int32 KVCCG sections "
-            f"(n={n}, nnz={nnz})"
-        )
-    blob = _labels_blob(csr.interner)
-    flags = _FLAG_LABELS if csr.interner is not None else 0
-    with open(path, "wb") as handle:
-        handle.write(MAGIC)
-        handle.write(bytes([FORMAT_VERSION, flags]))
-        handle.write(_HEADER.pack(n, nnz, len(blob)))
-        handle.write(_pack_i32(csr.indptr))
-        handle.write(_pack_i32(csr.indices))
-        handle.write(blob)
+    """Publish ``csr`` as a KVCCG file at ``path``."""
+    labels = None if csr.interner is None else csr.interner.labels
+    write_kvccg(path, csr.n, csr.indptr, (csr.indices,), labels)
 
 
 def _check_prefix(buf: bytes, path) -> tuple:
@@ -172,7 +259,7 @@ def _check_prefix(buf: bytes, path) -> tuple:
     ``(flags, n, nnz, labels_len, body_start)``.
     """
     prefix = len(MAGIC)
-    if len(buf) < prefix + 2 + _HEADER.size:
+    if len(buf) < _PREFIX_BYTES:
         raise ValueError(f"{path}: truncated graph header")
     if buf[:prefix] != MAGIC:
         raise ValueError(
@@ -188,7 +275,7 @@ def _check_prefix(buf: bytes, path) -> tuple:
         )
     flags = buf[prefix + 1]
     n, nnz, labels_len = _HEADER.unpack_from(buf, prefix + 2)
-    return flags, n, nnz, labels_len, prefix + 2 + _HEADER.size
+    return flags, n, nnz, labels_len, _PREFIX_BYTES
 
 
 def _expected_body(flags: int, n: int, nnz: int, labels_len: int) -> int:

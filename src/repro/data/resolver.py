@@ -34,6 +34,10 @@ source maps to a fingerprint, and the parsed graph persists as
 
 Both fingerprints also fold in the ``KVCCG`` format version - a format
 bump re-ingests everything rather than failing on old files.
+
+Cache entries and sidecars are written through
+:func:`repro.data.format.publish`: a reader sees the old file or the
+whole new one, and concurrent cold starts race only on the rename.
 """
 
 from __future__ import annotations
@@ -41,12 +45,11 @@ from __future__ import annotations
 import hashlib
 import inspect
 import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.data.format import FORMAT_VERSION
+from repro.data.format import FORMAT_VERSION, publish
 from repro.data.ingest import read_edge_list_csr
 from repro.graph.csr import CSRGraph
 
@@ -125,18 +128,13 @@ def _file_content_hash(path: Path, cache_dir: Path) -> str:
     except (OSError, ValueError):
         pass
     content_hash = _hash_file(path)
+    record = f"{signature} {content_hash}\n"
     try:
         sidecar.parent.mkdir(parents=True, exist_ok=True)
-        _atomic_write_text(sidecar, f"{signature} {content_hash}\n")
+        publish(sidecar, lambda tmp: Path(tmp).write_text(record, encoding="utf-8"))
     except OSError:
         pass  # memoization is best-effort; the hash itself is correct
     return content_hash
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
 
 
 @dataclass(frozen=True)
@@ -206,8 +204,8 @@ class Dataset:
         """The dataset as a :class:`CSRGraph`, via the on-disk cache.
 
         A cache hit mmap-loads the KVCCG file in O(header); a miss (or
-        ``refresh=True``) builds from source and materializes the entry
-        atomically (unique tmp file + rename, so concurrent cold
+        ``refresh=True``) builds from source and publishes the entry
+        whole (:func:`repro.data.format.publish`, so concurrent cold
         starts cannot corrupt each other).  ``cache=False`` bypasses
         the disk entirely.  An unreadable cache entry (foreign bytes,
         an old format version) is rebuilt rather than surfaced as an
@@ -235,62 +233,29 @@ class Dataset:
         except OSError as exc:
             raise ValueError(f"cannot read dataset {self.spec!r}: {exc}")
         if refresh or not path.exists():
-            from repro.data.external import resolve_mem_budget
+            from repro.data.external import (
+                ingest_edge_list_kvccg,
+                resolve_mem_budget,
+            )
 
             budget = resolve_mem_budget(mem_budget)
-            if budget is not None and self.kind == "file":
-                loaded = self._build_external(path, budget)
-                if loaded is not None:
-                    return loaded
-            csr = self.build_csr()
+            csr = None
             try:
                 path.parent.mkdir(parents=True, exist_ok=True)
-                fd, tmp = tempfile.mkstemp(
-                    dir=str(path.parent), suffix=".kvccg.tmp"
-                )
-                os.close(fd)
-                try:
-                    csr.save(tmp)
-                    os.replace(tmp, path)
-                finally:
-                    if os.path.exists(tmp):
-                        os.remove(tmp)
+                if budget is not None and self.kind == "file":
+                    ingest_edge_list_kvccg(self.source, path, mem_budget=budget)
+                else:
+                    csr = self.build_csr()
+                    csr.save(path)
             except OSError:
-                return csr  # cache not writable; serve the build
+                # The cache is not writable: serve the in-memory build.
+                return self.build_csr() if csr is None else csr
             return CSRGraph.load(path)
         try:
             return CSRGraph.load(path)
         except ValueError:
             # Bit rot or a format change mid-flight: rebuild in place.
             return self.load(cache_dir, refresh=True, mem_budget=mem_budget)
-
-    def _build_external(self, path: Path, budget: int) -> Optional[CSRGraph]:
-        """Materialize the cache entry by external-sort ingest.
-
-        Streams the edge list through :func:`ingest_edge_list_kvccg`
-        straight into a tmp file beside the final entry (same atomic
-        rename as the in-memory path).  Returns ``None`` when the cache
-        directory is unwritable - the caller then falls back to the
-        unbudgeted in-memory build, matching the cache's general
-        degrade-silently contract.
-        """
-        from repro.data.external import ingest_edge_list_kvccg
-
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=str(path.parent), suffix=".kvccg.tmp"
-            )
-            os.close(fd)
-            try:
-                ingest_edge_list_kvccg(self.source, tmp, mem_budget=budget)
-                os.replace(tmp, path)
-            finally:
-                if os.path.exists(tmp):
-                    os.remove(tmp)
-        except OSError:
-            return None
-        return CSRGraph.load(path)
 
 
 def resolve_dataset(token: str) -> Dataset:

@@ -28,7 +28,10 @@ offset  field
 ...     payload         one complete KVCCIDX stream per measure
 ```
 
-Directory offsets are relative to the payload start, so ``load(path)``
+``save`` publishes the container whole
+(:func:`repro.data.format.publish`), so a serving process
+hot-reloading the path never maps a half-written one.  Directory
+offsets are relative to the payload start, so ``load(path)``
 maps the file once, parses magic + directory (O(header)), and wires
 each measure's sections up as zero-copy views into the shared mapping
 via :meth:`HierarchyIndex.from_buffer` - a cold multi-measure process
@@ -82,7 +85,7 @@ from repro.core.hierarchy import (
     build_hierarchy_csr,
 )
 from repro.core.options import KVCCOptions
-from repro.data.format import map_file
+from repro.data.format import map_file, publish
 from repro.graph.connectivity import connected_components
 from repro.graph.csr import CSRGraph
 from repro.index.mincut import min_edge_cut
@@ -350,9 +353,14 @@ class CohesionIndex:
             handle.write(blob)
 
     def save(self, path) -> None:
-        """Write the versioned container file at ``path``."""
-        with open(path, "wb") as handle:
-            self._write(handle)
+        """Publish the versioned container file at ``path`` (whole or
+        not at all, as :meth:`HierarchyIndex.save` does)."""
+
+        def write(tmp: str) -> None:
+            with open(tmp, "wb") as handle:
+                self._write(handle)
+
+        publish(path, write)
 
     def to_bytes(self) -> bytes:
         """The exact bytes :meth:`save` would write (same contract as
@@ -362,25 +370,6 @@ class CohesionIndex:
         buffer = io.BytesIO()
         self._write(buffer)
         return buffer.getvalue()
-
-    def save_atomic(self, path) -> None:
-        """Write via a unique temp file + atomic rename (no torn reads
-        for a concurrent mmap or hot-reload stat)."""
-        import os
-        import tempfile
-
-        directory = os.path.dirname(os.path.abspath(path)) or "."
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".kvcccoh.tmp")
-        os.close(fd)
-        try:
-            self.save(tmp)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
-            raise
 
     @classmethod
     def load(cls, path) -> "CohesionIndex":

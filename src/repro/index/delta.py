@@ -73,8 +73,12 @@ still a valid overlay); a digest that does not match the current base
 file means the log belongs to a *previous* base (e.g. the window of a
 compaction crash, where the new base already folds the log in) and the
 whole log is ignored.  :meth:`IndexUpdater.compact` folds the overlay
-into a fresh base via the same atomic-rename discipline as
-``save_atomic`` and restarts the log.
+into a fresh base and restarts the log.
+
+Both the compacted base and every fresh log are published whole
+through :func:`repro.data.format.publish`; a record is appended in
+place (:meth:`IndexUpdater._append_record`), and a torn append is the
+torn tail above.
 """
 
 from __future__ import annotations
@@ -84,12 +88,14 @@ import json
 import os
 import struct
 import zlib
+from pathlib import Path
 from time import perf_counter
 from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
 
 from repro.core.engine import SerialEngine
 from repro.core.options import KVCCOptions
 from repro.core.stats import RunStats
+from repro.data.format import publish
 from repro.graph.csr import CSRGraph
 from repro.index.store import HierarchyIndex, _encode_runs
 
@@ -684,9 +690,8 @@ class IndexUpdater:
     def compact(self) -> None:
         """Fold the overlay into the base file and restart the log.
 
-        The new base is published with the same temp-file + atomic
-        rename discipline as ``save_atomic``; the fresh (empty) log is
-        bound to the new base's digest.  A crash between the two steps
+        The new base and the fresh (empty) log, bound to the new
+        base's digest, are each published whole.  A crash between the two steps
         leaves the old log pointing at a digest the new base no longer
         has, so readers ignore it - the compacted base already contains
         every folded mutation.
@@ -940,16 +945,14 @@ class IndexUpdater:
     # Log maintenance
     # ------------------------------------------------------------------
     def _reset_log(self) -> None:
-        """Atomically (re)start the log: the header for the current
-        base digest plus one graph-binding meta record.
+        """(Re)start the log, published whole: the header for the
+        current base digest plus one graph-binding meta record.
 
         The meta record (``{"meta": "graph", ...}``) names the graph
         the base was built from - vertex/edge counts for the error
         message, an edge-set digest for the actual check - and is a
         no-op under record replay, so old readers skip it harmlessly.
         """
-        import tempfile
-
         vertices, edges = self._graph_shape
         payload = json.dumps(
             {
@@ -962,20 +965,7 @@ class IndexUpdater:
         ).encode("utf-8")
         frame = _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
         blob = _log_header(self._digest) + frame
-        directory = (
-            os.path.dirname(os.path.abspath(self.log_path)) or "."
-        )
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".delta.tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
-            os.replace(tmp, self.log_path)
-        except BaseException:
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
-            raise
+        publish(self.log_path, lambda tmp: Path(tmp).write_bytes(blob))
         self._log_length = len(blob)
 
     def _truncate_torn_tail(self) -> None:

@@ -19,8 +19,11 @@ integer arrays:
 
 The on-disk format is the same data, little-endian, behind a magic +
 version header (:data:`MAGIC`, :data:`FORMAT_VERSION`); labels travel as
-a JSON array, everything else as packed 32-bit integers.  ``load``
-rejects wrong magic and wrong versions loudly instead of misreading.
+a JSON array, everything else as packed 32-bit integers.  ``save``
+publishes the file whole (:func:`repro.data.format.publish`), so a
+serving process hot-reloading the path never maps a half-written
+index.  ``load`` rejects wrong magic and wrong versions loudly instead
+of misreading.
 
 ``load`` maps the file and exposes the integer sections as zero-copy
 ``memoryview`` casts over the mapping; the JSON label blob is decoded
@@ -39,7 +42,7 @@ from typing import Hashable, List, Optional, Sequence
 
 from repro.core.hierarchy import KVCCHierarchy, build_hierarchy_csr
 from repro.core.options import KVCCOptions
-from repro.data.format import map_file
+from repro.data.format import map_file, publish
 from repro.graph.csr import VertexInterner
 from repro.graph.graph import Graph
 
@@ -322,15 +325,28 @@ class HierarchyIndex:
     # Persistence
     # ------------------------------------------------------------------
     def save(self, path) -> None:
-        """Write the versioned binary index file at ``path``.
+        """Publish the versioned binary index file at ``path``.
 
-        Labels must be JSON *scalars* (ints and strings - the types
-        edge-list IO produces - plus floats, bools and None).  Anything
-        else raises ``TypeError`` up front: a tuple label, say, would
-        silently come back from JSON as an unhashable list.
+        A reader (``repro serve`` hot reload, a concurrent boot) that
+        stats or maps ``path`` meanwhile sees the old index or the
+        whole new one (:func:`~repro.data.format.publish`).  Labels
+        must be JSON *scalars* (ints and strings - the types edge-list
+        IO produces - plus floats, bools and None).  Anything else
+        raises ``TypeError`` and leaves ``path`` as it was: a tuple
+        label, say, would silently come back from JSON as an
+        unhashable list.
         """
-        with open(path, "wb") as handle:
-            self._write(handle)
+
+        def write(tmp: str) -> None:
+            with open(tmp, "wb") as handle:
+                self._write(handle)
+
+        publish(path, write)
+
+    #: :meth:`save` under the name that ``--save-index``, ``serve
+    #: --build-missing`` and ``IndexUpdater.compact`` call; perfbench
+    #: traces it as ``index.store.save``.
+    save_atomic = save
 
     def _write(self, handle) -> None:
         for label in self.labels:
@@ -374,32 +390,6 @@ class HierarchyIndex:
         buffer = io.BytesIO()
         self._write(buffer)
         return buffer.getvalue()
-
-    def save_atomic(self, path) -> None:
-        """Write the index via a unique temp file + atomic rename.
-
-        A reader (``repro serve`` hot reload, a concurrent boot) that
-        stats or mmaps ``path`` mid-write must never see a half-written
-        index: the bytes land in a ``mkstemp``-unique sibling first and
-        ``os.replace`` publishes them in one atomic step.  Concurrent
-        writers each write their own temp file and race only on the
-        rename, which is last-writer-wins, never a torn file.
-        """
-        import os
-        import tempfile
-
-        directory = os.path.dirname(os.path.abspath(path)) or "."
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".kvccidx.tmp")
-        os.close(fd)
-        try:
-            self.save(tmp)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
-            raise
 
     @classmethod
     def load(cls, path) -> "HierarchyIndex":

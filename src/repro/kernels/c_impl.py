@@ -19,9 +19,9 @@ Build: :func:`load` (called by :func:`repro.kernels.select`) compiles
 ``kernel.c`` with ``cc -O2 -shared -fPIC`` into
 ``default_cache_dir()/kernels/<hash>.so`` unless that file exists; the
 hash covers the source, the flags, ``sys.platform`` and
-``platform.machine()``.  The compiler writes a temp file in the same
-directory, published with ``os.replace``, so concurrent first uses
-leave one ``.so`` and no temp files.  With no ``cc`` on ``PATH`` (and
+``platform.machine()``.  The compiler writes a new sibling file that
+:func:`repro.data.format.publish` renames into place, so concurrent
+first uses leave one ``.so`` and no temp files.  With no ``cc`` on ``PATH`` (and
 no cached build), or when the compiler fails, :func:`load` raises
 ``ImportError`` and :func:`repro.kernels.select` falls back; a failing
 compiler's stderr is also reported once as a ``RuntimeWarning``.
@@ -31,12 +31,10 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
-import os
 import platform
 import shutil
 import subprocess
 import sys
-import tempfile
 import warnings
 from array import array
 from collections import deque
@@ -74,16 +72,14 @@ def library_path() -> Path:
 
 
 def _compile(target: Path) -> None:
-    """Compile :data:`SOURCE` to ``target`` through a temp file."""
+    """Compile :data:`SOURCE` to ``target``, published whole."""
+    from repro.data.format import publish
+
     compiler = shutil.which("cc")
     if compiler is None:
         raise ImportError("the c kernel needs a C compiler: no 'cc' on PATH")
-    target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        prefix=f"{target.stem}.", suffix=".tmp", dir=target.parent
-    )
-    os.close(fd)
-    try:
+
+    def write(tmp: str) -> None:
         done = subprocess.run(
             [compiler, *FLAGS, "-o", tmp, str(SOURCE)],
             capture_output=True, text=True,
@@ -93,12 +89,11 @@ def _compile(target: Path) -> None:
                 f"cc exited {done.returncode} compiling {SOURCE.name}; "
                 f"the c kernel is unavailable:\n{done.stderr}"
             )
-            warnings.warn(message, RuntimeWarning, stacklevel=2)
+            warnings.warn(message, RuntimeWarning, stacklevel=4)
             raise ImportError(message)
-        os.replace(tmp, target)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+
+    target.parent.mkdir(parents=True, exist_ok=True)
+    publish(target, write)
 
 
 _int, _ptr = ctypes.c_int, ctypes.c_void_p

@@ -124,7 +124,7 @@ class TestCohesionIndexContainer:
 
     def test_round_trip_mmap(self, cohesion, tmp_path):
         path = str(tmp_path / "g.kvcccoh")
-        cohesion.save_atomic(path)
+        cohesion.save(path)
         loaded = load_cohesion_index(path)
         assert all(loaded.index_for(m).is_mmap for m in loaded.measures)
         assert loaded == cohesion
@@ -139,7 +139,7 @@ class TestCohesionIndexContainer:
 
     def test_save_atomic_leaves_no_litter(self, cohesion, tmp_path):
         path = str(tmp_path / "g.kvcccoh")
-        cohesion.save_atomic(path)
+        cohesion.save(path)
         assert os.listdir(tmp_path) == ["g.kvcccoh"]
         assert load_cohesion_index(path) == cohesion
 
