@@ -76,6 +76,7 @@ from typing import Optional, Sequence
 
 from repro.core.stats import RunStats
 from repro.core.variants import VARIANTS
+from repro.graph.csr import lookup_vertex, parse_vertex
 
 #: Default TCP port of ``repro serve`` (chosen to be collision-poor).
 #: Defined here, its only user, so building the parser imports no
@@ -88,17 +89,6 @@ _DATASET_HELP = (
     "work too), 'file:PATH', or 'name:NAME' for a synthetic stand-in "
     "(e.g. name:youtube)"
 )
-
-
-def _parse_vertex(token: str):
-    """Canonical int literals become ints; everything else stays a
-    string (``HierarchyIndex.id_of`` and ``_label_id`` apply the
-    int/str spelling fallback, so either labeling resolves)."""
-    try:
-        value = int(token)
-    except ValueError:
-        return token
-    return value if str(value) == token else token
 
 
 def _level_arg(token: str) -> int:
@@ -144,12 +134,15 @@ def _load_base(args: argparse.Namespace):
     A cache hit is an O(header) mmap load; a miss parses or generates
     once and materializes the binary entry for next time (under
     ``--mem-budget``, file sources external-sort straight into the
-    entry).  Exits with an argparse-style error on unknown names /
-    missing files / malformed budgets.
+    entry).  The budget is parsed first, cache warm or cold, and
+    ``args.mem_budget`` becomes its byte count (``None``: unbounded).
+    Exits with an argparse-style error on unknown names / missing
+    files / malformed budgets.
     """
-    from repro.data import load_graph_csr
+    from repro.data import load_graph_csr, resolve_mem_budget
 
     try:
+        args.mem_budget = resolve_mem_budget(args.mem_budget)
         return load_graph_csr(
             args.graph,
             cache_dir=args.cache_dir,
@@ -165,22 +158,18 @@ def _load_base(args: argparse.Namespace):
 def _label_id(base, token: str) -> int:
     """Map a command-line vertex token to the base's dense id.
 
-    Tokens are tried int-first, then as the raw string - a graph whose
-    mixed-id file normalized to all-string labels still resolves
-    numeric tokens (the label is ``"1"``, the token ``1``).
+    The token resolves as ``repro query`` and the HTTP API resolve it
+    (:func:`~repro.graph.csr.lookup_vertex`): ``05`` finds vertex
+    ``5``, and ``1`` finds the label ``"1"`` of a mixed-id file.
     """
-    label = _parse_vertex(token)
-    interner = base.interner
-    if interner is not None:
-        for candidate in (label, token):
-            try:
-                return interner[candidate]
-            except KeyError:
-                continue
+    label = parse_vertex(token)
+    if base.interner is not None:
+        vid = lookup_vertex(base.interner, label)
+    else:
+        vid = label if isinstance(label, int) and 0 <= label < base.n else None
+    if vid is None:
         raise SystemExit(f"error: vertex {token!r} is not in the graph")
-    if isinstance(label, int) and 0 <= label < base.n:
-        return label
-    raise SystemExit(f"error: vertex {token!r} is not in the graph")
+    return vid
 
 
 def cmd_kvcc(args: argparse.Namespace) -> int:
@@ -191,17 +180,14 @@ def cmd_kvcc(args: argparse.Namespace) -> int:
     base = _load_base(args)
     stats = RunStats(k=args.k)
     options = VARIANTS[args.variant]
-    from repro.data.external import resolve_mem_budget
-
-    budget = resolve_mem_budget(args.mem_budget)
+    budget = args.mem_budget
     if budget is not None:
         # Budgeted path: enumerate component-at-a-time so only one
         # component's CSR rows are ever resident.
         from repro.core.outofcore import enumerate_kvccs_outofcore
 
         leaves = enumerate_kvccs_outofcore(
-            base, args.k, options, stats,
-            materialize=False, mem_budget=budget,
+            base, args.k, options, stats, materialize=False
         )
     else:
         # The cached hot path: mmap CSR in, member-id lists out - no
@@ -331,7 +317,7 @@ def _query_pairs(args: argparse.Namespace):
                 file=sys.stderr,
             )
             raise SystemExit(2)
-        pairs.append((_parse_vertex(u), _parse_vertex(v)))
+        pairs.append((parse_vertex(u), parse_vertex(v)))
     legacy = getattr(args, "u", None) is not None or (
         getattr(args, "v", None) is not None
     )
@@ -347,7 +333,7 @@ def _query_pairs(args: argparse.Namespace):
             f"use --pair {args.u}:{args.v}",
             file=sys.stderr,
         )
-        pairs.append((_parse_vertex(args.u), _parse_vertex(args.v)))
+        pairs.append((parse_vertex(args.u), parse_vertex(args.v)))
     if not pairs:
         print(
             "error: give at least one --pair u:v",
@@ -404,10 +390,10 @@ def _run_query(args, container, service, measure: str) -> int:
     tag = "" if measure == "kvcc" else f" [{measure}]"
     if command == "vcc-number":
         for token in args.v:
-            v = _parse_vertex(token)
+            v = parse_vertex(token)
             print(f"vcc-number({v}){tag} = {service.vcc_number(v)}")
     elif command == "components-of":
-        v = _parse_vertex(args.v)
+        v = parse_vertex(args.v)
         comps = service.components_of(v, args.k)
         noun = {"kvcc": "VCC", "kecc": "ECC", "kcore": "core"}[measure]
         print(f"{len(comps)} {args.k}-{noun}(s) contain {v}")
@@ -425,7 +411,7 @@ def _run_query(args, container, service, measure: str) -> int:
                 f"{service.max_shared_level(u, v)}"
             )
     elif command == "top-communities":
-        v = _parse_vertex(args.v)
+        v = parse_vertex(args.v)
         ranked = service.top_communities(v, args.r)
         print(
             f"{len(ranked)} strongest communities containing {v}{tag}"
@@ -434,7 +420,7 @@ def _run_query(args, container, service, measure: str) -> int:
             listing = ", ".join(map(str, members))
             print(f"  [{i}] k={k}, {len(members)} vertices: {listing}")
     elif command == "critical-vertices":
-        v = _parse_vertex(args.v)
+        v = parse_vertex(args.v)
         critical = service.critical_vertices(v, args.k)
         print(
             f"{len(critical)} critical vertex(es) of {v} "

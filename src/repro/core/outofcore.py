@@ -29,7 +29,7 @@ single component - not the whole graph.
 from __future__ import annotations
 
 from array import array
-from typing import List, Optional, Union
+from typing import List, Optional
 
 from repro.core.engine import SerialEngine
 from repro.core.options import KVCCOptions
@@ -128,7 +128,6 @@ def enumerate_kvccs_outofcore(
     options: Optional[KVCCOptions] = None,
     stats: Optional[RunStats] = None,
     materialize: bool = True,
-    mem_budget: Union[int, str, None] = None,
 ) -> list:
     """All k-VCCs of ``base``, enumerated component-at-a-time.
 
@@ -144,17 +143,13 @@ def enumerate_kvccs_outofcore(
     Components with at most ``k`` vertices are skipped without faulting
     their rows in - the engine's root peel would discard them anyway.
 
-    ``mem_budget`` (bytes or ``"256M"``-style string) is validated and
-    reserved for adaptive batching of small components; the driver's
-    residency is structurally one-component-at-a-time regardless.
-    ``stats.peak_rss_bytes`` records the run's observed RSS growth.
+    The driver's residency is structurally one component at a time, so
+    it takes no budget; ``stats.peak_rss_bytes`` records the run's
+    observed RSS growth.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     options = options or KVCCOptions()
-    from repro.data.external import parse_mem_budget
-
-    parse_mem_budget(mem_budget)  # validate eagerly; reserved for batching
     stats = stats if stats is not None else RunStats(k=k)
     engine = SerialEngine()
     results: list = []

@@ -53,7 +53,7 @@ import os
 import struct
 import sys
 from array import array
-from typing import IO, Callable, Hashable, List
+from typing import IO, Callable, Hashable, List, Optional
 
 from repro.graph.csr import CSRGraph, VertexInterner
 
@@ -75,6 +75,7 @@ _LABEL_CHUNK = 4096
 
 #: The label types JSON round-trips unchanged (``bool`` is an ``int``).
 _JSON_SCALARS = (str, int, float, type(None))
+
 
 class LazyLabelInterner(VertexInterner):
     """A read-only :class:`VertexInterner` over an undecoded JSON blob.
@@ -113,6 +114,11 @@ class LazyLabelInterner(VertexInterner):
     def __getitem__(self, label: Hashable) -> int:
         self._decode()
         return self._ids[label]
+
+    def get(self, label: Hashable) -> Optional[int]:
+        """The id of ``label``, or ``None`` (decodes the blob on first use)."""
+        self._decode()
+        return self._ids.get(label)
 
     def label(self, vid: int) -> Hashable:
         """The label interned as ``vid`` (decodes the blob on first use)."""

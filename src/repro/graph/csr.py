@@ -97,6 +97,10 @@ class VertexInterner:
         """The id of an already-interned label (``KeyError`` if absent)."""
         return self._ids[label]
 
+    def get(self, label: Hashable) -> Optional[int]:
+        """The id of ``label``, or ``None`` if it was never interned."""
+        return self._ids.get(label)
+
     def label(self, vid: int) -> Hashable:
         """The label interned as ``vid``."""
         return self._labels[vid]
@@ -114,6 +118,45 @@ class VertexInterner:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"VertexInterner(n={len(self._labels)})"
+
+
+def parse_vertex(token: str) -> Hashable:
+    """A vertex token from the command line or a query string as a label.
+
+    A *canonical* int literal becomes an ``int``; anything else,
+    non-canonical spellings such as ``"05"`` or ``" 5"`` included, stays
+    the string, so a string-labeled graph can match it exactly.
+    :func:`lookup_vertex` then tries the other spelling, so either
+    resolves on either labeling.
+    """
+    try:
+        value = int(token)
+    except ValueError:
+        return token
+    return value if str(value) == token else token
+
+
+def lookup_vertex(ids, label: Hashable) -> Optional[int]:
+    """The id ``ids`` (a label-to-id mapping with ``get``) gives
+    ``label``, else ``None``.
+
+    A graph ingested from an edge list may have interned the *other*
+    spelling of a numeric label (label ``"5"`` queried as ``5``, or
+    label ``5`` queried as ``"05"``).  The exact label wins, then the
+    int reading of a string, then the string spelling of an int, so
+    every numeric-looking spelling of a vertex resolves.
+    """
+    vid = ids.get(label)
+    if vid is not None:
+        return vid
+    if isinstance(label, str):
+        try:
+            return ids.get(int(label))
+        except ValueError:
+            return None
+    if isinstance(label, int) and not isinstance(label, bool):
+        return ids.get(str(label))
+    return None
 
 
 def _int_buffer(values: Sequence[int]):

@@ -9,11 +9,12 @@ exists so a user *with* the real files can reproduce on them directly::
     from repro.graph import read_snap_file
     g = read_snap_file("web-Stanford.txt")
 
-``.gz`` paths are decompressed transparently.  For large inputs prefer
-:func:`read_edge_list_csr` (the streaming CSR reader from
-:mod:`repro.data.ingest`) or, better, the cached loader
-:func:`repro.data.load_graph_csr`, which parses once and mmap-loads a
-binary ``KVCCG`` file thereafter.
+Every reader here parses through the streaming CSR reader of
+:mod:`repro.data.ingest`, so each accepts the same dialects (whitespace
+or CSV, ``#`` comments, ``.gz``).  For large inputs prefer
+:func:`read_edge_list_csr`, which builds no dict ``Graph``, or better,
+the cached loader :func:`repro.data.load_graph_csr`, which parses once
+and mmap-loads a binary ``KVCCG`` file thereafter.
 
 Vertex labels are normalized per file to all-int or all-str (see
 :func:`repro.data.ingest.normalize_mixed_labels`): a file mixing
@@ -25,9 +26,9 @@ downstream ``sorted()`` over any vertex set cannot raise a mixed-type
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Union
 
-from repro.graph.graph import Edge, Graph
+from repro.graph.graph import Graph
 
 PathLike = Union[str, Path]
 
@@ -37,8 +38,11 @@ def read_edge_list(
     comment: str = "#",
     directed: bool = False,
 ) -> Graph:
-    """Read a whitespace-separated edge list into a :class:`Graph`.
+    """Read an edge list into a :class:`Graph`.
 
+    The file goes through the one tokenizer every ingest path shares
+    (:func:`repro.data.ingest.iter_edge_labels`), so its dialects hold
+    here too: whitespace or CSV (with a header row skipped), ``.gz``.
     Vertices are parsed as ``int`` when possible, else kept as strings;
     if a file mixes both, every int label is converted to its string
     form so the finished label set is uniformly orderable.  Self loops
@@ -55,10 +59,8 @@ def read_edge_list(
         because :class:`Graph` is undirected.
     """
     del directed  # symmetrization is implicit for an undirected Graph
-    from repro.data.ingest import open_text
-
-    with open_text(path) as handle:
-        return graph_from_lines(handle, comment=comment)
+    csr, _ = read_edge_list_csr(path, comment=comment)
+    return csr.to_graph()
 
 
 def read_snap_file(path: PathLike) -> Graph:
@@ -90,60 +92,3 @@ def write_edge_list(graph: Graph, path: PathLike, header: bool = True) -> None:
             )
         for u, v in graph.edges():
             handle.write(f"{u} {v}\n")
-
-
-def graph_from_lines(lines: Iterable[str], comment: str = "#") -> Graph:
-    """Parse an iterable of edge-list lines (strings) into a ``Graph``.
-
-    Applies the same per-file all-int-or-all-str label normalization as
-    :func:`read_edge_list`.
-    """
-    g = Graph()
-    for line in lines:
-        line = line.strip()
-        if not line or line.startswith(comment):
-            continue
-        parts = line.split()
-        if len(parts) < 2:
-            raise ValueError(f"malformed edge line: {line!r}")
-        u, v = _parse_vertex(parts[0]), _parse_vertex(parts[1])
-        if u != v:
-            g.add_edge(u, v)
-    return _normalize_graph_labels(g)
-
-
-def _normalize_graph_labels(g: Graph) -> Graph:
-    """Apply the shared per-file label rule to a parsed ``Graph``.
-
-    Delegates the all-int-or-all-str decision to
-    :func:`repro.data.ingest.normalize_mixed_labels` - inspecting only
-    the vertices that actually made it into the graph, exactly like the
-    CSR ingest path, so both readers type a given file identically.
-    Insertion order is preserved; no collision is possible (a string
-    label can never itself be a decimal literal).
-    """
-    from repro.data.ingest import normalize_mixed_labels
-
-    vertices = list(g.vertices())
-    labels, rewritten = normalize_mixed_labels(vertices)
-    if not rewritten:
-        return g
-    rename = dict(zip(vertices, labels))
-    out = Graph(vertices=labels)
-    for u, v in g.edges():
-        out.add_edge(rename[u], rename[v])
-    return out
-
-
-def edges_to_lines(edges: Iterable[Edge]) -> Iterable[str]:
-    """Render edges as text lines (inverse of :func:`graph_from_lines`)."""
-    for u, v in edges:
-        yield f"{u} {v}"
-
-
-def _parse_vertex(token: str):
-    """Parse a vertex token: int if it looks like one, else the raw string."""
-    try:
-        return int(token)
-    except ValueError:
-        return token

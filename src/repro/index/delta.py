@@ -96,8 +96,13 @@ from repro.core.engine import SerialEngine
 from repro.core.options import KVCCOptions
 from repro.core.stats import RunStats
 from repro.data.format import publish
-from repro.graph.csr import CSRGraph
-from repro.index.store import HierarchyIndex, _encode_runs
+from repro.graph.csr import CSRGraph, lookup_vertex
+from repro.index.store import (
+    HierarchyIndex,
+    _as_list,
+    _decode_runs,
+    _encode_runs,
+)
 
 #: File signature of a hierarchy-index delta log.
 DELTA_MAGIC = b"KVCCDLT"
@@ -233,18 +238,26 @@ class _Forest:
     def from_index(cls, index: HierarchyIndex) -> "_Forest":
         forest = cls()
         forest.labels = list(index.labels)
-        runs, offsets = index.runs, index.run_offsets
-        for node in range(index.num_nodes):
+        # One C-level tolist() per section: a mapped index read element
+        # by element boxes every int through the memoryview.
+        node_k, node_parent, offsets, runs = (
+            _as_list(section)
+            for section in (
+                index.node_k, index.node_parent, index.run_offsets, index.runs
+            )
+        )
+        for node in range(len(node_k)):
+            first, last = offsets[node], offsets[node + 1]
             forest._insert(
                 node,
                 _Node(
-                    index.node_k[node],
-                    index.node_parent[node],
-                    index.members(node),
-                    list(runs[2 * offsets[node] : 2 * offsets[node + 1]]),
+                    node_k[node],
+                    node_parent[node],
+                    _decode_runs(runs, first, last),
+                    runs[2 * first : 2 * last],
                 ),
             )
-        forest.next_uid = index.num_nodes
+        forest.next_uid = len(node_k)
         return forest
 
     @property
@@ -592,21 +605,9 @@ class IndexUpdater:
         skipped = 0
 
         def resolve(label):
-            vid = stage_ids.get(label)
-            if vid is not None:
-                return vid
+            # A staged label resolves in neither spelling in _ids.
             vid = self._resolve(label)
-            if vid is not None:
-                return vid
-            # Staged labels honour the same int/str fallback as _ids.
-            if isinstance(label, str):
-                try:
-                    return stage_ids.get(int(label))
-                except ValueError:
-                    return None
-            if isinstance(label, int) and not isinstance(label, bool):
-                return stage_ids.get(str(label))
-            return None
+            return lookup_vertex(stage_ids, label) if vid is None else vid
 
         def intern(label):
             vid = resolve(label)
@@ -737,17 +738,7 @@ class IndexUpdater:
 
     def _resolve(self, label) -> Optional[int]:
         """Dense id of a label, with ``id_of``'s int/str fallback."""
-        vid = self._ids.get(label)
-        if vid is not None:
-            return vid
-        if isinstance(label, str):
-            try:
-                return self._ids.get(int(label))
-            except ValueError:
-                return None
-        if isinstance(label, int) and not isinstance(label, bool):
-            return self._ids.get(str(label))
-        return None
+        return lookup_vertex(self._ids, label)
 
     def _replay_graph(self, record: dict) -> None:
         """Re-apply one logged record's labels and edges to ``_adj``."""

@@ -43,7 +43,7 @@ from typing import Hashable, List, Optional, Sequence
 from repro.core.hierarchy import KVCCHierarchy, build_hierarchy_csr
 from repro.core.options import KVCCOptions
 from repro.data.format import map_file, publish
-from repro.graph.csr import VertexInterner
+from repro.graph.csr import VertexInterner, lookup_vertex
 from repro.graph.graph import Graph
 
 #: File signature of a persisted hierarchy index.
@@ -80,9 +80,19 @@ def _pack_ints(values: List[int]) -> bytes:
     return struct.pack(f"<{len(values)}i", *values)
 
 
+def _decode_runs(runs: Sequence[int], first: int, last: int) -> List[int]:
+    """The sorted ids of run pairs ``first`` to ``last`` of ``runs``."""
+    out: List[int] = []
+    for pair in range(first, last):
+        start = runs[2 * pair]
+        out.extend(range(start, start + runs[2 * pair + 1]))
+    return out
+
+
 def _as_list(values: Sequence[int]) -> List[int]:
-    """Normalize an int section (list or memoryview) for comparison."""
-    return values if isinstance(values, list) else list(values)
+    """An int section (list or memoryview) as a list, in one C-level
+    ``tolist()`` when it is not one already."""
+    return values if isinstance(values, list) else values.tolist()
 
 
 class HierarchyIndex:
@@ -212,34 +222,17 @@ class HierarchyIndex:
 
         Lookup tokens arrive from the CLI and the HTTP layer as
         strings, parsed int-first; a graph ingested from an edge list
-        may have interned the *other* spelling (label ``"5"`` queried
-        as ``5``, or label ``5`` queried as ``"05"``).  The exact label
-        wins, then the int reading of a string token, then the string
-        spelling of an int token - so every numeric-looking spelling of
-        an indexed vertex resolves instead of silently answering as
-        "unknown vertex".
+        may have interned the *other* spelling, so the lookup is
+        :func:`~repro.graph.csr.lookup_vertex`'s: every numeric-looking
+        spelling of an indexed vertex resolves instead of silently
+        answering as "unknown vertex".
         """
-        ids = self._id_map()
-        vid = ids.get(label)
-        if vid is not None:
-            return vid
-        if isinstance(label, str):
-            try:
-                return ids.get(int(label))
-            except ValueError:
-                return None
-        if isinstance(label, int) and not isinstance(label, bool):
-            return ids.get(str(label))
-        return None
+        return lookup_vertex(self._id_map(), label)
 
     def members(self, node: int) -> List[int]:
         """Sorted member ids of component ``node`` (runs decoded)."""
-        runs = self.runs
-        out: List[int] = []
-        for pair in range(self.run_offsets[node], self.run_offsets[node + 1]):
-            start, length = runs[2 * pair], runs[2 * pair + 1]
-            out.extend(range(start, start + length))
-        return out
+        offsets = self.run_offsets
+        return _decode_runs(self.runs, offsets[node], offsets[node + 1])
 
     def member_labels(self, node: int) -> List[Hashable]:
         """Member labels of component ``node``, in id order."""

@@ -83,10 +83,6 @@ Params = Dict[str, List[str]]
 
 LOG = logging.getLogger("repro.service")
 
-# Back-compat alias: the canonical-int token rule lives in the schema
-# module now, next to the validators that apply it.
-_parse_vertex = parse_vertex
-
 
 def _sorted_labels(component) -> List:
     """Deterministic JSON ordering for a component's label set."""

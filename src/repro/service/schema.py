@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Tuple
 
+from repro.graph.csr import parse_vertex
+
 #: Query-parameter multimap, as ``urllib.parse.parse_qs`` produces.
 Params = Dict[str, List[str]]
 
@@ -57,21 +59,6 @@ class ApiError(Exception):
         self.status = status
         self.message = message
         self.code = code
-
-
-def parse_vertex(token: str) -> Hashable:
-    """Integer label when the token is a *canonical* int literal.
-
-    Non-canonical spellings (``"05"``, ``" 5"``) keep their string form
-    so a string-labeled graph can match them exactly;
-    :meth:`~repro.index.store.HierarchyIndex.id_of` then applies the
-    int/str fallback, so either spelling resolves on either labeling.
-    """
-    try:
-        value = int(token)
-    except ValueError:
-        return token
-    return value if str(value) == token else token
 
 
 @dataclass(frozen=True)

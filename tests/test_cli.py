@@ -63,6 +63,19 @@ class TestConnectivityCommand:
         assert main(["connectivity", graph_file, "-u", "0", "-v", "1"]) == 0
         assert "kappa(0, 1) = inf" in capsys.readouterr().out
 
+    def test_pair_tokens_resolve_like_query(self, tmp_path, capsys):
+        """``-u 05`` names vertex 5, as ``repro query -v 05`` does."""
+        path = tmp_path / "k4.txt"
+        path.write_text("5 1\n5 2\n5 3\n1 2\n1 3\n2 3\n")
+        index = tmp_path / "k4.kvccidx"
+        assert main(["hierarchy", str(path), "--save-index", str(index)]) == 0
+        assert main(["query", "vcc-number", str(index), "-v", "05"]) == 0
+        assert "vcc-number(05) = 3" in capsys.readouterr().out
+        assert main(["connectivity", str(path), "-u", "05", "-v", "1"]) == 0
+        assert "kappa(5, 1) = inf" in capsys.readouterr().out
+        with pytest.raises(SystemExit, match="'06' is not in the graph"):
+            main(["connectivity", str(path), "-u", "06", "-v", "1"])
+
     def test_half_pair_errors(self, graph_file, capsys):
         assert main(["connectivity", graph_file, "-u", "0"]) == 2
         assert "together" in capsys.readouterr().err

@@ -286,8 +286,6 @@ class TestDriverParity:
         base, _ = CSRGraph.from_edges([(0, 1), (1, 2), (2, 0)])
         with pytest.raises(ValueError, match="at least 1"):
             enumerate_kvccs_outofcore(base, 0)
-        with pytest.raises(ValueError, match="budget"):
-            enumerate_kvccs_outofcore(base, 2, mem_budget="nonsense")
 
     def test_records_rss_and_counters(self):
         base, _ = CSRGraph.from_edges(web_graph(60, seed=4).edges())
@@ -487,6 +485,22 @@ class TestCli:
         )
         assert result.returncode == 2
         assert "memory budget" in result.stderr
+
+    @pytest.mark.parametrize("how", ["flag", "env"])
+    def test_rejects_malformed_budget_on_a_warm_cache(self, tmp_path, how):
+        """The budget is parsed before the dataset loads, so a cache hit
+        reports a malformed one as a usage error too."""
+        src = tmp_path / "web.txt"
+        write_edges(src, [(0, 1), (1, 2), (2, 0)])
+        argv = ["kvcc", str(src), "-k", "2", "--cache-dir", str(tmp_path)]
+        assert self.run_cli(*argv).returncode == 0  # warms the cache
+        if how == "flag":
+            result = self.run_cli(*argv, "--mem-budget", "nonsense")
+        else:
+            result = self.run_cli(*argv, env_extra={MEM_BUDGET_ENV: "nonsense"})
+        assert result.returncode == 2, result.stderr
+        assert "error: unparseable memory budget" in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 def test_out_of_core_json_decomposition(tmp_path):
