@@ -558,9 +558,9 @@ def prepare_serve_datasets(
             index = HierarchyIndex.from_hierarchy(hierarchy, base.interner)
             os.makedirs(index_dir, exist_ok=True)
             try:
-                # Concurrent cold boots race only on the rename.
                 index.save_atomic(index_path)
             except OSError:
+                # A concurrent boot that published it first serves too.
                 if not os.path.exists(index_path):
                     raise
         out.append((name, index_path, target))

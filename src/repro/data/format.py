@@ -53,9 +53,11 @@ import os
 import struct
 import sys
 from array import array
-from typing import IO, Callable, Hashable, List, Optional
+from typing import IO, Callable, Hashable, List, Optional, TypeVar
 
 from repro.graph.csr import CSRGraph, VertexInterner
+
+_T = TypeVar("_T")
 
 #: File signature of a persisted CSR graph.
 MAGIC = b"KVCCG"
@@ -140,17 +142,18 @@ class LazyLabelInterner(VertexInterner):
         return self._n
 
 
-def publish(path, write: Callable[[str], object]) -> None:
+def publish(path, write: Callable[[str], _T]) -> _T:
     """Put a whole new file at ``path``, or leave ``path`` as it was.
 
     ``write(tmp)`` fills ``tmp``, a new sibling of ``path`` created
     empty and exclusively with the mode a plain ``open(path, "wb")``
     gives (``0o666`` less the umask); one ``os.replace`` then publishes
-    it.  A reader that opens ``path`` meanwhile sees the old file or
-    the new one, never part of either, and concurrent writers race only
-    on the rename.  If ``write`` or the rename raises, the sibling is
-    removed and the error propagates.  Every file this package persists
-    goes through here; nothing is fsynced.
+    it, and ``write``'s result is returned.  A reader that opens
+    ``path`` meanwhile sees the old file or the new one, never part of
+    either, and concurrent writers race only on the rename.  If
+    ``write`` or the rename raises, the sibling is removed and the
+    error propagates.  Every file the project persists goes through
+    here, except a delta-log append; nothing is fsynced.
     """
     directory, name = os.path.split(os.path.abspath(path))
     while True:
@@ -161,7 +164,7 @@ def publish(path, write: Callable[[str], object]) -> None:
         except FileExistsError:
             continue
     try:
-        write(tmp)
+        result = write(tmp)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -169,6 +172,7 @@ def publish(path, write: Callable[[str], object]) -> None:
         except OSError:
             pass
         raise
+    return result
 
 
 def _write_i32(handle: IO[bytes], values) -> None:
@@ -228,10 +232,9 @@ def write_kvccg(path, n: int, indptr, indices, labels=None) -> int:
     """
     if n >= 2**31:
         raise ValueError(f"graph too large for the int32 KVCCG sections: n={n}")
-    nnz = 0
 
-    def write(tmp: str) -> None:
-        nonlocal nnz
+    def write(tmp: str) -> int:
+        nnz = 0
         with open(tmp, "wb") as out:
             out.seek(_PREFIX_BYTES + 4 * (n + 1))
             for chunk in indices:
@@ -247,9 +250,9 @@ def write_kvccg(path, n: int, indptr, indices, labels=None) -> int:
             out.write(MAGIC + bytes([FORMAT_VERSION, flags]))
             out.write(_HEADER.pack(n, nnz, labels_len))
             _write_i32(out, indptr)
+        return nnz
 
-    publish(path, write)
-    return nnz
+    return publish(path, write)
 
 
 def save_csr(csr: CSRGraph, path) -> None:

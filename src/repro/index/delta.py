@@ -240,12 +240,10 @@ class _Forest:
         forest.labels = list(index.labels)
         # One C-level tolist() per section: a mapped index read element
         # by element boxes every int through the memoryview.
-        node_k, node_parent, offsets, runs = (
-            _as_list(section)
-            for section in (
-                index.node_k, index.node_parent, index.run_offsets, index.runs
-            )
-        )
+        node_k = _as_list(index.node_k)
+        node_parent = _as_list(index.node_parent)
+        offsets = _as_list(index.run_offsets)
+        runs = _as_list(index.runs)
         for node in range(len(node_k)):
             first, last = offsets[node], offsets[node + 1]
             forest._insert(
@@ -691,11 +689,11 @@ class IndexUpdater:
     def compact(self) -> None:
         """Fold the overlay into the base file and restart the log.
 
-        The new base and the fresh (empty) log, bound to the new
-        base's digest, are each published whole.  A crash between the two steps
-        leaves the old log pointing at a digest the new base no longer
-        has, so readers ignore it - the compacted base already contains
-        every folded mutation.
+        The new base and the fresh (empty) log, bound to the new base's
+        digest, are each published whole.  A crash between the two
+        steps leaves the old log pointing at a digest the new base no
+        longer has, so readers ignore it - the compacted base already
+        contains every folded mutation.
 
         The fresh log's graph-binding meta record is rebound to the
         *mutated* graph (the one the compacted base now describes), so
