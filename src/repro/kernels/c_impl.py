@@ -21,10 +21,11 @@ Build: :func:`load` (called by :func:`repro.kernels.select`) compiles
 hash covers the source, the flags, ``sys.platform`` and
 ``platform.machine()``.  The compiler writes a new sibling file that
 :func:`repro.data.format.publish` renames into place, so concurrent
-first uses leave one ``.so`` and no temp files.  With no ``cc`` on ``PATH`` (and
-no cached build), or when the compiler fails, :func:`load` raises
-``ImportError`` and :func:`repro.kernels.select` falls back; a failing
-compiler's stderr is also reported once as a ``RuntimeWarning``.
+first uses leave one ``.so`` and no temp files.  With no ``cc`` on
+``PATH`` (and no cached build), or when the compiler fails,
+:func:`load` raises ``ImportError`` and :func:`repro.kernels.select`
+falls back; a failing compiler's stderr is also reported once as a
+``RuntimeWarning``.
 """
 
 from __future__ import annotations
