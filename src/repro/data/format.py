@@ -152,8 +152,9 @@ def publish(path, write: Callable[[str], _T]) -> _T:
     ``path`` meanwhile sees the old file or the new one, never part of
     either, and concurrent writers race only on the rename.  If
     ``write`` or the rename raises, the sibling is removed and the
-    error propagates.  Every file the project persists goes through
-    here, except a delta-log append; nothing is fsynced.
+    error propagates.  Every binary file and cache entry the project
+    writes, fresh delta logs included, goes through here; log appends
+    do not.  Nothing is fsynced.
     """
     directory, name = os.path.split(os.path.abspath(path))
     while True:

@@ -137,8 +137,8 @@ def parse_vertex(token: str) -> Hashable:
 
 
 def lookup_vertex(ids, label: Hashable) -> Optional[int]:
-    """The id ``ids`` (a label-to-id mapping with ``get``) gives
-    ``label``, else ``None``.
+    """The id of ``label`` in ``ids`` (a label-to-id mapping with
+    ``get``), trying its other spelling; ``None`` if neither is there.
 
     A graph ingested from an edge list may have interned the *other*
     spelling of a numeric label (label ``"5"`` queried as ``5``, or
