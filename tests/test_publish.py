@@ -7,9 +7,11 @@ things that promise rests on: a published file gets the mode a plain
 leaves the previous file in place and no sibling behind.
 """
 
+import errno
 import os
 import stat
 from array import array
+from pathlib import Path
 
 import pytest
 
@@ -93,16 +95,28 @@ def _delta_log(path, how):
         updater._reset_log()
 
 
+def _half_written(path, data):
+    """A fill that stops half way, as on a full disk."""
+    with open(path, "wb") as handle:
+        handle.write(data[: len(data) // 2])
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
 #: kind -> (file name, writer, the ways its write itself can fail).
 WRITERS = {
     "kvccg": ("g.kvccg", _kvccg, ("write", "stream")),
     "kvccidx": ("g.kvccidx", _kvccidx, ("write",)),
     "kvcccoh": ("g.kvcccoh", _kvcccoh, ("write",)),
-    "delta-log": ("g.kvccidx.delta", _delta_log, ()),
+    "delta-log": ("g.kvccidx.delta", _delta_log, ("disk-full",)),
 }
 
 #: What each way of failing raises.
-RAISES = {"write": TypeError, "stream": RuntimeError, "rename": OSError}
+RAISES = {
+    "write": TypeError,
+    "stream": RuntimeError,
+    "disk-full": OSError,
+    "rename": OSError,
+}
 
 
 @pytest.mark.parametrize(
@@ -125,8 +139,10 @@ def test_a_failed_publish_keeps_the_old_file(tmp_path, monkeypatch, kind, how):
             raise OSError("rename refused")
 
         monkeypatch.setattr(os, "replace", refuse)
+    elif how == "disk-full":
+        monkeypatch.setattr(Path, "write_bytes", _half_written)
     with pytest.raises(RAISES[how]):
-        writer(tmp_path / name, "second" if how == "rename" else how)
+        writer(tmp_path / name, how if how in ("write", "stream") else "second")
     monkeypatch.undo()
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
