@@ -39,10 +39,11 @@ hole.  It rejects non-scalar labels and graphs whose index space would
 overflow int32, instead of writing a file that cannot be read back
 faithfully.
 
-This module also holds the two file primitives every persisted format
-shares (``KVCCG``, ``KVCCIDX``, ``KVCCCOH``, the delta log and the
-compiled c kernel): :func:`map_file` opens a file for reading, and
-:func:`publish` puts a new one in place whole or not at all.
+This module also holds the two file primitives the persisted files
+share: :func:`map_file`, the one way a ``KVCCG``, ``KVCCIDX`` or
+``KVCCCOH`` file is opened, and :func:`publish`, the one way those
+three, a cache entry's stat sidecar, a fresh delta log and the
+compiled c kernel reach disk (whole or not at all).
 """
 
 from __future__ import annotations

@@ -604,7 +604,7 @@ class IndexUpdater:
 
         def resolve(label):
             # A staged label resolves in neither spelling in _ids.
-            vid = self._resolve(label)
+            vid = lookup_vertex(self._ids, label)
             return lookup_vertex(stage_ids, label) if vid is None else vid
 
         def intern(label):
@@ -733,10 +733,6 @@ class IndexUpdater:
                     f"unknown mutation op {op!r}; expected "
                     f"'insert' or 'delete'"
                 )
-
-    def _resolve(self, label) -> Optional[int]:
-        """Dense id of a label, with ``id_of``'s int/str fallback."""
-        return lookup_vertex(self._ids, label)
 
     def _replay_graph(self, record: dict) -> None:
         """Re-apply one logged record's labels and edges to ``_adj``."""

@@ -254,7 +254,7 @@ class TestRegionScopedRecompute:
         mirror = graph.copy()
         saved = {}
         for label in idle:
-            vid = updater._resolve(label)
+            vid = updater._ids[label]
             saved[vid] = updater._adj[vid]
             updater._adj[vid] = _UntouchableRow(saved[vid])
         batch = [
