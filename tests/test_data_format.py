@@ -77,6 +77,22 @@ class TestRoundTrip:
         assert back.label_of(0) == "a"
         assert back.interner["c"] == 2
 
+    def test_label_slices_join_to_one_json_array(self, tmp_path):
+        """Labels are written a slice at a time; past one slice the
+        blob is still exactly one compact ``json.dumps``."""
+        import json
+
+        edges = [(f"v{i}", i + 1 if i % 3 else f"v{i + 1}") for i in range(9000)]
+        base, _ = CSRGraph.from_edges(edges)
+        path = tmp_path / "many.kvccg"
+        base.save(path)
+        blob = json.dumps(base.interner.labels, separators=(",", ":")).encode()
+        data = path.read_bytes()
+        assert data.endswith(blob)
+        labels_len = struct.unpack_from("<IQQ", data, len(MAGIC) + 2)[2]
+        assert labels_len == len(blob)
+        assert CSRGraph.load(path).interner.labels == base.interner.labels
+
     def test_mmap_load_is_usable_end_to_end(self, csr, tmp_path):
         """An mmap-loaded base drives the full enumeration stack."""
         from repro.core.kvcc import enumerate_kvccs_csr
